@@ -179,14 +179,6 @@ def character_to_chern(x: CharacterVector) -> tuple[GradedClass, ...]:
 # -- lambda-ring operations ---------------------------------------------------
 
 
-def add(x: CharacterVector, y: CharacterVector) -> CharacterVector:
-    return x + y
-
-
-def multiply(x: CharacterVector, y: CharacterVector) -> CharacterVector:
-    return x * y
-
-
 def dual(x: CharacterVector) -> CharacterVector:
     """ch_k -> (-1)^k ch_k."""
     return CharacterVector(

@@ -382,3 +382,48 @@ def catalog_to_json() -> str:
         "pairs": [p.to_dict() for p in catalog_entries()],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# -- verification suite -----------------------------------------------------------
+
+
+def verify_catalog(m_max: int) -> list[dict]:
+    """The catalog's checkable statements, one {check, ok, detail} item each.
+
+    Cases (a)-(e) for m <= m_max have ample twists and classify back to
+    themselves; the extremal curves have L-degree 1 outside the stated
+    exceptions; the twists of (P^1, O(3)) and (P^d, O(2)) are 1 and 2h; every
+    entry has L and -K ample and, at Picard rank >= 2, pseudoindex <= (d+2)/2.
+    """
+    items: list[dict] = []
+
+    def add(name: str, ok: bool, detail: str = "") -> None:
+        items.append({"check": name, "ok": ok, "detail": detail})
+
+    for case in "abcde":
+        for m in range(1, m_max + 1):
+            pair = pair_case(case, m)
+            status = positivity_of_twist(pair)
+            add(f"twist ample ({case}, m={m})", status == AMPLE, f"status={status}")
+            try:
+                found = classify_pair(pair)
+                add(f"classify ({case}, m={m})", found == (case, m), f"found={found}")
+            except ValueError as exc:
+                add(f"classify ({case}, m={m})", False, str(exc))
+    for pair in catalog_entries():
+        if pair.picard_rank == 1 and pair.L[0] > 1:
+            continue  # the stated exceptions (P^d, O(2)) and (P^1, O(3))
+        degs = extremal_L_degrees(pair)
+        add(f"L.R = 1 ({pair.label})", all(v == 1 for v in degs), f"degrees={degs}")
+    p1o3 = pair_projective_space(1, 3)
+    add("twist of (P1, O3) = 1", twist_class(p1o3) == (1,), str(twist_class(p1o3)))
+    for d in range(1, 9):
+        pd = pair_projective_space(d, 2)
+        add(f"twist of (P{d}, O2) = 2h", twist_class(pd) == (2,), str(twist_class(pd)))
+    for pair in catalog_entries():
+        add(f"L ample ({pair.label})", pair.is_ample(pair.L))
+        add(f"-K ample ({pair.label})", pair.is_ample([-x for x in pair.K]))
+        if pair.picard_rank >= 2:
+            bound = pair.pseudoindex <= (pair.dim + 2) / 2
+            add(f"pseudoindex bound ({pair.label})", bound, f"i={pair.pseudoindex}, d={pair.dim}")
+    return items

@@ -178,44 +178,9 @@ def _verify_items(ns) -> list[dict]:
             lhs = sum(todd_coeff(k + 1 - j) / factorial(j) for j in range(1, k + 2))
             add(f"todd-identity(k={k})", lhs == Fraction(1, factorial(k)), f"lhs={lhs}")
     elif ns.suite == "catalog":
-        items.extend(_verify_catalog(ns.m_max))
+        items.extend(cat.verify_catalog(ns.m_max))
     else:
         raise UsageError(f"unknown suite {ns.suite!r}")
-    return items
-
-
-def _verify_catalog(m_max: int) -> list[dict]:
-    items: list[dict] = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        items.append({"check": name, "ok": ok, "detail": detail})
-
-    for case in "abcde":
-        for m in range(1, m_max + 1):
-            pair = cat.pair_case(case, m)
-            status = cat.positivity_of_twist(pair)
-            add(f"twist ample ({case}, m={m})", status == cat.AMPLE, f"status={status}")
-            try:
-                found = cat.classify_pair(pair)
-                add(f"classify ({case}, m={m})", found == (case, m), f"found={found}")
-            except (cat.NoMatchError, ValueError) as exc:
-                add(f"classify ({case}, m={m})", False, str(exc))
-    for pair in cat.catalog_entries():
-        if pair.picard_rank == 1 and pair.L[0] > 1:
-            continue  # the stated exceptions (P^d, O(2)) and (P^1, O(3))
-        degs = cat.extremal_L_degrees(pair)
-        add(f"L.R = 1 ({pair.label})", all(v == 1 for v in degs), f"degrees={degs}")
-    p1o3 = cat.pair_projective_space(1, 3)
-    add("twist of (P1, O3) = 1", cat.twist_class(p1o3) == (1,), str(cat.twist_class(p1o3)))
-    for d in range(1, 9):
-        pd = cat.pair_projective_space(d, 2)
-        add(f"twist of (P{d}, O2) = 2h", cat.twist_class(pd) == (2,), str(cat.twist_class(pd)))
-    for pair in cat.catalog_entries():
-        add(f"L ample ({pair.label})", pair.is_ample(pair.L))
-        add(f"-K ample ({pair.label})", pair.is_ample([-x for x in pair.K]))
-        if pair.picard_rank >= 2:
-            bound = pair.pseudoindex <= (pair.dim + 2) / 2
-            add(f"pseudoindex bound ({pair.label})", bound, f"i={pair.pseudoindex}, d={pair.dim}")
     return items
 
 

@@ -11,351 +11,190 @@ the j-th power of a divisor of fiber degree a, the transfer acts by
 a^j * l^(j-1); that is the only case it is defined on here, and the only case
 the complete-intersection families need.
 
-The symbolic side re-derives the formula from scratch.  UniversalModel is a
-graded model of the total space of the universal P^1-bundle: generators l
-(degree 1, pulled back from the family), the section class s (degree 1), and
-formal symbols e_j (degree j) standing for the evaluation pullbacks of the
-ambient ch_j.  Relations: s^2 = -s*l and s*e_j = 0; every element normalizes
-to p(l, e) + q(l)*s.  Pushforward down the bundle lands in FamilyModel, whose
-generators are l and symbols t_j (degree j-1); pure powers of l push to zero,
-q(l)*s pushes to q(l), and l^a*e_j pushes to l^a*t_j.
+The symbolic side re-derives the formula from scratch on two RingModels, so
+GradedClass does all of their arithmetic.  Neither model has a point class.
+
+UniversalModel is the total space of the universal P^1-bundle, truncated at
+max_degree.  Its basis labels are monomials in l (degree 1, pulled back from
+the family), the section class s (degree 1) and formal symbols e_j (degree j)
+standing for the evaluation pullbacks of the ambient ch_j, such as "1",
+"l^2*e_1*e_3" and "l^3*s".  The relations s^2 = -s*l and s*e_j = 0 leave
+only the monomials l^a*e_J and l^a*s.  The ring depends on the truncation
+alone and is shared; the ambient dimension n enters through tangent_pullback.
+
+Pushforward down the bundle lands in FamilyModel, whose labels are l^a and
+l^a*t_j with t_j of degree j-1 (such as "l^2*t_3"): pure powers of l push to
+zero, q(l)*s pushes to q(l), and l^a*e_j pushes to l^a*t_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
+from .bundles import line_character, todd_line
 from .numeric import Rational, power_sum, todd_coeff
-from .rings import GradedClass, projective_space_ring
+from .rings import GradedClass, RingModel, _pow_label, projective_space_ring
 
 # -- symbolic universal-family model -----------------------------------------
 
-# keys: (l-exponent, sorted tuple of e-indices, sigma flag in {0, 1})
-_UKey = tuple[int, tuple[int, ...], int]
-# keys: (l-exponent, sorted tuple of t-indices)
-_HKey = tuple[int, tuple[int, ...]]
+# exponents of a monomial: (l-exponent, sorted symbol indices, s-exponent)
+_Key = tuple[int, tuple[int, ...], int]
 
 
-class UniversalModel:
-    """Truncated model of the universal family's total space for given (n, d)."""
+def _index_tuples(total: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing tuples of integers >= smallest that sum to total."""
+    if total == 0:
+        yield ()
+    for first in range(smallest, total + 1):
+        for rest in _index_tuples(total - first, first):
+            yield (first, *rest)
 
-    def __init__(self, n: int, d: int, max_degree: int):
-        if not 0 <= d <= n - 1:
-            raise ValueError(f"need 0 <= d <= n-1, got n={n}, d={d}")
-        self.n = n
-        self.d = d
-        self.max_degree = max_degree
+
+class _MonomialModel(RingModel):
+    """A truncated RingModel whose basis labels are monomials l^a * x_J * s^b."""
+
+    def __init__(self, name: str, symbol: str, keys_by_degree: Sequence[Sequence[_Key]]):
+        self._key: dict[str, _Key] = {}
+        self._label: dict[_Key, str] = {}
+        for keys in keys_by_degree:
+            for key in keys:
+                a, idx, b = key
+                factors = [_pow_label("l", a)] + [f"{symbol}_{j}" for j in idx] + [_pow_label("s", b)]
+                label = "*".join(f for f in factors if f != "1") or "1"
+                self._key[label] = key
+                self._label[key] = label
+        basis = [[self._label[key] for key in keys] for keys in keys_by_degree]
+        super().__init__(name, len(basis) - 1, basis, None)
+
+    def _term(self, key: _Key, c: int = 1) -> dict[str, Fraction]:
+        """The monomial `key` times c, or nothing above the truncation."""
+        label = self._label.get(key)
+        return {} if label is None else {label: Fraction(c)}
+
+    def _generator(self, label: str) -> GradedClass:
+        """A generator of the model, zero when it lies above the truncation."""
+        return self.monomial(label) if label in self._key else self.zero()
+
+    def ell(self) -> GradedClass:
+        return self._generator("l")
+
+
+class FamilyModel(_MonomialModel):
+    """The family side: l^a and l^a*t_j (t_j of degree j-1), truncated at max_degree."""
+
+    def __init__(self, max_degree: int):
+        keys = [
+            [(deg, (), 0)] + [(a, (deg - a + 1,), 0) for a in range(deg + 1)]
+            for deg in range(max_degree + 1)
+        ]
+        super().__init__(f"H<{max_degree}>", "t", keys)
+
+    def t(self, j: int) -> GradedClass:
+        if j < 1:
+            raise ValueError("t_j needs j >= 1")
+        return self._generator(f"t_{j}")
+
+    def _mul_labels(self, x, y):
+        a1, t1, _ = self._key[x]
+        a2, t2, _ = self._key[y]
+        if t1 and t2:
+            raise ValueError(f"the family model has no products of t-symbols: {x} * {y}")
+        return self._term((a1 + a2, t1 + t2, 0))
+
+
+class UniversalModel(_MonomialModel):
+    """Total space of the universal family, truncated at max_degree, in normal form."""
+
+    def __init__(self, max_degree: int):
+        keys = [
+            [(a, es, 0) for a in range(deg + 1) for es in _index_tuples(deg - a)]
+            + ([(deg - 1, (), 1)] if deg else [])
+            for deg in range(max_degree + 1)
+        ]
+        super().__init__(f"U<{max_degree}>", "e", keys)
         self.family = FamilyModel(max_degree - 1)
 
-    def key_degree(self, key: _UKey) -> int:
-        a, es, s = key
-        return a + sum(es) + s
+    def sigma(self) -> GradedClass:
+        return self._generator("s")
 
-    def zero(self) -> "UClass":
-        return UClass(self, {})
-
-    def one(self, c: Rational = 1) -> "UClass":
-        return UClass(self, {(0, (), 0): Fraction(c)})
-
-    def ell(self) -> "UClass":
-        return UClass(self, {(1, (), 0): Fraction(1)})
-
-    def sigma(self) -> "UClass":
-        return UClass(self, {(0, (), 1): Fraction(1)})
-
-    def e(self, j: int) -> "UClass":
+    def e(self, j: int) -> GradedClass:
         if j < 1:
             raise ValueError("e_j needs j >= 1")
-        return UClass(self, {(0, (j,), 0): Fraction(1)})
+        return self._generator(f"e_{j}")
 
-    # -- geometric series used in the derivation --------------------------
+    def _mul_labels(self, x, y):
+        a1, e1, s1 = self._key[x]
+        a2, e2, s2 = self._key[y]
+        a, es, s, c = a1 + a2, tuple(sorted(e1 + e2)), s1 + s2, 1
+        if s == 2:  # s^2 = -s*l
+            a, s, c = a + 1, 1, -1
+        if s and es:  # s * e_j = 0
+            return {}
+        return self._term((a, es, s), c)
 
-    def exp_of(self, x: "UClass") -> "UClass":
-        out = self.one()
-        power = self.one()
-        for i in range(1, self.max_degree + 1):
-            power = power * x
-            if power.is_zero():
-                break
-            out = out + power * Fraction(1, factorial(i))
-        return out
+    # -- classes used in the derivation -----------------------------------
 
-    def todd_of(self, x: "UClass") -> "UClass":
-        out = self.one()
-        power = self.one()
-        for i in range(1, self.max_degree + 1):
-            power = power * x
-            if power.is_zero():
-                break
-            a = todd_coeff(i)
-            if a:
-                out = out + power * a
-        return out
-
-    def c1_relative_tangent(self) -> "UClass":
+    def c1_relative_tangent(self) -> GradedClass:
         return 2 * self.sigma() + self.ell()
 
-    def tangent_pullback(self, e1_substitution: "UClass | None" = None) -> "UClass":
+    def tangent_pullback(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
         """ev^* ch(T_X) = n + sum_j e_j, optionally with e_1 replaced."""
-        out = self.one(self.n)
+        out = self.scalar(n)
         start = 1
         if e1_substitution is not None:
             out = out + e1_substitution
             start = 2
-        for j in range(start, self.max_degree + 1):
+        for j in range(start, self.dimension + 1):
             out = out + self.e(j)
         return out
 
-    def ch_o_minus_sigma(self) -> "UClass":
-        return self.exp_of(-self.sigma())
-
-    def z_class(self, e1_substitution: "UClass | None" = None) -> "UClass":
+    def z_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
         """(ev^* ch(T_X) - ch(T_pi)) * ch(O(-s))."""
-        ch_tpi = self.exp_of(self.c1_relative_tangent())
-        return (self.tangent_pullback(e1_substitution) - ch_tpi) * self.ch_o_minus_sigma()
+        ch_tpi = line_character(self.c1_relative_tangent()).total()
+        ch_o_minus_s = line_character(-self.sigma()).total()
+        return (self.tangent_pullback(n, e1_substitution) - ch_tpi) * ch_o_minus_s
 
-    def w_class(self, e1_substitution: "UClass | None" = None) -> "UClass":
+    def w_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
         """z_class times the Todd class of the relative tangent bundle."""
-        return self.z_class(e1_substitution) * self.todd_of(self.c1_relative_tangent())
+        return self.z_class(n, e1_substitution) * todd_line(self.c1_relative_tangent())
 
 
-class UClass:
-    """Element of a UniversalModel, kept in normal form p(l, e) + q(l) s."""
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model: UniversalModel, terms: Mapping[_UKey, Fraction]):
-        self.model = model
-        self.terms = {k: Fraction(c) for k, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree_part(self, k: int) -> "UClass":
-        return UClass(
-            self.model,
-            {key: c for key, c in self.terms.items() if self.model.key_degree(key) == k},
-        )
-
-    def scalar_part(self) -> Fraction:
-        return self.terms.get((0, (), 0), Fraction(0))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.model.one(other)
-        if other.model is not self.model:
-            raise ValueError("model mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return UClass(self.model, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UClass(self.model, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.model.one(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return UClass(self.model, {k: c * v for k, v in self.terms.items()})
-        if other.model is not self.model:
-            raise ValueError("model mismatch")
-        n_max = self.model.max_degree
-        out: dict[_UKey, Fraction] = {}
-        for (a1, e1, s1), c1 in self.terms.items():
-            for (a2, e2, s2), c2 in other.terms.items():
-                c = c1 * c2
-                a = a1 + a2
-                es = tuple(sorted(e1 + e2))
-                s = s1 + s2
-                if s == 2:
-                    # s^2 = -s*l
-                    s = 1
-                    a += 1
-                    c = -c
-                if s == 1 and es:
-                    continue  # s * e_j = 0
-                if a + sum(es) + s > n_max:
-                    continue
-                key = (a, es, s)
-                out[key] = out.get(key, Fraction(0)) + c
-        return UClass(self.model, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        out = self.model.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.model.one(other)
-        if not isinstance(other, UClass):
-            return NotImplemented
-        return self.model is other.model and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, es, s) in sorted(self.terms):
-            c = self.terms[(a, es, s)]
-            mono = [f"l^{a}"] if a else []
-            mono += [f"e_{j}" for j in es]
-            mono += ["s"] if s else []
-            bits.append(f"({c})" + ("*" + "*".join(mono) if mono else ""))
-        return " + ".join(bits)
-
-
-class FamilyModel:
-    """Polynomial model for the family side: generators l and t_j (degree j-1)."""
-
-    def __init__(self, max_degree: int):
-        self.max_degree = max_degree
-
-    def key_degree(self, key: _HKey) -> int:
-        a, ts = key
-        return a + sum(j - 1 for j in ts)
-
-    def zero(self) -> "HClass":
-        return HClass(self, {})
-
-    def one(self, c: Rational = 1) -> "HClass":
-        return HClass(self, {(0, ()): Fraction(c)})
-
-    def ell(self) -> "HClass":
-        return HClass(self, {(1, ()): Fraction(1)})
-
-    def t(self, j: int) -> "HClass":
-        if j < 1:
-            raise ValueError("t_j needs j >= 1")
-        return HClass(self, {(0, (j,)): Fraction(1)})
-
-
-class HClass:
-    """Element of a FamilyModel (free commutative polynomial, truncated)."""
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model: FamilyModel, terms: Mapping[_HKey, Fraction]):
-        self.model = model
-        self.terms = {k: Fraction(c) for k, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree_part(self, k: int) -> "HClass":
-        return HClass(
-            self.model,
-            {key: c for key, c in self.terms.items() if self.model.key_degree(key) == k},
-        )
-
-    def coefficient(self, key: _HKey) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.model.one(other)
-        if other.model is not self.model:
-            raise ValueError("model mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return HClass(self.model, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HClass(self.model, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.model.one(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return HClass(self.model, {k: c * v for k, v in self.terms.items()})
-        if other.model is not self.model:
-            raise ValueError("model mismatch")
-        out: dict[_HKey, Fraction] = {}
-        for (a1, t1), c1 in self.terms.items():
-            for (a2, t2), c2 in other.terms.items():
-                key = (a1 + a2, tuple(sorted(t1 + t2)))
-                if self.model.key_degree(key) > self.model.max_degree:
-                    continue
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return HClass(self.model, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        out = self.model.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.model.one(other)
-        if not isinstance(other, HClass):
-            return NotImplemented
-        return self.model is other.model and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, ts) in sorted(self.terms):
-            c = self.terms[(a, ts)]
-            mono = [f"l^{a}"] if a else []
-            mono += [f"t_{j}" for j in ts]
-            bits.append(f"({c})" + ("*" + "*".join(mono) if mono else ""))
-        return " + ".join(bits)
+@lru_cache(maxsize=None)
+def _universal_ring(max_degree: int) -> UniversalModel:
+    return UniversalModel(max_degree)
 
 
 def model_ring(n: int, d: int, k_max: int) -> UniversalModel:
-    """Universal-family model truncated so ch_k is available for k <= k_max."""
-    return UniversalModel(n, d, k_max + 1)
+    """Universal-family model truncated so ch_k is available for k <= k_max.
+
+    The ring depends only on the truncation and is shared; pass n on to
+    tangent_pullback, z_class and w_class.
+    """
+    if not 0 <= d <= n - 1:
+        raise ValueError(f"need 0 <= d <= n-1, got n={n}, d={d}")
+    return _universal_ring(k_max + 1)
 
 
-def push_pi(x: UClass) -> HClass:
+def push_pi(x: GradedClass) -> GradedClass:
     """Pushforward down the universal P^1-bundle, into the family model.
 
     q(l)*s maps to q(l); pure powers of l map to 0; l^a*e_j maps to l^a*t_j.
     Products of two or more e-symbols have no expressible pushforward and are
     rejected (they never occur in the derivation).
     """
-    fam = x.model.family
-    out: dict[_HKey, Fraction] = {}
-    for (a, es, s), c in x.terms.items():
-        if s == 1:
-            key = (a, ())
-        elif not es:
-            continue
-        elif len(es) == 1:
-            key = (a, es)
-        else:
-            raise ValueError(f"pushforward of a product of e-symbols is undefined: {es}")
-        if fam.key_degree(key) > fam.max_degree:
-            continue
-        out[key] = out.get(key, Fraction(0)) + c
-    return HClass(fam, out)
+    fam = x.ring.family
+    out: dict[str, Fraction] = {}
+    for label, c in x.terms.items():
+        a, es, s = x.ring._key[label]
+        if len(es) > 1:
+            raise ValueError(f"pushforward of a product of e-symbols is undefined: {label}")
+        if s or es:  # distinct labels have distinct images
+            out[fam._label[(a, es, 0)]] = c
+    return GradedClass(fam, out)
 
 
 # -- verification reports ------------------------------------------------------
@@ -402,8 +241,8 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
     lh = fam.ell()
     report = VerificationReport(f"claim31(n={n}, d={d}, k_max={k_max})")
 
-    z = u.z_class()
-    report.record("Z_0 = n-1", (n, d, 0), z.degree_part(0), u.one(n - 1))
+    z = u.z_class(n)
+    report.record("Z_0 = n-1", (n, d, 0), z.degree_part(0), u.scalar(n - 1))
     for k in range(1, k_max + 1):
         zk = z.degree_part(k)
         co = Fraction((n + 1) * (-1) ** k, factorial(k))
@@ -420,7 +259,7 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
         report.record("push(Z_k*s)", (n, d, k), push_pi(zk * sig), rhs_push_zs)
 
     c1 = u.c1_relative_tangent()
-    top = u.max_degree
+    top = u.dimension
     for i in range(0, top + 1):
         for j in range(1, top - i + 1):
             report.record("(iv) l^i s^j", (n, d, i, j), ell**i * sig**j, (-1) ** i * sig ** (i + j))
@@ -437,7 +276,7 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
     return report
 
 
-def family_character_formula(fam: FamilyModel, k: int) -> HClass:
+def family_character_formula(fam: FamilyModel, k: int) -> GradedClass:
     """The family-side character formula in symbols: sum A_j l^j t_(k+1-j) - l^k/k!."""
     lh = fam.ell()
     out = fam.zero()
@@ -462,7 +301,7 @@ def verify_prop11_symbolic(n: int, d: int, k_max: int) -> VerificationReport:
     lh = fam.ell()
     report = VerificationReport(f"prop11_symbolic(n={n}, d={d}, k_max={k_max})")
 
-    w = u.w_class()
+    w = u.w_class(n)
     for k in range(1, k_max + 1):
         lhs = push_pi(w.degree_part(k + 1))
         rhs = family_character_formula(fam, k)
@@ -470,13 +309,13 @@ def verify_prop11_symbolic(n: int, d: int, k_max: int) -> VerificationReport:
         report.record(
             "standalone l^k coefficient",
             (n, d, k),
-            lhs.coefficient((k, ())),
+            lhs.coefficient(_pow_label("l", k)),
             Fraction(-1, factorial(k)),
         )
 
     # substituting the anticanonical identity gives the k = 1, 2 closed forms
     sub = (d + 2) * (u.sigma() + u.ell())
-    w_sub = u.w_class(e1_substitution=sub)
+    w_sub = u.w_class(n, e1_substitution=sub)
     if k_max >= 1:
         rhs1 = fam.t(2) + Fraction(d, 2) * lh
         report.record("c_1(H) specialization", (n, d, 1), push_pi(w_sub.degree_part(2)), rhs1)

@@ -42,6 +42,11 @@ def _join_labels(a: str, b: str) -> str:
     return f"{a}*{b}"
 
 
+# shared start value for sums in products: Fractions are immutable, and
+# building a fresh Fraction(0) per term is a measurable share of a product
+_ZERO = Fraction(0)
+
+
 class GradedClass:
     """A finite rational combination of basis labels of one ring model."""
 
@@ -85,6 +90,8 @@ class GradedClass:
         return degs[0]
 
     def integrate(self) -> Fraction:
+        if self.ring.point_label is None:
+            raise ValueError(f"{self.ring.name} has no point class to integrate against")
         return self.coefficient(self.ring.point_label)
 
     # -- arithmetic ------------------------------------------------------
@@ -127,7 +134,7 @@ class GradedClass:
             for b, cb in other.terms.items():
                 cab = ca * cb
                 for label, m in self.ring.mul_basis(a, b).items():
-                    out[label] = out.get(label, Fraction(0)) + cab * m
+                    out[label] = out.get(label, _ZERO) + (cab if m == 1 else cab * m)
         return GradedClass(self.ring, out)
 
     __rmul__ = __mul__
@@ -169,16 +176,22 @@ class GradedClass:
 
 
 class RingModel:
-    """Base class: a graded basis with a multiplication rule, truncated at `dimension`."""
+    """Base class: a graded basis with a multiplication rule, truncated at `dimension`.
 
-    def __init__(self, name: str, dimension: int, basis_by_degree: Sequence[Sequence[str]], point_label: str):
+    `point_label` is None for truncated models with no fundamental class;
+    integration on those raises.
+    """
+
+    def __init__(
+        self, name: str, dimension: int, basis_by_degree: Sequence[Sequence[str]], point_label: str | None
+    ):
         self.name = name
         self.dimension = dimension
         self._basis = tuple(tuple(labels) for labels in basis_by_degree)
         self._degree = {l: d for d, labels in enumerate(self._basis) for l in labels}
         self.point_label = point_label
         self._mul_cache: dict[tuple[str, str], dict[str, Fraction]] = {}
-        if point_label not in self._degree or self._degree[point_label] != dimension:
+        if point_label is not None and self._degree.get(point_label) != dimension:
             raise ValueError("point class must be a basis label in top degree")
 
     # -- basis -----------------------------------------------------------

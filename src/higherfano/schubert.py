@@ -10,6 +10,7 @@ labels like "σ[2,1]" ("1" for the empty partition).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from .rings import DegreeError, GradedClass, RingModel
@@ -123,14 +124,10 @@ class GrassmannianRing(RingModel):
 
     def _jt_terms(self, mu: Partition) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Signed products of one-row classes from det(sigma_{mu_i - i + j})."""
-        from itertools import permutations
-
         ell = len(mu)
         for perm in permutations(range(ell)):
-            sign = 1
-            seen = list(perm)
             # permutation sign by counting inversions
-            inv = sum(1 for a in range(ell) for b in range(a + 1, ell) if seen[a] > seen[b])
+            inv = sum(1 for a in range(ell) for b in range(a + 1, ell) if perm[a] > perm[b])
             sign = -1 if inv % 2 else 1
             rows = []
             ok = True

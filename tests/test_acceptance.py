@@ -12,16 +12,7 @@ from time import perf_counter
 
 from higherfano import families as fam
 from higherfano import minimalfamily as mf
-from higherfano.catalog import (
-    AMPLE,
-    catalog_entries,
-    classify_pair,
-    extremal_L_degrees,
-    pair_case,
-    pair_projective_space,
-    positivity_of_twist,
-    twist_class,
-)
+from higherfano.catalog import catalog_entries, verify_catalog
 from higherfano.cli import main as cli_main
 from higherfano.numeric import todd_coeff
 
@@ -116,18 +107,18 @@ def test_criterion_4_derivation_suite():
 
 def test_criterion_5_catalog_suite():
     def body():
+        items = verify_catalog(6)
+        assert all(item["ok"] for item in items), [i for i in items if not i["ok"]]
+        names = {item["check"] for item in items}
+        expected = {"twist of (P1, O3) = 1"}
+        expected |= {f"twist of (P{d}, O2) = 2h" for d in range(1, 9)}
         for case in "abcde":
             for m in range(1, 7):
-                pair = pair_case(case, m)
-                assert positivity_of_twist(pair) == AMPLE, (case, m)
-                assert classify_pair(pair) == (case, m)
+                expected |= {f"twist ample ({case}, m={m})", f"classify ({case}, m={m})"}
         for pair in catalog_entries():
-            if pair.picard_rank == 1 and pair.L[0] > 1:
-                continue  # (P^d, O(2)) and (P^1, O(3))
-            assert all(v == 1 for v in extremal_L_degrees(pair)), pair.label
-        assert twist_class(pair_projective_space(1, 3)) == (Fraction(1),)
-        for d in range(1, 9):
-            assert twist_class(pair_projective_space(d, 2)) == (Fraction(2),)
+            if not (pair.picard_rank == 1 and pair.L[0] > 1):  # (P^d, O(2)) and (P^1, O(3))
+                expected.add(f"L.R = 1 ({pair.label})")
+        assert expected <= names, sorted(expected - names)
 
     _criterion(5, "catalog: ample twists, classification, L degrees", 1.0, body)
 

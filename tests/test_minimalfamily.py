@@ -17,7 +17,7 @@ from higherfano.minimalfamily import (
     verify_prop11_ci,
     verify_prop11_symbolic,
 )
-from higherfano.rings import projective_space_ring
+from higherfano.rings import RingMismatchError, projective_space_ring
 
 
 def test_T_power():
@@ -102,7 +102,7 @@ def test_no_lines_rejected():
 def test_push_pi_spec_values():
     u = model_ring(5, 2, 4)
     fam = u.family
-    assert push_pi(u.sigma()) == fam.one()
+    assert push_pi(u.sigma()) == fam.unit()
     assert push_pi(u.sigma() ** 3) == fam.ell() ** 2
     assert push_pi(u.ell() ** 2) == fam.zero()
     assert push_pi(u.ell() * u.e(2)) == fam.ell() * fam.t(2)
@@ -112,6 +112,31 @@ def test_push_pi_rejects_e_products():
     u = model_ring(5, 2, 4)
     with pytest.raises(ValueError):
         push_pi(u.e(1) * u.e(2))
+
+
+def test_symbolic_models_reject_negative_powers_and_mixed_truncations():
+    u = model_ring(5, 2, 4)
+    fam = u.family
+    with pytest.raises(ValueError):
+        u.sigma() ** -1
+    with pytest.raises(ValueError):
+        fam.ell() ** -2
+    assert model_ring(9, 7, 4) is u  # one ring per truncation degree
+    with pytest.raises(RingMismatchError):
+        u.ell() + model_ring(5, 2, 3).ell()
+    with pytest.raises(RingMismatchError):
+        fam.ell() + model_ring(5, 2, 3).family.ell()
+
+
+def test_symbolic_models_reject_integrals_and_t_products():
+    u = model_ring(5, 2, 4)
+    fam = u.family
+    with pytest.raises(ValueError):
+        (u.ell() ** 5).integrate()
+    with pytest.raises(ValueError):
+        fam.t(2) * fam.t(3)
+    assert u.sigma() * u.e(2) == u.zero()
+    assert u.e(6).is_zero()  # above the truncation
 
 
 def test_sigma_power_normal_form():
