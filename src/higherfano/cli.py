@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -244,8 +245,10 @@ def main(argv: list[str] | None = None) -> int:
         if ns.cmd == "census":
             spec_texts = _census_specs(ns)
             tasks = [(text, ns.k) for text in spec_texts]
-            if ns.jobs > 1:
-                with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+            # more workers than cores or rows only cost processes
+            jobs = min(ns.jobs, os.cpu_count() or 1, len(tasks))
+            if jobs > 1:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
                     items = list(pool.map(_census_row, tasks))
             else:
                 items = [_census_row(t) for t in tasks]

@@ -5,17 +5,28 @@ box; products are computed by the Pieri rule, with general classes expanded
 through the Jacobi-Trudi determinant in the special (one-row) classes.
 Partitions are plain tuples, stored without trailing zeros, with canonical
 labels like "σ[2,1]" ("1" for the empty partition).
+
+Products run on partition tuples with integer coefficients and memoised
+Pieri steps.  Only the shapes a product returns are turned into labels, by
+bisection in the sorted basis of their degree, so the labels in product
+tables are the basis's own strings and no shape-to-label table is kept.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator
 
 from .rings import DegreeError, GradedClass, RingModel
 
 Partition = tuple[int, ...]
+
+# shared by the product tables: almost every structure constant is 1, and one
+# Fraction per table entry is a measurable share of a census's peak memory
+_ONE = Fraction(1)
 
 
 def normalize_partition(parts: Iterable[int]) -> Partition:
@@ -27,11 +38,13 @@ def normalize_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
+def _label(p: Partition) -> str:
+    """Label of a partition already in canonical form."""
+    return "σ[" + ",".join(map(str, p)) + "]" if p else "1"
+
+
 def partition_label(p: Iterable[int]) -> str:
-    p = normalize_partition(p)
-    if not p:
-        return "1"
-    return "σ[" + ",".join(str(x) for x in p) + "]"
+    return _label(normalize_partition(p))
 
 
 def conjugate(p: Partition) -> Partition:
@@ -42,43 +55,73 @@ def conjugate(p: Partition) -> Partition:
 
 
 def partitions_in_box(rows: int, cols: int, size: int) -> list[Partition]:
-    """All partitions of `size` with at most `rows` parts, each at most `cols`."""
+    """All partitions of `size` with at most `rows` parts, each at most `cols`, in sorted order."""
     out: list[Partition] = []
 
     def rec(prefix: list[int], remaining: int, bound: int, slots: int):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if slots == 0:
+        if slots * bound < remaining:
             return
-        for part in range(min(bound, remaining), 0, -1):
+        # ascending parts give sorted output; a part below remaining/slots
+        # leaves too little room for the rest, so the loop starts above it
+        for part in range(-(-remaining // slots), min(bound, remaining) + 1):
             prefix.append(part)
             rec(prefix, remaining - part, part, slots - 1)
             prefix.pop()
 
-    rec([], size, cols, rows)
-    return sorted(out)
+    if size >= 0:
+        rec([], size, cols, rows)
+    return out
+
+
+def _horizontal_strips(lam: Partition, i: int, rows: int, cols: int) -> Iterator[Partition]:
+    """pieri_shapes for a canonical lam: each result is canonical too."""
+    ell = len(lam)
+    last = min(ell, rows - 1)  # the lowest row that can take boxes
+    acc: list[int] = []
+
+    def rec(r: int, remaining: int):
+        if remaining == 0:
+            yield tuple(acc) + lam[r:]
+            return
+        if r > last:
+            return
+        lower = lam[r] if r < ell else 0
+        upper = cols if r == 0 else lam[r - 1]
+        # boxes added in row r cannot exceed what remains
+        for mu_r in range(min(upper, lower + remaining), lower - 1, -1):
+            acc.append(mu_r)
+            yield from rec(r + 1, remaining - (mu_r - lower))
+            acc.pop()
+
+    return rec(0, i)
 
 
 def pieri_shapes(lam: Partition, i: int, rows: int, cols: int) -> Iterator[Partition]:
     """Partitions obtained from lam by adding i boxes, no two in a column, inside the box."""
-    lam = normalize_partition(lam)
-    padded = list(lam) + [0] * (rows - len(lam))
+    yield from _horizontal_strips(normalize_partition(lam), i, rows, cols)
 
-    def rec(r: int, remaining: int, acc: list[int]):
-        if r == rows:
-            if remaining == 0:
-                yield normalize_partition(acc)
-            return
-        upper = cols if r == 0 else padded[r - 1]
-        lower = padded[r]
-        # boxes added in row r cannot exceed what remains
-        for mu_r in range(min(upper, lower + remaining), lower - 1, -1):
-            acc.append(mu_r)
-            yield from rec(r + 1, remaining - (mu_r - lower), acc)
-            acc.pop()
 
-    yield from rec(0, i, [])
+@lru_cache(maxsize=None)
+def _jt_terms(mu: Partition) -> tuple[tuple[int, Partition], ...]:
+    """det(sigma_{mu_i - i + j}) as signed products of one-row classes.
+
+    One-row classes commute, so each product is keyed by its rows sorted
+    into a partition, and like products are merged (cancelling ones dropped).
+    """
+    ell = len(mu)
+    terms: dict[Partition, int] = {}
+    for perm in permutations(range(ell)):
+        rows = [mu[i] - i + perm[i] for i in range(ell)]
+        if any(v < 0 for v in rows):
+            continue
+        # permutation sign by counting inversions
+        inv = sum(1 for a in range(ell) for b in range(a + 1, ell) if perm[a] > perm[b])
+        key = tuple(sorted((v for v in rows if v), reverse=True))
+        terms[key] = terms.get(key, 0) + (-1 if inv % 2 else 1)
+    return tuple((c, rows) for rows, c in terms.items() if c)
 
 
 class GrassmannianRing(RingModel):
@@ -96,73 +139,76 @@ class GrassmannianRing(RingModel):
         for d in range(dim + 1):
             labels = []
             for p in partitions_in_box(k, self.cols, d):
-                label = partition_label(p)
+                label = _label(p)
                 self._by_label[label] = p
                 labels.append(label)
             basis.append(labels)
-        point = partition_label((self.cols,) * k)
-        super().__init__(f"G({k},{n})", dim, basis, point)
+        # (lam, i) -> {mu: 1}: the memoised Pieri steps of pieri_dict
+        self._pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
+        super().__init__(f"G({k},{n})", dim, basis, _label((self.cols,) * k))
 
     def partition_of(self, label: str) -> Partition:
         return self._by_label[label]
 
-    def sigma(self, parts: Iterable[int]) -> GradedClass:
+    def box_partition(self, parts: Iterable[int]) -> Partition:
+        """parts as a canonical partition; ValueError unless it fits the k x (n-k) box."""
         p = normalize_partition(parts)
         if len(p) > self.k or (p and p[0] > self.cols):
             raise ValueError(f"partition {p} does not fit the {self.k}x{self.cols} box")
-        return self.monomial(partition_label(p))
+        return p
+
+    def sigma(self, parts: Iterable[int]) -> GradedClass:
+        return self.monomial(_label(self.box_partition(parts)))
 
     def complement(self, parts: Iterable[int]) -> Partition:
-        p = normalize_partition(parts)
-        padded = list(p) + [0] * (self.k - len(p))
-        return normalize_partition(self.cols - padded[i] for i in reversed(range(self.k)))
+        p = self.box_partition(parts)
+        padded = p + (0,) * (self.k - len(p))
+        return normalize_partition(self.cols - x for x in reversed(padded))
 
-    def pieri_dict(self, lam: Partition, i: int) -> dict[str, Fraction]:
-        if i == 0:
-            return {partition_label(lam): Fraction(1)}
-        return {partition_label(mu): Fraction(1) for mu in pieri_shapes(lam, i, self.k, self.cols)}
-
-    def _jt_terms(self, mu: Partition) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Signed products of one-row classes from det(sigma_{mu_i - i + j})."""
-        ell = len(mu)
-        for perm in permutations(range(ell)):
-            # permutation sign by counting inversions
-            inv = sum(1 for a in range(ell) for b in range(a + 1, ell) if perm[a] > perm[b])
-            sign = -1 if inv % 2 else 1
-            rows = []
-            ok = True
-            for i in range(ell):
-                v = mu[i] - i + perm[i]
-                if v < 0:
-                    ok = False
-                    break
-                if v > 0:
-                    rows.append(v)
-            if ok:
-                yield sign, tuple(rows)
+    def pieri_dict(self, lam: Partition, i: int) -> dict[Partition, int]:
+        """sigma_lam * sigma_i as {mu: 1}, memoised; lam must be a canonical partition in the box."""
+        key = (lam, i)
+        step = self._pieri.get(key)
+        if step is None:
+            if i == 0:
+                step = {lam: 1}
+            else:
+                step = {mu: 1 for mu in _horizontal_strips(lam, i, self.k, self.cols)}
+            self._pieri[key] = step
+        return step
 
     def _mul_labels(self, a, b):
         pa, pb = self._by_label[a], self._by_label[b]
         # expand the partition with fewer rows through Jacobi-Trudi
         if len(pb) > len(pa):
             pa, pb = pb, pa
-        out: dict[str, Fraction] = {}
-        for sign, rows in self._jt_terms(pb):
-            acc = {partition_label(pa): Fraction(1)}
+        steps = self._pieri
+        out: dict[Partition, int] = {}
+        for coeff, rows in _jt_terms(pb):
+            if rows and rows[0] > self.cols:
+                # one-row classes above n-k vanish (Chern classes of the
+                # rank n-k quotient bundle)
+                continue
+            acc = {pa: coeff}
             for r in rows:
-                if r > self.cols:
-                    # one-row classes above n-k vanish (Chern classes of the
-                    # rank n-k quotient bundle)
-                    acc = {}
-                    break
-                nxt: dict[str, Fraction] = {}
-                for label, c in acc.items():
-                    for m_label, m in self.pieri_dict(self._by_label[label], r).items():
-                        nxt[m_label] = nxt.get(m_label, Fraction(0)) + c * m
+                nxt: dict[Partition, int] = {}
+                for lam, c in acc.items():
+                    # a dict lookup is cheaper than a method call per step;
+                    # pieri_dict runs only on a miss and fills the memo
+                    step = steps.get((lam, r))
+                    if step is None:
+                        step = self.pieri_dict(lam, r)
+                    for mu in step:
+                        nxt[mu] = nxt.get(mu, 0) + c
                 acc = nxt
-            for label, c in acc.items():
-                out[label] = out.get(label, Fraction(0)) + sign * c
-        return {l: c for l, c in out.items() if c}
+            for mu, c in acc.items():
+                out[mu] = out.get(mu, 0) + c
+        return {self._basis_label(mu): _ONE if c == 1 else Fraction(c) for mu, c in out.items() if c}
+
+    def _basis_label(self, mu: Partition) -> str:
+        """The basis label of a shape in the box: bisection in its degree, which is sorted."""
+        labels = self._basis[sum(mu)]
+        return labels[bisect_left(labels, mu, key=self._by_label.__getitem__)]
 
 
 def grassmannian_ring(k: int, n: int) -> GrassmannianRing:
@@ -171,10 +217,10 @@ def grassmannian_ring(k: int, n: int) -> GrassmannianRing:
 
 def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:
     """sigma_lam * sigma_i by the Pieri rule (possibly zero)."""
-    lam = normalize_partition(lam)
+    lam = ring.box_partition(lam)
     if not 1 <= i <= ring.cols:
         raise ValueError(f"Pieri index must be in 1..{ring.cols}")
-    return GradedClass(ring, ring.pieri_dict(lam, i))
+    return GradedClass(ring, {_label(mu): c for mu, c in ring.pieri_dict(lam, i).items()})
 
 
 def schubert_multiply(x: GradedClass, y: GradedClass) -> GradedClass:

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 
+from higherfano import cli
 from higherfano.cli import CSV_COLUMNS, compute_row, main
 
 
@@ -86,6 +88,50 @@ def test_census_jobs_match_serial(capsys):
     _, parallel = run_cli(capsys, "census", "OG", "--k-range", "2..3", "--n-range", "7..12",
                           "--format", "csv", "--jobs", "2")
     assert serial == parallel
+
+
+def test_census_jobs_clamped_to_cores_and_rows(capsys, monkeypatch):
+    workers = []
+
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    argv = ("census", "OG", "--k-range", "2..3", "--n-range", "7..12", "--format", "csv")
+    _, serial = run_cli(capsys, *argv)
+    rows = serial.count("\n") - 1
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert run_cli(capsys, *argv, "--jobs", "1000000") == (0, serial)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert run_cli(capsys, *argv, "--jobs", "1000000") == (0, serial)
+    assert workers == [rows, 3]
+    # one core (or an unknown count) and a single row both run serially
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run_cli(capsys, *argv, "--jobs", "8") == (0, serial)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert run_cli(capsys, "census", "OG", "--k-range", "2", "--n-range", "7", "--jobs", "8")[0] == 0
+    assert workers == [rows, 3]
+
+
+def test_census_grass_deep_golden_csv(capsys):
+    # digest of this census as recorded at the seed commit
+    code, out = run_cli(capsys, "census", "G", "--k", "10", "--k-range", "3..5", "--n-range", "9..15",
+                        "--format", "csv")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "78617bfd3146783271a274e302febc78259f9fe476d214cafe834149a192b600"
 
 
 def test_census_requires_ranges(capsys):

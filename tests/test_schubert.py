@@ -1,8 +1,11 @@
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from higherfano.rings import DegreeError, integrate
+from higherfano.rings import DegreeError, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
     conjugate,
     dual_pairing,
@@ -11,6 +14,7 @@ from higherfano.schubert import (
     partition_label,
     partitions_in_box,
     pieri,
+    pieri_shapes,
     schubert_multiply,
     tautological_chern,
 )
@@ -144,3 +148,73 @@ def test_basis_count_is_binomial():
     for k in range(1, 4):
         for n in range(k + 1, 9):
             assert len(grassmannian_ring(k, n).basis()) == comb(n, k)
+
+
+def test_out_of_box_partitions_are_rejected():
+    g24 = grassmannian_ring(2, 4)
+    # sigma_{1,1,1} does not exist on G(2,4): three rows in a 2x2 box
+    with pytest.raises(ValueError, match="2x2 box"):
+        pieri(g24, (1, 1, 1), 1)
+    with pytest.raises(ValueError, match="2x2 box"):
+        pieri(g24, (3,), 1)
+    with pytest.raises(ValueError, match="2x2 box"):
+        g24.complement((3,))
+    with pytest.raises(ValueError, match="2x2 box"):
+        g24.sigma((1, 1, 1))
+
+
+@given(rows=st.integers(0, 6), cols=st.integers(0, 6), data=st.data())
+def test_partitions_in_box_matches_brute_force(rows, cols, data):
+    size = data.draw(st.integers(-1, rows * cols + 1), label="size")
+    # every weakly decreasing tuple of `rows` entries in 0..cols, zeros dropped
+    brute = {
+        tuple(x for x in reversed(c) if x)
+        for c in combinations_with_replacement(range(cols + 1), rows)
+        if sum(c) == size
+    }
+    # the basis lists each degree in this sorted order
+    assert partitions_in_box(rows, cols, size) == sorted(brute)
+
+
+def test_pieri_dict_is_stable_and_matches_pieri_shapes():
+    for k, n in [(2, 4), (2, 5), (3, 6), (3, 7)]:
+        ring = grassmannian_ring(k, n)
+        for label in ring.basis():
+            lam = ring.partition_of(label)
+            for i in range(ring.cols + 1):
+                first = dict(ring.pieri_dict(lam, i))
+                assert ring.pieri_dict(lam, i) == first
+                expected = {lam} if i == 0 else set(pieri_shapes(lam, i, k, n - k))
+                assert set(first) == expected and set(first.values()) <= {1}
+
+
+def test_grassmannian_duality_under_conjugation():
+    # G(k,n) = G(n-k,n): sigma_lam maps to sigma_lam' term by term
+    def rename(ring, label):
+        return partition_label(conjugate(ring.partition_of(label)))
+
+    for n in range(2, 9):
+        for k in range(1, n // 2 + 1):
+            ring, dual = grassmannian_ring(k, n), grassmannian_ring(n - k, n)
+            labels = ring.basis()
+            for a in labels:
+                for b in labels:
+                    prod = ring.mul_basis(a, b)
+                    expected = dual.mul_basis(rename(ring, a), rename(ring, b))
+                    assert {rename(ring, l): c for l, c in prod.items()} == dict(expected), (k, n, a, b)
+
+
+def test_grassmannian_of_lines_is_projective_space():
+    # G(1,n) = P^{n-1}: sigma_i maps to h^i, the one basis label in degree i
+    for n in range(2, 10):
+        ring, pn = grassmannian_ring(1, n), ProjectiveSpaceRing(n - 1)
+
+        def rename(label):
+            (power_label,) = pn.basis(ring.degree_of(label))
+            return power_label
+
+        for a in ring.basis():
+            for b in ring.basis():
+                prod = ring.mul_basis(a, b)
+                expected = pn.mul_basis(rename(a), rename(b))
+                assert {rename(l): c for l, c in prod.items()} == dict(expected), (n, a, b)
