@@ -15,7 +15,7 @@ P^m x Q^(m+1) and P(T_(P^(m+1))) carry identical lattices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
@@ -146,10 +146,10 @@ def pair_quadric(d: int) -> PolarizedPair:
         raise UnsupportedPairError("quadric pair needs d >= 1")
     if d == 1:
         base = pair_projective_space(1, polarization_degree=2)
-        return _relabel(base, "Q1(O1)")
+        return replace(base, label="Q1(O1)")
     if d == 2:
         base = pair_product(pair_projective_space(1), pair_projective_space(1))
-        return _relabel(base, "Q2(O1)")
+        return replace(base, label="Q2(O1)")
     return PolarizedPair(
         label=f"Q{d}(O1)",
         dim=d,
@@ -161,21 +161,6 @@ def pair_quadric(d: int) -> PolarizedPair:
         nef_generators=(_vec([1]),),
         mori_generators=(_vec([1]),),
         structure="quadric",
-    )
-
-
-def _relabel(pair: PolarizedPair, label: str) -> PolarizedPair:
-    return PolarizedPair(
-        label=label,
-        dim=pair.dim,
-        divisor_basis=pair.divisor_basis,
-        curve_basis=pair.curve_basis,
-        pairing=pair.pairing,
-        K=pair.K,
-        L=pair.L,
-        nef_generators=pair.nef_generators,
-        mori_generators=pair.mori_generators,
-        structure=pair.structure,
     )
 
 
@@ -251,7 +236,7 @@ def pair_divisor_11(a: int, b: int, label: str | None = None) -> PolarizedPair:
         raise UnsupportedPairError("divisor pair needs positive-dimensional factors")
     if a == 1 and b == 1:
         base = pair_projective_space(1, polarization_degree=2)
-        return _relabel(base, label or "D11(P1xP1)")
+        return replace(base, label=label or "D11(P1xP1)")
     return PolarizedPair(
         label=label or f"D11(P{a}xP{b})",
         dim=a + b - 1,

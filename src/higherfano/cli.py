@@ -38,10 +38,10 @@ class UsageError(Exception):
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        v = int(text)
-        return range(v, v + 1)
-    return range(int(lo), int(hi) + 1)
+    lo, hi = int(lo), int(hi if sep else lo)
+    if lo > hi:
+        raise UsageError(f"empty range {text!r}: {lo} > {hi}")
+    return range(lo, hi + 1)
 
 
 def _coeff_string(witnesses) -> str:
@@ -49,36 +49,22 @@ def _coeff_string(witnesses) -> str:
 
 
 def compute_row(spec_text: str, k: int) -> dict:
-    """One check/census row: ring verdict, closed-form oracle, pair twist, agreement."""
-    spec = fam.parse_spec(spec_text)
-    verdict = fam.chk_verdict(spec, k)
-    row = {
+    """One check/census row: the consistency report of the spec at k, as a row dict."""
+    report = fam.consistency_check(fam.parse_spec(spec_text), k)
+    spec, verdict = report.spec, report.verdict
+    return {
         "params": spec.text(),
         "kind": spec.kind,
         "k": k,
         "n": spec.n if spec.kind != fam.G2P else "",
         "ch_coeffs": _coeff_string(verdict.witnesses),
         "verdict": verdict.status,
-        "oracle": "",
-        "twist": "",
-        "pair": "",
-        "note": verdict.note,
+        "oracle": report.oracle_status,
+        "twist": report.twist_status,
+        "pair": report.pair_label,
+        "note": report.note,
+        "agree": report.agree,
     }
-    statuses = [verdict.status]
-    try:
-        row["oracle"] = fam.threshold_oracle(spec, k)
-        statuses.append(row["oracle"])
-    except fam.NoClosedFormError:
-        pass
-    dims_ok = True
-    if k == 2 and spec.kind != fam.PRODUCT_PN:
-        report = fam.consistency_check(spec)
-        row["twist"] = report.twist_status
-        row["pair"] = report.pair_label
-        statuses.append(fam.TWIST_TO_VERDICT[report.twist_status])
-        dims_ok = report.pair_dim == report.expected_dim
-    row["agree"] = len(set(statuses)) == 1 and dims_ok
-    return row
 
 
 def _census_row(args: tuple[str, int]) -> dict:
@@ -98,13 +84,7 @@ def _census_specs(ns) -> list[str]:
     else:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")
-        maker = {
-            "G": fam.grass,
-            "GH": fam.grass_hyperplane,
-            "OG": fam.orthogonal_grass,
-            "SG": fam.symplectic_grass,
-            "SGdeg": fam.degenerate_symplectic_grass,
-        }[kind]
+        maker = fam.KIND_MAKERS[kind]
         for k in _parse_range(ns.k_range):
             for n in _parse_range(ns.n_range):
                 try:

@@ -16,7 +16,7 @@ Canonical text forms: "CI[9;3]", "G[2,5]", "GH[2,6]", "OG[2,8]", "SG[3,12]",
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -116,6 +116,16 @@ def product_pn(a: int, b: int) -> FamilySpec:
     return validate(FamilySpec(PRODUCT_PN, k=a, n=b))
 
 
+# the two-parameter kinds: kind -> constructor
+KIND_MAKERS = {
+    GRASS: grass,
+    GRASS_HYP: grass_hyperplane,
+    OG: orthogonal_grass,
+    SG: symplectic_grass,
+    SG_DEGENERATE: degenerate_symplectic_grass,
+    PRODUCT_PN: product_pn,
+}
+
 _SPEC_RE = re.compile(r"^(CI|GH|G2P|G|OG|SGdeg|SG|PP)(?:\[([^\]]*)\])?$")
 
 
@@ -140,16 +150,7 @@ def parse_spec(text: str) -> FamilySpec:
     nums = [int(x) for x in body.split(",")]
     if len(nums) != 2:
         raise InvalidFamilyError(f"{kind} takes two parameters")
-    a, b = nums
-    maker = {
-        GRASS: grass,
-        GRASS_HYP: grass_hyperplane,
-        OG: orthogonal_grass,
-        SG: symplectic_grass,
-        SG_DEGENERATE: degenerate_symplectic_grass,
-        PRODUCT_PN: product_pn,
-    }[kind]
-    return maker(a, b)
+    return KIND_MAKERS[kind](*nums)
 
 
 def validate(spec: FamilySpec) -> FamilySpec:
@@ -263,14 +264,17 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
 
 def anticanonical_line_degree(spec: FamilySpec) -> int:
     """-K_X paired with a minimal curve: the c_1 coefficient on the degree-1 basis."""
-    if spec.kind == G2P:
-        return 3
     if spec.kind == PRODUCT_PN:
         raise InvalidFamilyError("products have no distinguished minimal curve here")
-    ring = ambient_ring(spec)
-    c1 = tangent_character(spec, cap=1).component(1)
-    (label,) = ring.basis(1)
-    v = c1.coefficient(label)
+    return _line_degree(spec, None if spec.kind == G2P else tangent_character(spec, cap=1))
+
+
+def _line_degree(spec: FamilySpec, ch: CharacterVector | None) -> int:
+    """anticanonical_line_degree with c_1 read from ch = ch(T_X) at any cap >= 1."""
+    if spec.kind == G2P:
+        return 3
+    (label,) = ch.ring.basis(1)
+    v = ch.component(1).coefficient(label)
     if v.denominator != 1:
         raise InvalidFamilyError("anticanonical degree is not integral")
     return int(v)
@@ -283,8 +287,10 @@ class Verdict:
     k: int
     status: str
     witnesses: tuple[tuple[str, Fraction], ...]
-    cls: GradedClass | None
+    cls: GradedClass | None  # ch_k; None for a fact record
     note: str = ""
+    # ch(T_X) up to degree k, which cls was read from
+    character: CharacterVector | None = field(default=None, repr=False, compare=False)
 
 
 def _status_from(values: Sequence[Fraction]) -> str:
@@ -313,7 +319,8 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
     if k > dim_x(spec):
         raise InvalidFamilyError(f"ch_{k} exceeds dim X = {dim_x(spec)}")
     ring = ambient_ring(spec)
-    cls = tangent_character(spec, cap=k).component(k)
+    ch = tangent_character(spec, cap=k)
+    cls = ch.component(k)
     note = ""
     if spec.kind == SG and spec.n == 2 * spec.k and k == 2:
         a = cls.coefficient(partition_label((2,)))
@@ -324,7 +331,7 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
         witnesses = tuple((label, cls.coefficient(label)) for label in ring.basis(k))
         if spec.kind in (GRASS_HYP, OG, SG, SG_DEGENERATE):
             note = "ambient Schubert coefficients; zero-locus modeling assumption"
-    return Verdict(k, _status_from([v for _, v in witnesses]), witnesses, cls, note=note)
+    return Verdict(k, _status_from([v for _, v in witnesses]), witnesses, cls, note=note, character=ch)
 
 
 def threshold_oracle(spec: FamilySpec, k: int) -> str:
@@ -417,39 +424,53 @@ def minimal_pair(spec: FamilySpec) -> PolarizedPair:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """One check/census row.
+
+    The oracle is "" where no closed form is stated.  Twist, pair and dims
+    are ch_2 facts of the minimal family: ""/None at k != 2 and for products.
+    """
+
     spec: FamilySpec
     verdict: Verdict
     oracle_status: str
     twist_status: str
     pair_label: str
-    pair_dim: int
-    expected_dim: int
+    pair_dim: int | None
+    expected_dim: int | None
     note: str
 
     @property
     def agree(self) -> bool:
-        return (
-            self.verdict.status == self.oracle_status == TWIST_TO_VERDICT[self.twist_status]
-            and self.pair_dim == self.expected_dim
-        )
+        statuses = {self.verdict.status}
+        if self.oracle_status:
+            statuses.add(self.oracle_status)
+        if self.twist_status:
+            statuses.add(TWIST_TO_VERDICT[self.twist_status])
+        return len(statuses) == 1 and self.pair_dim == self.expected_dim
 
 
-def consistency_check(spec: FamilySpec) -> ConsistencyReport:
-    """Three independent verdicts (ring, closed form, cone twist) plus dim H."""
-    if spec.kind == PRODUCT_PN:
-        raise InvalidFamilyError("products have no minimal-pair consistency check")
-    verdict = chk_verdict(spec, 2)
-    oracle = threshold_oracle(spec, 2)
-    pair = minimal_pair(spec)
-    twist = cat.positivity_of_twist(pair)
-    expected = anticanonical_line_degree(spec) - 2
+def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
+    """Up to three independent verdicts on ch_k (ring, closed form, cone twist) plus dim H.
+
+    Each path runs once; dim H reads c_1 from the verdict's own character.
+    """
+    verdict = chk_verdict(spec, k)
+    try:
+        oracle = threshold_oracle(spec, k)
+    except NoClosedFormError:
+        oracle = ""
+    twist, label, pair_dim, expected = "", "", None, None
+    if k == 2 and spec.kind != PRODUCT_PN:
+        pair = minimal_pair(spec)
+        twist, label, pair_dim = cat.positivity_of_twist(pair), pair.label, pair.dim
+        expected = _line_degree(spec, verdict.character) - 2
     return ConsistencyReport(
         spec=spec,
         verdict=verdict,
         oracle_status=oracle,
         twist_status=twist,
-        pair_label=pair.label,
-        pair_dim=pair.dim,
+        pair_label=label,
+        pair_dim=pair_dim,
         expected_dim=expected,
         note=verdict.note,
     )
@@ -529,6 +550,8 @@ def enumerate_fano_ci(n: int, max_c: int, min_degree: int = 2, include_empty: bo
     Yields tuples with at most max_c entries, each >= min_degree, and
     sum <= n-1 so the family of lines is nonempty.
     """
+    if max_c < 0:
+        raise InvalidFamilyError(f"max codimension must be >= 0, got {max_c}")
     if include_empty:
         yield ()
 

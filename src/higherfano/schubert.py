@@ -18,11 +18,17 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 from typing import Iterable, Iterator
 
 from .rings import DegreeError, GradedClass, RingModel
 
 Partition = tuple[int, ...]
+
+# the largest basis a GrassmannianRing builds, in labels (C(n, k)).  A build
+# costs about 0.4 KB per label (G(10,20): 184,756 labels, 67 MB on CPython
+# 3.11), so the bound keeps one ring near 0.4 GB
+MAX_BASIS_LABELS = 10**6
 
 # shared by the product tables: almost every structure constant is 1, and one
 # Fraction per table entry is a measurable share of a census's peak memory
@@ -130,6 +136,11 @@ class GrassmannianRing(RingModel):
     def __init__(self, k: int, n: int):
         if not 1 <= k <= n - 1:
             raise ValueError(f"G(k, n) needs 1 <= k <= n-1, got k={k}, n={n}")
+        if comb(n, k) > MAX_BASIS_LABELS:
+            raise ValueError(
+                f"G({k},{n}) has a basis of C({n},{k}) = {comb(n, k)} Schubert classes, "
+                f"more than the {MAX_BASIS_LABELS} this tool builds"
+            )
         self.k = k
         self.n = n
         self.cols = n - k

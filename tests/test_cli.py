@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 
-from higherfano import cli
+import pytest
+
+from higherfano import cli, schubert
+from higherfano import families as fam
 from higherfano.cli import CSV_COLUMNS, compute_row, main
 
 
@@ -132,6 +135,74 @@ def test_census_grass_deep_golden_csv(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "78617bfd3146783271a274e302febc78259f9fe476d214cafe834149a192b600"
+
+
+def test_census_ci_golden_csv(capsys):
+    # digest of this census as recorded at the seed commit
+    code, out = run_cli(capsys, "census", "CI", "--n-range", "2..22", "--max-c", "3", "--format", "csv")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "48b08d2e07bbafae317d28c5c93eabb621a43bfd4ca5b0107d9beec4c56947fc"
+
+
+def test_compute_row_runs_each_path_once(monkeypatch):
+    names = ("tangent_character", "chk_verdict", "threshold_oracle")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        fn = getattr(fam, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(fam, name, counting(name))
+    # (spec, k, characters built): the G2P verdict is a fact record with no ring
+    for spec_text, k, characters in [("CI[9;3]", 2, 1), ("G[2,5]", 2, 1), ("CI[9;3]", 3, 1),
+                                      ("PP[2,3]", 2, 1), ("G2P", 2, 0)]:
+        calls.update(dict.fromkeys(names, 0))
+        assert compute_row(spec_text, k)["agree"] is True, spec_text
+        expected = {"tangent_character": characters, "chk_verdict": 1, "threshold_oracle": 1}
+        assert calls == expected, (spec_text, k)
+
+
+def test_empty_inputs_are_usage_errors(capsys):
+    # a reversed range used to print only the CSV header with pass: true
+    assert main(["census", "G", "--k-range", "4..2", "--n-range", "4..8", "--format", "csv"]) == 2
+    assert "4 > 2" in capsys.readouterr().err
+    assert main(["census", "OG", "--k-range", "2..3", "--n-range", "12..7"]) == 2
+    # a negative --max-c used to act as no limit
+    assert main(["census", "CI", "--n", "10", "--max-c", "-1"]) == 2
+    assert "max codimension" in capsys.readouterr().err
+    assert main(["verify", "prop11-ci", "--n-max", "6", "--max-c", "-1"]) == 2
+    assert run_cli(capsys, "census", "CI", "--n", "10", "--max-c", "0")[0] == 0
+
+
+def test_huge_grassmannian_is_refused_before_any_basis_is_built(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("the basis guard must refuse G(10,40) before enumerating it")
+
+    monkeypatch.setattr(schubert, "partitions_in_box", no_enumeration)
+    assert main(["check", "G[10,40]"]) == 2
+    assert "847660528" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        schubert.GrassmannianRing(10, 40)
+
+
+def test_census_reaching_an_over_bound_spec_exits_2(capsys, monkeypatch):
+    argv = ["census", "G", "--k-range", "2", "--n-range", "4..7", "--format", "csv"]
+    # uncached rings, so rings built by earlier tests cannot hide the guard
+    monkeypatch.setattr(fam, "_grass_ring", schubert.grassmannian_ring)
+    assert run_cli(capsys, *argv)[0] == 0
+    # C(7, 2) = 21 is the only basis above the lowered bound: the census
+    # fails as a whole and never drops the G[2,7] row
+    monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 20)
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert run_cli(capsys, *argv[:5], "4..6", "--format", "csv")[0] == 0
 
 
 def test_census_requires_ranges(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,39 @@ def test_anticanonical_degrees():
     assert fam.anticanonical_line_degree(fam.grass_hyperplane(2, 6)) == 5
     assert fam.anticanonical_line_degree(fam.ci(9, (3,))) == 7
     assert fam.anticanonical_line_degree(fam.g2_fivefold()) == 3
+
+
+def test_consistency_report_agreement():
+    rep = consistency_check(fam.grass(2, 5))
+    assert rep.agree and rep.twist_status == AMPLE and rep.pair_dim == rep.expected_dim == 3
+    assert not replace(rep, pair_dim=rep.pair_dim + 1).agree
+    assert not replace(rep, twist_status=NEF_ONLY).agree
+    assert not replace(rep, oracle_status=NEITHER).agree
+    # no closed form and no twist at k = 10: the ring verdict stands alone
+    deep = consistency_check(fam.grass(3, 9), 10)
+    assert deep.oracle_status == "" and deep.twist_status == "" and deep.pair_label == ""
+    assert deep.pair_dim is None and deep.expected_dim is None and deep.agree
+    # products report instead of raising: no oracle, no minimal pair
+    prod = consistency_check(fam.product_pn(2, 3))
+    assert prod.verdict.status == NEF_ONLY and prod.oracle_status == "" and prod.twist_status == ""
+    assert prod.agree
+    # CI at k = 3: ring and threshold, no twist
+    ci3 = consistency_check(fam.ci(9, (3,)), 3)
+    assert ci3.oracle_status == ci3.verdict.status == NEITHER and ci3.twist_status == "" and ci3.agree
+
+
+def test_dim_h_reads_c1_from_the_verdict_character():
+    for spec in (fam.grass(2, 5), fam.orthogonal_grass(2, 8), fam.symplectic_grass(3, 8),
+                 fam.grass_hyperplane(2, 6), fam.ci(9, (3,))):
+        rep = consistency_check(spec)
+        assert rep.verdict.character.cap == 2
+        assert rep.expected_dim == fam.anticanonical_line_degree(spec) - 2, spec.text()
+
+
+def test_enumerate_fano_ci_rejects_negative_codimension():
+    assert list(fam.enumerate_fano_ci(10, 0)) == [()]
+    with pytest.raises(InvalidFamilyError):
+        list(fam.enumerate_fano_ci(10, -1))
 
 
 def test_g2_fact_record():
