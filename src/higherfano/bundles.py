@@ -47,9 +47,6 @@ class CharacterVector:
             return self.components[k - 1]
         return self.ring.zero()
 
-    def truncate(self, cap: int) -> "CharacterVector":
-        return CharacterVector(self.ring, self.rank, self.components[:cap])
-
     def total(self) -> GradedClass:
         out = self.ring.scalar(self.rank)
         for c in self.components:
@@ -179,18 +176,16 @@ def character_to_chern(x: CharacterVector) -> tuple[GradedClass, ...]:
 # -- lambda-ring operations ---------------------------------------------------
 
 
-def dual(x: CharacterVector) -> CharacterVector:
-    """ch_k -> (-1)^k ch_k."""
-    return CharacterVector(
-        x.ring, x.rank, [(-1) ** k * x.component(k) for k in range(1, x.cap + 1)]
-    )
-
-
 def adams(x: CharacterVector, t: int) -> CharacterVector:
     """psi^t: scales ch_k by t^k, rank unchanged."""
     return CharacterVector(
         x.ring, x.rank, [Fraction(t) ** k * x.component(k) for k in range(1, x.cap + 1)]
     )
+
+
+def dual(x: CharacterVector) -> CharacterVector:
+    """psi^(-1): ch_k -> (-1)^k ch_k."""
+    return adams(x, -1)
 
 
 def tensor_line(x: CharacterVector, divisor: GradedClass) -> CharacterVector:

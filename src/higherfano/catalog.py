@@ -74,10 +74,10 @@ class PolarizedPair:
         return min(self.degrees_on_mori([-x for x in self.K]))
 
     def is_ample(self, divisor: Sequence) -> bool:
-        return all(v > 0 for v in self.degrees_on_mori(divisor))
+        return tri_state(self.degrees_on_mori(divisor)) == AMPLE
 
     def is_nef(self, divisor: Sequence) -> bool:
-        return all(v >= 0 for v in self.degrees_on_mori(divisor))
+        return tri_state(self.degrees_on_mori(divisor)) != NEITHER
 
     def to_dict(self) -> dict:
         return {
@@ -99,6 +99,15 @@ class PolarizedPair:
 # -- operations ---------------------------------------------------------------
 
 
+def tri_state(values: Sequence[Fraction]) -> str:
+    """AMPLE if every value is positive, NEF_ONLY if every value is nonnegative, else NEITHER."""
+    if all(v > 0 for v in values):
+        return AMPLE
+    if all(v >= 0 for v in values):
+        return NEF_ONLY
+    return NEITHER
+
+
 def twist_class(pair: PolarizedPair) -> Vector:
     """-2K - dim * L in divisor coordinates."""
     return tuple(-2 * k - pair.dim * l for k, l in zip(pair.K, pair.L))
@@ -106,12 +115,7 @@ def twist_class(pair: PolarizedPair) -> Vector:
 
 def positivity_of_twist(pair: PolarizedPair) -> str:
     """AMPLE / NEF_ONLY / NEITHER for -2K - dim*L, by pairing with the Mori generators."""
-    values = pair.degrees_on_mori(twist_class(pair))
-    if all(v > 0 for v in values):
-        return AMPLE
-    if all(v >= 0 for v in values):
-        return NEF_ONLY
-    return NEITHER
+    return tri_state(pair.degrees_on_mori(twist_class(pair)))
 
 
 def extremal_L_degrees(pair: PolarizedPair) -> tuple[Fraction, ...]:
@@ -122,22 +126,29 @@ def extremal_L_degrees(pair: PolarizedPair) -> tuple[Fraction, ...]:
 # -- constructors --------------------------------------------------------------
 
 
+def pair_picard_one(label: str, dim: int, index: int, degree: int, structure: str) -> PolarizedPair:
+    """Picard rank one: Pic = Z*h, -K = index*h, L = degree*h, lines span the Mori cone."""
+    one = _vec([1])
+    return PolarizedPair(
+        label=label,
+        dim=dim,
+        divisor_basis=("h",),
+        curve_basis=("l",),
+        pairing=(one,),
+        K=_vec([-index]),
+        L=_vec([degree]),
+        nef_generators=(one,),
+        mori_generators=(one,),
+        structure=structure,
+    )
+
+
 def pair_projective_space(d: int, polarization_degree: int = 1) -> PolarizedPair:
     """(P^d, O(m)): Picard rank one, lines generate the Mori cone."""
     if d < 1:
         raise UnsupportedPairError("projective space pair needs d >= 1")
-    return PolarizedPair(
-        label=f"P{d}(O{polarization_degree})",
-        dim=d,
-        divisor_basis=("h",),
-        curve_basis=("l",),
-        pairing=(_vec([1]),),
-        K=_vec([-(d + 1)]),
-        L=_vec([polarization_degree]),
-        nef_generators=(_vec([1]),),
-        mori_generators=(_vec([1]),),
-        structure="projective_space",
-    )
+    label = f"P{d}(O{polarization_degree})"
+    return pair_picard_one(label, d, d + 1, polarization_degree, "projective_space")
 
 
 def pair_quadric(d: int) -> PolarizedPair:
@@ -150,18 +161,7 @@ def pair_quadric(d: int) -> PolarizedPair:
     if d == 2:
         base = pair_product(pair_projective_space(1), pair_projective_space(1))
         return replace(base, label="Q2(O1)")
-    return PolarizedPair(
-        label=f"Q{d}(O1)",
-        dim=d,
-        divisor_basis=("h",),
-        curve_basis=("l",),
-        pairing=(_vec([1]),),
-        K=_vec([-d]),
-        L=_vec([1]),
-        nef_generators=(_vec([1]),),
-        mori_generators=(_vec([1]),),
-        structure="quadric",
-    )
+    return pair_picard_one(f"Q{d}(O1)", d, d, 1, "quadric")
 
 
 def pair_product(a: PolarizedPair, b: PolarizedPair, label: str | None = None) -> PolarizedPair:

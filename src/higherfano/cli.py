@@ -91,6 +91,8 @@ def _census_specs(ns) -> list[str]:
                     specs.append(maker(k, n))
                 except fam.InvalidFamilyError:
                     continue
+    # ch_k vanishes above dim X, so those specs are skipped like invalid (k, n)
+    specs = [s for s in specs if fam.dim_x(s) >= ns.k]
     specs.sort(key=lambda s: (s.kind, s.k, s.n, s.degrees))
     return [s.text() for s in specs]
 
@@ -218,11 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.cmd == "check":
-            item = compute_row(ns.spec, ns.k)
-            passed = bool(item["agree"])
-            _emit(ns, _report(argv, [item], passed))
-            return 0 if passed else 1
-        if ns.cmd == "census":
+            items = [compute_row(ns.spec, ns.k)]
+            passed = bool(items[0]["agree"])
+        elif ns.cmd == "census":
             spec_texts = _census_specs(ns)
             tasks = [(text, ns.k) for text in spec_texts]
             # more workers than cores or rows only cost processes
@@ -233,25 +233,22 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 items = [_census_row(t) for t in tasks]
             passed = all(item["agree"] for item in items)
-            _emit(ns, _report(argv, items, passed))
-            return 0 if passed else 1
-        if ns.cmd == "minimal-family":
-            spec = fam.parse_spec(ns.spec)
-            pair = fam.minimal_pair(spec)
+        elif ns.cmd == "minimal-family":
+            pair = fam.minimal_pair(fam.parse_spec(ns.spec))
             item = pair.to_dict()
             item["twist"] = cat.positivity_of_twist(pair)
             item["twist_class"] = [str(x) for x in cat.twist_class(pair)]
-            _emit(ns, _report(argv, [item], True))
-            return 0
-        if ns.cmd == "verify":
+            items, passed = [item], True
+        elif ns.cmd == "verify":
             items = _verify_items(ns)
             passed = all(item["ok"] for item in items)
-            _emit(ns, _report(argv, items, passed))
-            return 0 if passed else 1
-        raise UsageError(f"unknown command {ns.cmd!r}")
-    except (fam.InvalidFamilyError, fam.NoPairError, UsageError, ValueError) as exc:
+        else:
+            raise UsageError(f"unknown command {ns.cmd!r}")
+        _emit(ns, _report(argv, items, passed))
+    except (UsageError, ValueError) as exc:  # the family errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -73,6 +73,9 @@ class FamilySpec:
     n: int = 0
     degrees: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        validate(self)
+
     def text(self) -> str:
         if self.kind == CI:
             return f"CI[{self.n};{','.join(str(d) for d in self.degrees)}]"
@@ -85,27 +88,27 @@ class FamilySpec:
 
 
 def ci(n: int, degrees: Sequence[int]) -> FamilySpec:
-    return validate(FamilySpec(CI, n=n, degrees=tuple(sorted((int(d) for d in degrees), reverse=True))))
+    return FamilySpec(CI, n=n, degrees=tuple(sorted((int(d) for d in degrees), reverse=True)))
 
 
 def grass(k: int, n: int) -> FamilySpec:
-    return validate(FamilySpec(GRASS, k=k, n=n))
+    return FamilySpec(GRASS, k=k, n=n)
 
 
 def grass_hyperplane(k: int, n: int) -> FamilySpec:
-    return validate(FamilySpec(GRASS_HYP, k=k, n=n))
+    return FamilySpec(GRASS_HYP, k=k, n=n)
 
 
 def orthogonal_grass(k: int, n: int) -> FamilySpec:
-    return validate(FamilySpec(OG, k=k, n=n))
+    return FamilySpec(OG, k=k, n=n)
 
 
 def symplectic_grass(k: int, n: int) -> FamilySpec:
-    return validate(FamilySpec(SG, k=k, n=n))
+    return FamilySpec(SG, k=k, n=n)
 
 
 def degenerate_symplectic_grass(k: int, n: int) -> FamilySpec:
-    return validate(FamilySpec(SG_DEGENERATE, k=k, n=n))
+    return FamilySpec(SG_DEGENERATE, k=k, n=n)
 
 
 def g2_fivefold() -> FamilySpec:
@@ -113,7 +116,7 @@ def g2_fivefold() -> FamilySpec:
 
 
 def product_pn(a: int, b: int) -> FamilySpec:
-    return validate(FamilySpec(PRODUCT_PN, k=a, n=b))
+    return FamilySpec(PRODUCT_PN, k=a, n=b)
 
 
 # the two-parameter kinds: kind -> constructor
@@ -154,6 +157,7 @@ def parse_spec(text: str) -> FamilySpec:
 
 
 def validate(spec: FamilySpec) -> FamilySpec:
+    """Raise InvalidFamilyError unless spec names a family; FamilySpec runs it when built."""
     k, n = spec.k, spec.n
     if spec.kind == CI:
         if n < 1:
@@ -232,7 +236,6 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     bundle (Sym^2 of the dual subbundle, Lambda^2 of it, or the hyperplane
     line bundle).
     """
-    validate(spec)
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
     if spec.kind == CI:
@@ -293,14 +296,6 @@ class Verdict:
     character: CharacterVector | None = field(default=None, repr=False, compare=False)
 
 
-def _status_from(values: Sequence[Fraction]) -> str:
-    if all(v > 0 for v in values):
-        return POSITIVE
-    if all(v >= 0 for v in values):
-        return NEF_ONLY
-    return NEITHER
-
-
 def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
     """Positivity of ch_k decided by pairing against the dual basis.
 
@@ -309,7 +304,6 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
     boundary SG[k,2k] the two ambient degree-2 duals restrict to a single
     effective class (b_4 = 1), so the verdict uses the collapsed pairing.
     """
-    validate(spec)
     if k < 2:
         raise InvalidFamilyError("verdicts are for k >= 2")
     if spec.kind == G2P:
@@ -331,12 +325,12 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
         witnesses = tuple((label, cls.coefficient(label)) for label in ring.basis(k))
         if spec.kind in (GRASS_HYP, OG, SG, SG_DEGENERATE):
             note = "ambient Schubert coefficients; zero-locus modeling assumption"
-    return Verdict(k, _status_from([v for _, v in witnesses]), witnesses, cls, note=note, character=ch)
+    status = TWIST_TO_VERDICT[cat.tri_state([v for _, v in witnesses])]
+    return Verdict(k, status, witnesses, cls, note=note, character=ch)
 
 
 def threshold_oracle(spec: FamilySpec, k: int) -> str:
     """The closed-form verdict stated for the family, with no ring computation."""
-    validate(spec)
     kk, n = spec.k, spec.n
     if spec.kind == CI:
         if k < 1 or k > dim_x(spec):
@@ -386,25 +380,13 @@ def threshold_oracle(spec: FamilySpec, k: int) -> str:
 
 def minimal_pair(spec: FamilySpec) -> PolarizedPair:
     """The polarized minimal family of rational curves stated for the family."""
-    validate(spec)
     k, n = spec.k, spec.n
     if spec.kind == CI:
         d = n - 1 - sum(spec.degrees)
         if d < 0:
             raise NoPairError("not covered by lines: dim H < 0")
-        anti = n - sum(x * (x + 1) // 2 for x in spec.degrees)
-        return PolarizedPair(
-            label=f"lines({spec.text()})",
-            dim=d,
-            divisor_basis=("h",),
-            curve_basis=("l",),
-            pairing=((Fraction(1),),),
-            K=(Fraction(-anti),),
-            L=(Fraction(1),),
-            nef_generators=((Fraction(1),),),
-            mori_generators=((Fraction(1),),),
-            structure="complete_intersection",
-        )
+        index = n - sum(x * (x + 1) // 2 for x in spec.degrees)
+        return cat.pair_picard_one(f"lines({spec.text()})", d, index, 1, "complete_intersection")
     if spec.kind == GRASS:
         return cat.pair_product(cat.pair_projective_space(k - 1), cat.pair_projective_space(n - k - 1))
     if spec.kind == GRASS_HYP:
@@ -427,7 +409,9 @@ class ConsistencyReport:
     """One check/census row.
 
     The oracle is "" where no closed form is stated.  Twist, pair and dims
-    are ch_2 facts of the minimal family: ""/None at k != 2 and for products.
+    are ch_2 facts of the minimal family: ""/None at k != 2 and where no
+    minimal pair is stated (products, complete intersections not covered by
+    lines).
     """
 
     spec: FamilySpec
@@ -460,10 +444,14 @@ def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
     except NoClosedFormError:
         oracle = ""
     twist, label, pair_dim, expected = "", "", None, None
-    if k == 2 and spec.kind != PRODUCT_PN:
-        pair = minimal_pair(spec)
-        twist, label, pair_dim = cat.positivity_of_twist(pair), pair.label, pair.dim
-        expected = _line_degree(spec, verdict.character) - 2
+    if k == 2:
+        try:
+            pair = minimal_pair(spec)
+        except NoPairError:
+            pass
+        else:
+            twist, label, pair_dim = cat.positivity_of_twist(pair), pair.label, pair.dim
+            expected = _line_degree(spec, verdict.character) - 2
     return ConsistencyReport(
         spec=spec,
         verdict=verdict,
@@ -497,34 +485,21 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     """
     if m < 1:
         raise InvalidFamilyError("bundle diagnostics need m >= 1")
-    from itertools import combinations
-
-    from .bundles import dual
+    from .bundles import character_to_chern, dual
     from .rings import projbundle_ring
 
     base = projective_space_ring(m + 1)
     h = base.hyperplane()
     rank = m + 1
     if case == "c":
-        roots = [2] + [1] * m
-        cherns = []
-        for i in range(1, rank + 1):
-            coeff = 0
-            for combo in combinations(roots, i):
-                term = 1
-                for r in combo:
-                    term *= r
-                coeff += term
-            cherns.append(coeff * h**i)
-        ch_e = line_character(2 * h, cap=2) + line_character(h, cap=2) * m
+        ch_e = line_character(2 * h) + line_character(h) * m
     elif case == "e":
-        from math import comb
-
-        cherns = [comb(m + 2, i) * h**i for i in range(1, rank + 1)]
-        ch_e = line_character(h, cap=2) * (m + 2) - trivial_character(base, 1, cap=2)
+        ch_e = line_character(h) * (m + 2) - trivial_character(base, 1)
     else:
         raise InvalidFamilyError("diagnostic covers the bundle cases 'c' and 'e'")
-    pb = projbundle_ring(base, cherns, rank)
+    # ch_e runs to the base's top degree, so it determines every c_i of E;
+    # the products below align to the tangent's cap 2
+    pb = projbundle_ring(base, character_to_chern(ch_e)[:rank], rank)
     h_pb = pb.from_base(h)
     edual = dual(ch_e)
     edual_up = CharacterVector(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .bundles import line_character, todd_line
 from .numeric import Rational, power_sum, todd_coeff
@@ -276,15 +276,19 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
     return report
 
 
-def family_character_formula(fam: FamilyModel, k: int) -> GradedClass:
-    """The family-side character formula in symbols: sum A_j l^j t_(k+1-j) - l^k/k!."""
-    lh = fam.ell()
-    out = fam.zero()
+def _character_formula(ell: GradedClass, t: Callable[[int], GradedClass], k: int) -> GradedClass:
+    """sum_{j=0}^{k} A_j * l^j * t(k+1-j) - l^k / k!, reading t_j only where A_j != 0."""
+    out = ell.ring.zero()
     for j in range(0, k + 1):
         aj = todd_coeff(j)
         if aj:
-            out = out + aj * lh**j * fam.t(k + 1 - j)
-    return out - lh**k * Fraction(1, factorial(k))
+            out = out + aj * ell**j * t(k + 1 - j)
+    return out - ell**k * Fraction(1, factorial(k))
+
+
+def family_character_formula(fam: FamilyModel, k: int) -> GradedClass:
+    """The family-side character formula in symbols: sum A_j l^j t_(k+1-j) - l^k/k!."""
+    return _character_formula(fam.ell(), fam.t, k)
 
 
 def verify_prop11_symbolic(n: int, d: int, k_max: int) -> VerificationReport:
@@ -369,17 +373,13 @@ def ch_Hx(inp: MinimalFamilyInput, k: int) -> GradedClass:
     """
     if k < 1:
         raise ValueError("ch_k needs k >= 1")
-    ring = inp.ell.ring
-    out = ring.zero()
-    for j in range(0, k + 1):
-        aj = todd_coeff(j)
-        if not aj:
-            continue
-        idx = k + 1 - j
-        if idx not in inp.t:
-            raise MissingTransferError(idx)
-        out = out + aj * inp.ell**j * inp.t[idx]
-    return out - inp.ell**k * Fraction(1, factorial(k))
+
+    def t(j: int) -> GradedClass:
+        if j not in inp.t:
+            raise MissingTransferError(j)
+        return inp.t[j]
+
+    return _character_formula(inp.ell, t, k)
 
 
 def ci_dimension_of_family(n: int, degrees: Sequence[int]) -> int:

@@ -208,9 +208,6 @@ class RingModel:
 
     # -- element constructors ---------------------------------------------
 
-    def element(self, terms: Mapping[str, Rational]) -> GradedClass:
-        return GradedClass(self, terms)
-
     def monomial(self, label: str, coeff: Rational = 1) -> GradedClass:
         return GradedClass(self, {label: Fraction(coeff)})
 
@@ -222,9 +219,6 @@ class RingModel:
 
     def scalar(self, c: Rational) -> GradedClass:
         return GradedClass(self, {"1": Fraction(c)})
-
-    def point_class(self) -> GradedClass:
-        return self.monomial(self.point_label)
 
     # -- multiplication ----------------------------------------------------
 

@@ -161,3 +161,11 @@ def test_todd_line():
     assert td.coefficient("h^2") == Fraction(1, 12)
     assert td.coefficient("h^3") == 0
     assert td.coefficient("h^4") == Fraction(-1, 720)
+
+
+def test_dual_of_a_line_is_the_inverse_line():
+    p3 = projective_space_ring(3)
+    h = p3.hyperplane()
+    assert dual(line_character(h)) == line_character(-h)
+    one = trivial_character(p3, 1)
+    assert dual(line_character(2 * h) + one) == line_character(-2 * h) + one

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -18,10 +19,12 @@ from higherfano.catalog import (
     pair_case,
     pair_divisor_11,
     pair_linear_blowup,
+    pair_picard_one,
     pair_product,
     pair_projective_space,
     pair_quadric,
     positivity_of_twist,
+    tri_state,
     twist_class,
 )
 
@@ -175,3 +178,22 @@ def test_intersection_arithmetic():
     assert c.intersect(c.L, (0, 1)) == 1  # exceptional line
     assert c.intersect(c.L, (1, -1)) == 1  # strict transform of a line through the center
     assert c.intersect([-x for x in c.K], (0, 1)) == 3
+
+
+def test_tri_state():
+    assert tri_state([Fraction(1, 2), 3]) == AMPLE
+    assert tri_state([Fraction(1, 2), 0]) == NEF_ONLY
+    assert tri_state([1, 0, Fraction(-1, 3)]) == NEITHER
+
+
+def test_pair_picard_one_builds_the_rank_one_pairs():
+    assert pair_picard_one("P4(O2)", 4, 5, 2, "projective_space") == pair_projective_space(4, 2)
+    assert pair_picard_one("Q5(O1)", 5, 5, 1, "quadric") == pair_quadric(5)
+    pair = pair_picard_one("X", 3, 4, 1, "test")
+    assert pair.K == (Fraction(-4),) and pair.L == (Fraction(1),) and pair.pseudoindex == 4
+
+
+def test_catalog_json_golden_digest():
+    # digest of the catalog JSON as recorded before the rank-one pairs shared one constructor
+    digest = hashlib.sha256(catalog_to_json().encode("utf-8")).hexdigest()
+    assert digest == "f4f934d5865ac93828344c944a0465b8a9680cae6b37a1756b565ccd8367a328"

@@ -241,3 +241,32 @@ def test_compute_row_product_kind():
     assert row["verdict"] == "NEF_ONLY"
     assert row["oracle"] == "" and row["twist"] == ""
     assert row["agree"] is True
+
+
+def test_check_ci_not_covered_by_lines(capsys):
+    for text in ("CI[4;2,2]", "CI[3;3]"):
+        code, out = run_cli(capsys, "check", text)
+        assert code == 0
+        item = json.loads(out)["items"][0]
+        got = (item["verdict"], item["oracle"], item["twist"], item["agree"])
+        assert got == ("NEITHER", "NEITHER", "", True)
+    assert main(["minimal-family", "CI[4;2,2]"]) == 2
+
+
+def test_census_skips_specs_of_dimension_below_k(capsys):
+    code, out = run_cli(capsys, "census", "G", "--k", "5", "--k-range", "2", "--n-range", "4..6")
+    assert code == 0
+    assert [item["params"] for item in json.loads(out)["items"]] == ["G[2,5]", "G[2,6]"]
+    code, out = run_cli(capsys, "census", "CI", "--n-range", "2..12", "--max-c", "2", "--k", "4")
+    assert code == 0
+    items = json.loads(out)["items"]
+    assert len(items) == 130
+    assert all(fam.dim_x(fam.parse_spec(item["params"])) >= 4 for item in items)
+
+
+def test_minimal_family_golden_json(capsys):
+    # digest of this report as recorded before the rank-one pairs shared one constructor
+    code, out = run_cli(capsys, "minimal-family", "CI[9;3]")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "0f33847220ab6feb00d801de944ca7daf8bd6d697cd26b3e06d42d1606f1a931"

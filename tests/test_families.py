@@ -264,3 +264,24 @@ def test_g2_fact_record():
     assert v.status == POSITIVE and v.witnesses == ()
     rep = consistency_check(fam.g2_fivefold())
     assert rep.agree and rep.pair_dim == 1
+
+
+def test_specs_are_validated_when_built():
+    with pytest.raises(InvalidFamilyError):
+        fam.FamilySpec(fam.GRASS, k=1, n=3)
+    with pytest.raises(InvalidFamilyError):
+        fam.FamilySpec("XX")
+    with pytest.raises(InvalidFamilyError):
+        fam.FamilySpec(fam.CI, n=4, degrees=(5,))
+    assert fam.FamilySpec(fam.GRASS, k=2, n=5) == fam.grass(2, 5)
+
+
+def test_ci_not_covered_by_lines_gets_a_row():
+    for spec in (fam.ci(4, (2, 2)), fam.ci(3, (3,))):
+        with pytest.raises(NoPairError):
+            minimal_pair(spec)
+        rep = consistency_check(spec)
+        assert rep.verdict.status == rep.oracle_status == NEITHER
+        assert rep.twist_status == "" and rep.pair_label == ""
+        assert rep.pair_dim is None and rep.expected_dim is None
+        assert rep.agree

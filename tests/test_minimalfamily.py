@@ -5,12 +5,14 @@ import pytest
 
 from higherfano.families import enumerate_fano_ci
 from higherfano.minimalfamily import (
+    FamilyModel,
     MinimalFamilyInput,
     MissingTransferError,
     T_power,
     ch_Hx,
     ci_T_images,
     ci_family_character_direct,
+    family_character_formula,
     model_ring,
     push_pi,
     verify_claim31,
@@ -178,3 +180,15 @@ def test_symbolic_specializations_present():
 def test_model_ring_validation():
     with pytest.raises(ValueError):
         model_ring(3, 3, 4)  # d must be <= n-1
+
+
+def test_concrete_and_symbolic_formula_agree():
+    # the symbolic t_j fed through ch_Hx give the symbolic formula back
+    fam = FamilyModel(4)
+    inp = MinimalFamilyInput(d=0, ell=fam.ell(), t={j: fam.t(j) for j in range(1, 6)})
+    for k in range(1, 5):
+        assert ch_Hx(inp, k) == family_character_formula(fam, k)
+    inp = MinimalFamilyInput(d=0, ell=fam.ell(), t={j: fam.t(j) for j in range(1, 3)})
+    with pytest.raises(MissingTransferError) as exc:
+        ch_Hx(inp, 2)
+    assert exc.value.args == (3,)
