@@ -76,9 +76,6 @@ class PolarizedPair:
     def is_ample(self, divisor: Sequence) -> bool:
         return tri_state(self.degrees_on_mori(divisor)) == AMPLE
 
-    def is_nef(self, divisor: Sequence) -> bool:
-        return tri_state(self.degrees_on_mori(divisor)) != NEITHER
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -164,7 +161,7 @@ def pair_quadric(d: int) -> PolarizedPair:
     return pair_picard_one(f"Q{d}(O1)", d, d, 1, "quadric")
 
 
-def pair_product(a: PolarizedPair, b: PolarizedPair, label: str | None = None) -> PolarizedPair:
+def pair_product(a: PolarizedPair, b: PolarizedPair) -> PolarizedPair:
     """Product polarized pair: lattices concatenate, cones multiply."""
     ra, rb = a.picard_rank, b.picard_rank
     ca, cb = len(a.curve_basis), len(b.curve_basis)
@@ -178,13 +175,11 @@ def pair_product(a: PolarizedPair, b: PolarizedPair, label: str | None = None) -
     pairing = tuple(row + (Fraction(0),) * cb for row in a.pairing) + tuple(
         (Fraction(0),) * ca + row for row in b.pairing
     )
-    if label is None:
-        pol = ",".join(str(x) for x in a.L + b.L)
-        core_a = a.label.split("(")[0]
-        core_b = b.label.split("(")[0]
-        label = f"{core_a}x{core_b}({pol})"
+    pol = ",".join(str(x) for x in a.L + b.L)
+    core_a = a.label.split("(")[0]
+    core_b = b.label.split("(")[0]
     return PolarizedPair(
-        label=label,
+        label=f"{core_a}x{core_b}({pol})",
         dim=a.dim + b.dim,
         divisor_basis=tuple(f"{x}.1" for x in a.divisor_basis) + tuple(f"{x}.2" for x in b.divisor_basis),
         curve_basis=tuple(f"{x}.1" for x in a.curve_basis) + tuple(f"{x}.2" for x in b.curve_basis),

@@ -19,14 +19,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from math import factorial
 
 from . import __version__
 from . import catalog as cat
 from . import families as fam
 from . import minimalfamily as mf
-from .numeric import todd_coeff
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "twist", "agree")
@@ -124,47 +121,23 @@ def _emit(ns, payload: dict) -> None:
     else:
         text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {ns.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-# -- verification suites -------------------------------------------------------
-
-
-def _verify_items(ns) -> list[dict]:
-    items: list[dict] = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        items.append({"check": name, "ok": ok, "detail": detail})
-
-    def add_report(rep: mf.VerificationReport) -> None:
-        fails = rep.failures()
-        detail = "; ".join(f"{c.name}{c.params}: {c.lhs} != {c.rhs}" for c in fails[:3])
-        add(rep.label, rep.ok, detail)
-
-    if ns.suite == "claim31":
-        for n in range(1, ns.n_max + 1):
-            for d in range(0, min(ns.d_max, n - 1) + 1):
-                add_report(mf.verify_claim31(n, d, ns.k_max))
-    elif ns.suite == "prop11-sym":
-        for n in range(1, ns.n_max + 1):
-            for d in range(0, min(ns.d_max, n - 1) + 1):
-                add_report(mf.verify_prop11_symbolic(n, d, ns.k_max))
-    elif ns.suite == "prop11-ci":
-        for n in range(1, ns.n_max + 1):
-            for degrees in fam.enumerate_fano_ci(n, ns.max_c):
-                add_report(mf.verify_prop11_ci(n, degrees, ns.k_max))
-    elif ns.suite == "todd-identity":
-        for k in range(1, ns.k_max + 1):
-            lhs = sum(todd_coeff(k + 1 - j) / factorial(j) for j in range(1, k + 2))
-            add(f"todd-identity(k={k})", lhs == Fraction(1, factorial(k)), f"lhs={lhs}")
-    elif ns.suite == "catalog":
-        items.extend(cat.verify_catalog(ns.m_max))
-    else:
-        raise UsageError(f"unknown suite {ns.suite!r}")
-    return items
+# each `verify` suite and its call with the parsed bounds, in `verify --help` order
+SUITES = {
+    "claim31": lambda ns: mf.symbolic_suite(mf.verify_claim31, ns.n_max, ns.d_max, ns.k_max),
+    "prop11-sym": lambda ns: mf.symbolic_suite(mf.verify_prop11_symbolic, ns.n_max, ns.d_max, ns.k_max),
+    "prop11-ci": lambda ns: mf.prop11_ci_suite(ns.n_max, ns.max_c, ns.k_max),
+    "catalog": lambda ns: cat.verify_catalog(ns.m_max),
+    "todd-identity": lambda ns: mf.todd_identity_suite(ns.k_max),
+}
 
 
 # -- entry point ----------------------------------------------------------------
@@ -202,9 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_pair)
 
     p_verify = sub.add_parser("verify", help="run a verification suite of exact identities")
-    p_verify.add_argument(
-        "suite", choices=("claim31", "prop11-sym", "prop11-ci", "catalog", "todd-identity")
-    )
+    p_verify.add_argument("suite", choices=tuple(SUITES))
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=8)
     p_verify.add_argument("--d-max", dest="d_max", type=int, default=9)
     p_verify.add_argument("--k-max", dest="k_max", type=int, default=4)
@@ -240,7 +211,13 @@ def main(argv: list[str] | None = None) -> int:
             item["twist_class"] = [str(x) for x in cat.twist_class(pair)]
             items, passed = [item], True
         elif ns.cmd == "verify":
-            items = _verify_items(ns)
+            # below these floors a bound names no check, or checks that test nothing
+            floors = [("--n-max", ns.n_max, 1), ("--d-max", ns.d_max, 0),
+                      ("--k-max", ns.k_max, 1), ("--m-max", ns.m_max, 1)]
+            for flag, value, floor in floors:
+                if value < floor:
+                    raise UsageError(f"{flag} must be >= {floor}, got {value}")
+            items = SUITES[ns.suite](ns)
             passed = all(item["ok"] for item in items)
         else:
             raise UsageError(f"unknown command {ns.cmd!r}")

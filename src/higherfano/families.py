@@ -519,21 +519,20 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     return tuple(out)
 
 
-def enumerate_fano_ci(n: int, max_c: int, min_degree: int = 2, include_empty: bool = True):
+def enumerate_fano_ci(n: int, max_c: int):
     """Degree tuples (nonincreasing) of Fano complete intersections covered by lines.
 
-    Yields tuples with at most max_c entries, each >= min_degree, and
-    sum <= n-1 so the family of lines is nonempty.
+    Yields () (P^n itself), then the tuples with at most max_c entries, each
+    >= 2, and sum <= n-1 so the family of lines is nonempty.
     """
     if max_c < 0:
         raise InvalidFamilyError(f"max codimension must be >= 0, got {max_c}")
-    if include_empty:
-        yield ()
+    yield ()
 
     def rec(prefix: tuple[int, ...], budget: int, bound: int, slots: int):
         if slots == 0:
             return
-        for d in range(min(bound, budget), min_degree - 1, -1):
+        for d in range(min(bound, budget), 1, -1):
             yield prefix + (d,)
             yield from rec(prefix + (d,), budget - d, d, slots - 1)
 

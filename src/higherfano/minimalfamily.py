@@ -36,6 +36,7 @@ from math import factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .bundles import line_character, todd_line
+from .families import enumerate_fano_ci
 from .numeric import Rational, power_sum, todd_coeff
 from .rings import GradedClass, RingModel, _pow_label, projective_space_ring
 
@@ -224,8 +225,11 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
+    def item(self) -> dict:
+        """The report as one {check, ok, detail} item; detail shows the first three failures."""
+        fails = [c for c in self.checks if not c.ok][:3]
+        detail = "; ".join(f"{c.name}{c.params}: {c.lhs} != {c.rhs}" for c in fails)
+        return {"check": self.label, "ok": self.ok, "detail": detail}
 
 
 def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
@@ -399,6 +403,8 @@ def ci_T_images(n: int, degrees: Sequence[int], k_max: int) -> MinimalFamilyInpu
     degrees = tuple(int(x) for x in degrees)
     if any(x < 1 for x in degrees):
         raise ValueError("hypersurface degrees must be >= 1")
+    if k_max < 0:
+        raise ValueError(f"need k_max >= 0, got {k_max}")
     d = ci_dimension_of_family(n, degrees)
     ring = projective_space_ring(d, gen="l")
     ell = ring.hyperplane()
@@ -438,3 +444,32 @@ def verify_prop11_ci(n: int, degrees: Sequence[int], k_max: int) -> Verification
         rhs = ci_family_character_direct(n, degrees, k, ell=inp.ell)
         report.record("formula vs direct", (n, degrees, k), lhs, rhs)
     return report
+
+
+# -- verification suites -------------------------------------------------------
+# each returns the {check, ok, detail} items that `verify` prints
+
+
+def symbolic_suite(check: Callable, n_max: int, d_max: int, k_max: int) -> list[dict]:
+    """check(n, d, k_max) for 1 <= n <= n_max, 0 <= d <= min(d_max, n-1), one item each.
+
+    check is verify_claim31 or verify_prop11_symbolic.
+    """
+    pairs = [(n, d) for n in range(1, n_max + 1) for d in range(0, min(d_max, n - 1) + 1)]
+    return [check(n, d, k_max).item() for n, d in pairs]
+
+
+def prop11_ci_suite(n_max: int, max_c: int, k_max: int) -> list[dict]:
+    """verify_prop11_ci on every Fano complete intersection covered by lines, n <= n_max."""
+    cis = [(n, degrees) for n in range(1, n_max + 1) for degrees in enumerate_fano_ci(n, max_c)]
+    return [verify_prop11_ci(n, degrees, k_max).item() for n, degrees in cis]
+
+
+def todd_identity_suite(k_max: int) -> list[dict]:
+    """sum_{j=1}^{k+1} A_{k+1-j} / j! = 1/k! for 1 <= k <= k_max: td(x) (e^x - 1) = x e^x."""
+    items = []
+    for k in range(1, k_max + 1):
+        lhs = sum(todd_coeff(k + 1 - j) / factorial(j) for j in range(1, k + 2))
+        ok = lhs == Fraction(1, factorial(k))
+        items.append({"check": f"todd-identity(k={k})", "ok": ok, "detail": f"lhs={lhs}"})
+    return items

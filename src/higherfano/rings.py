@@ -283,17 +283,6 @@ class ProductRing(RingModel):
         point = _join_labels(left.point_label, right.point_label)
         super().__init__(f"({left.name})x({right.name})", dim, basis, point)
 
-    def inject(self, x: GradedClass, side: int) -> GradedClass:
-        """Pull back a class from factor 0 (left) or 1 (right)."""
-        factor = (self.left, self.right)[side]
-        if x.ring is not factor:
-            raise RingMismatchError("class does not live on that factor")
-        out = {}
-        for l, c in x.terms.items():
-            label = _join_labels(l, "1") if side == 0 else _join_labels("1", l)
-            out[label] = c
-        return GradedClass(self, out)
-
     def _mul_labels(self, a, b):
         la, ra = self._split[a]
         lb, rb = self._split[b]

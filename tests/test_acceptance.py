@@ -14,7 +14,6 @@ from higherfano import families as fam
 from higherfano import minimalfamily as mf
 from higherfano.catalog import catalog_entries, verify_catalog
 from higherfano.cli import main as cli_main
-from higherfano.numeric import todd_coeff
 
 
 def _criterion(number: int, description: str, limit: float, fn) -> None:
@@ -82,25 +81,25 @@ def test_criterion_2_positivity_thresholds_by_ring():
     _criterion(2, "positivity thresholds by ring computation, n <= 14", 30.0, body)
 
 
+def _assert_all_ok(items: list[dict], count: int) -> None:
+    assert len(items) == count
+    assert all(item["ok"] for item in items), [i for i in items if not i["ok"]]
+
+
 def test_criterion_3_prop11_ci_cross_validation():
     def body():
-        for n in range(1, 13):
-            for degrees in fam.enumerate_fano_ci(n, 3):
-                rep = mf.verify_prop11_ci(n, degrees, 5)
-                assert rep.ok, (n, degrees, rep.failures()[:2])
+        # every Fano complete intersection covered by lines with n <= 12, c <= 3
+        _assert_all_ok(mf.prop11_ci_suite(12, 3, 5), 178)
 
     _criterion(3, "family character formula vs direct CI oracle, k <= 5", 10.0, body)
 
 
 def test_criterion_4_derivation_suite():
     def body():
-        for n in range(1, 11):
-            for d in range(0, n):
-                assert mf.verify_claim31(n, d, 5).ok, (n, d)
-                assert mf.verify_prop11_symbolic(n, d, 5).ok, (n, d)
-        for k in range(1, 21):
-            s = sum(todd_coeff(k + 1 - j) / factorial(j) for j in range(1, k + 2))
-            assert s == Fraction(1, factorial(k)), k
+        # n <= 10, d <= n-1, k <= 5: 55 pairs (n, d) per suite
+        _assert_all_ok(mf.symbolic_suite(mf.verify_claim31, 10, 9, 5), 55)
+        _assert_all_ok(mf.symbolic_suite(mf.verify_prop11_symbolic, 10, 9, 5), 55)
+        _assert_all_ok(mf.todd_identity_suite(20), 20)
 
     _criterion(4, "symbolic derivation suite and Todd identity", 10.0, body)
 

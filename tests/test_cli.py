@@ -270,3 +270,50 @@ def test_minimal_family_golden_json(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "0f33847220ab6feb00d801de944ca7daf8bd6d697cd26b3e06d42d1606f1a931"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "claim31", "--n-max", "0"),
+    ("verify", "prop11-ci", "--n-max", "0"),
+    ("verify", "todd-identity", "--k-max", "0"),
+    ("verify", "prop11-sym", "--n-max", "2", "--d-max", "-1"),
+    ("verify", "catalog", "--m-max", "0"),
+    ("verify", "prop11-sym", "--k-max", "0"),
+    ("verify", "prop11-ci", "--n-max", "4", "--k-max", "-1"),
+    ("verify", "claim31", "--n-max", "3", "--k-max", "-2"),
+    ("verify", "claim31", "--n-max", "3", "--k-max", "0"),
+    ("verify", "claim31", "--n-max", "3", "--k-max", "-1"),
+])
+def test_verify_bounds_that_name_no_check_are_usage_errors(capsys, argv):
+    # these used to pass with no (or empty) checks, or die with an internal error
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >=" in captured.err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert main(["check", "G[2,5]", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot write {target}" in captured.err
+    assert not target.exists()
+
+
+# stdout digests recorded before the suites moved out of the CLI; the JSON
+# echoes argv, so each digest holds for exactly this argv
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "claim31", "--n-max", "6", "--d-max", "5", "--k-max", "4"),
+     "56fac2d770ed3abb89b9b9690c8211f7aaeeb863d3c804a9d27530220cea6901"),
+    (("verify", "prop11-sym", "--n-max", "6", "--d-max", "5", "--k-max", "4"),
+     "d2b17e320d5a06377ad109b8d3f5cb3bf89b81b2d8070d0c064abe95a640fac6"),
+    (("verify", "prop11-ci", "--n-max", "12", "--k-max", "5"),
+     "ee639f3eff9e8af518043ea75c9e115d386dbb9e4723057c5c6a23e9fcebd810"),
+    (("verify", "todd-identity", "--k-max", "20"),
+     "462209dd037b2217b6314e5e9dcdf4da58481a5660af78219e723618a67621f1"),
+    (("verify", "catalog"),
+     "cb6b16f345b4f2bb6a5c9446bf74345d0781f680c0277f1fc0157dbf7927609a"),
+])
+def test_verify_suite_golden_json(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -9,12 +9,15 @@ from higherfano.minimalfamily import (
     MinimalFamilyInput,
     MissingTransferError,
     T_power,
+    VerificationReport,
     ch_Hx,
     ci_T_images,
     ci_family_character_direct,
     family_character_formula,
     model_ring,
+    prop11_ci_suite,
     push_pi,
+    symbolic_suite,
     verify_claim31,
     verify_prop11_ci,
     verify_prop11_symbolic,
@@ -148,25 +151,44 @@ def test_sigma_power_normal_form():
         assert s**k == (-l) ** (k - 1) * s
 
 
+def _assert_all_ok(items: list[dict], count: int) -> None:
+    assert len(items) == count
+    assert all(item["ok"] for item in items), [i for i in items if not i["ok"]]
+
+
 def test_claim31_sweep():
-    for n in range(1, 11):
-        for d in range(0, n):
-            rep = verify_claim31(n, d, 5)
-            assert rep.ok, rep.failures()[:3]
+    _assert_all_ok(symbolic_suite(verify_claim31, 10, 9, 5), 55)  # n <= 10, d <= n-1, k <= 5
 
 
 def test_prop11_symbolic_sweep():
-    for n in range(1, 11):
-        for d in range(0, n):
-            rep = verify_prop11_symbolic(n, d, 5)
-            assert rep.ok, rep.failures()[:3]
+    _assert_all_ok(symbolic_suite(verify_prop11_symbolic, 10, 9, 5), 55)
 
 
 def test_prop11_ci_sweep():
-    for n in range(1, 13):
-        for degrees in enumerate_fano_ci(n, 3):
-            rep = verify_prop11_ci(n, degrees, 5)
-            assert rep.ok, rep.failures()[:3]
+    _assert_all_ok(prop11_ci_suite(12, 3, 5), 178)  # n <= 12, codimension <= 3, k <= 5
+
+
+def test_report_item_shows_the_first_three_failures():
+    rep = VerificationReport("demo")
+    rep.record("equal", (1,), 2, 2)
+    for i in range(4):
+        rep.record("differ", (i,), i, -1)
+    item = rep.item()
+    assert item == {
+        "check": "demo",
+        "ok": False,
+        "detail": "differ(0,): 0 != -1; differ(1,): 1 != -1; differ(2,): 2 != -1",
+    }
+    assert verify_prop11_ci(9, (3,), 3).item() == {
+        "check": "prop11_ci(n=9, degrees=(3,), k_max=3)", "ok": True, "detail": ""
+    }
+
+
+def test_ci_transfer_rejects_negative_truncation():
+    # used to surface as a bare KeyError from the t_1 check
+    with pytest.raises(ValueError, match="k_max >= 0"):
+        ci_T_images(9, (3,), -1)
+    assert ci_T_images(9, (3,), 0).t.keys() == {1}
 
 
 def test_symbolic_specializations_present():
