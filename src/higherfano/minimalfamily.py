@@ -21,6 +21,9 @@ standing for the evaluation pullbacks of the ambient ch_j, such as "1",
 "l^2*e_1*e_3" and "l^3*s".  The relations s^2 = -s*l and s*e_j = 0 leave
 only the monomials l^a*e_J and l^a*s.  The ring depends on the truncation
 alone and is shared; the ambient dimension n enters through tangent_pullback.
+What reads no n is built once per ring: the powers of s, l and c_1(T_pi),
+the n-free factors of z_class and w_class, and the identities (iv)-(viii) of
+verify_claim31.
 
 Pushforward down the bundle lands in FamilyModel, whose labels are l^a and
 l^a*t_j with t_j of degree j-1 (such as "l^2*t_3"): pure powers of l push to
@@ -31,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bundles import line_character, todd_line
 from .families import enumerate_fano_ci
@@ -44,6 +47,23 @@ from .rings import GradedClass, RingModel, _pow_label, projective_space_ring
 
 # exponents of a monomial: (l-exponent, sorted symbol indices, s-exponent)
 _Key = tuple[int, tuple[int, ...], int]
+
+
+def _powers(x: GradedClass) -> tuple[GradedClass, ...]:
+    """x^0 .. x^dim of x's ring, each the previous power times x; higher powers vanish."""
+    out = [x.ring.unit()]
+    for _ in range(x.ring.dimension):
+        out.append(out[-1] * x)
+    return tuple(out)
+
+
+class PowerTable(NamedTuple):
+    """The powers of the derivation's generators, indexed by exponent."""
+
+    s: tuple[GradedClass, ...]  # the section class on U
+    l: tuple[GradedClass, ...]  # the polarization on U
+    c1: tuple[GradedClass, ...]  # c_1(T_pi) = 2s + l on U
+    lh: tuple[GradedClass, ...]  # the polarization on the family
 
 
 def _index_tuples(total: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
@@ -155,13 +175,59 @@ class UniversalModel(_MonomialModel):
 
     def z_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
         """(ev^* ch(T_X) - ch(T_pi)) * ch(O(-s))."""
-        ch_tpi = line_character(self.c1_relative_tangent()).total()
-        ch_o_minus_s = line_character(-self.sigma()).total()
-        return (self.tangent_pullback(n, e1_substitution) - ch_tpi) * ch_o_minus_s
+        return (self.tangent_pullback(n, e1_substitution) - self._ch_tpi) * self._ch_o_minus_s
 
     def w_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
         """z_class times the Todd class of the relative tangent bundle."""
-        return self.z_class(n, e1_substitution) * todd_line(self.c1_relative_tangent())
+        return self.z_class(n, e1_substitution) * self._todd_tpi
+
+    # -- built once per ring ----------------------------------------------
+    # the factors of z_class and w_class that read no n, the generators'
+    # powers, and the identities of verify_claim31 that read neither n nor d
+
+    @cached_property
+    def _ch_tpi(self) -> GradedClass:
+        return line_character(self.c1_relative_tangent()).total()
+
+    @cached_property
+    def _ch_o_minus_s(self) -> GradedClass:
+        return line_character(-self.sigma()).total()
+
+    @cached_property
+    def _todd_tpi(self) -> GradedClass:
+        return todd_line(self.c1_relative_tangent())
+
+    @cached_property
+    def powers(self) -> PowerTable:
+        """s, l and c_1(T_pi) on U and l on the family, each to its ring's dimension."""
+        return PowerTable(
+            _powers(self.sigma()), _powers(self.ell()),
+            _powers(self.c1_relative_tangent()), _powers(self.family.ell()),
+        )
+
+    @cached_property
+    def claim31_identities(self) -> tuple[Check, ...]:
+        """Identities (iv)-(viii) of verify_claim31, which read neither n nor d.
+
+        Each check compares exactly the classes it names; its params lack the
+        (n, d) prefix that each report adds.
+        """
+        S, L, C, LH = self.powers
+        top = self.dimension
+        checks = []
+        for i in range(0, top + 1):
+            for j in range(1, top - i + 1):
+                checks.append(Check.compare("(iv) l^i s^j", (i, j), L[i] * S[j], (-1) ** i * S[i + j]))
+                checks.append(Check.compare("(v) c1^i s^j", (i, j), C[i] * S[j], S[i + j]))
+        for i in range(0, top + 1):
+            rhs = L[i] if i % 2 == 0 else 2 * S[i] + L[i]
+            checks.append(Check.compare("(vi) c1^i", (i,), C[i], rhs))
+        for k in range(1, top + 1):
+            rhs = (-1) ** (k - 1) * LH[k - 1]
+            checks.append(Check.compare("(vii) push(s^k)", (k,), push_pi(S[k]), rhs))
+        for a in range(0, top):
+            checks.append(Check.compare("(viii) push(l^a)", (a,), push_pi(L[a]), self.family.zero()))
+        return tuple(checks)
 
 
 @lru_cache(maxsize=None)
@@ -209,6 +275,12 @@ class Check:
     lhs: str = ""
     rhs: str = ""
 
+    @classmethod
+    def compare(cls, name: str, params: tuple, lhs, rhs) -> "Check":
+        """lhs == rhs as a check; the two sides are kept, as reprs, only when they differ."""
+        ok = lhs == rhs
+        return cls(name, params, ok, "" if ok else repr(lhs), "" if ok else repr(rhs))
+
 
 @dataclass
 class VerificationReport:
@@ -216,10 +288,7 @@ class VerificationReport:
     checks: list[Check] = field(default_factory=list)
 
     def record(self, name: str, params: tuple, lhs, rhs) -> None:
-        ok = lhs == rhs
-        self.checks.append(
-            Check(name, params, ok, "" if ok else repr(lhs), "" if ok else repr(rhs))
-        )
+        self.checks.append(Check.compare(name, params, lhs, rhs))
 
     @property
     def ok(self) -> bool:
@@ -241,8 +310,8 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
     """
     u = model_ring(n, d, k_max)
     fam = u.family
-    sig, ell = u.sigma(), u.ell()
-    lh = fam.ell()
+    S, L, _, LH = u.powers
+    sig = S[1]
     report = VerificationReport(f"claim31(n={n}, d={d}, k_max={k_max})")
 
     z = u.z_class(n)
@@ -250,33 +319,21 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
     for k in range(1, k_max + 1):
         zk = z.degree_part(k)
         co = Fraction((n + 1) * (-1) ** k, factorial(k))
-        rhs = u.e(k) + co * sig**k - ell**k * Fraction(1, factorial(k))
+        rhs = u.e(k) + co * S[k] - L[k] * Fraction(1, factorial(k))
         report.record("Z_k", (n, d, k), zk, rhs)
 
-        rhs_zs = co * sig ** (k + 1) - (sig * ell**k) * Fraction(1, factorial(k))
+        rhs_zs = co * S[k + 1] - (sig * L[k]) * Fraction(1, factorial(k))
         report.record("Z_k*s", (n, d, k), zk * sig, rhs_zs)
 
-        rhs_push = fam.t(k) - lh ** (k - 1) * Fraction(n + 1, factorial(k))
+        rhs_push = fam.t(k) - LH[k - 1] * Fraction(n + 1, factorial(k))
         report.record("push(Z_k)", (n, d, k), push_pi(zk), rhs_push)
 
-        rhs_push_zs = lh**k * Fraction(n, factorial(k))
+        rhs_push_zs = LH[k] * Fraction(n, factorial(k))
         report.record("push(Z_k*s)", (n, d, k), push_pi(zk * sig), rhs_push_zs)
 
-    c1 = u.c1_relative_tangent()
-    top = u.dimension
-    for i in range(0, top + 1):
-        for j in range(1, top - i + 1):
-            report.record("(iv) l^i s^j", (n, d, i, j), ell**i * sig**j, (-1) ** i * sig ** (i + j))
-            report.record("(v) c1^i s^j", (n, d, i, j), c1**i * sig**j, sig ** (i + j))
-    for i in range(0, top + 1):
-        rhs = ell**i if i % 2 == 0 else 2 * sig**i + ell**i
-        report.record("(vi) c1^i", (n, d, i), c1**i, rhs)
-    for k in range(1, top + 1):
-        report.record(
-            "(vii) push(s^k)", (n, d, k), push_pi(sig**k), (-1) ** (k - 1) * lh ** (k - 1)
-        )
-    for a in range(0, top):
-        report.record("(viii) push(l^a)", (n, d, a), push_pi(ell**a), fam.zero())
+    report.checks.extend(
+        Check(c.name, (n, d) + c.params, c.ok, c.lhs, c.rhs) for c in u.claim31_identities
+    )
     return report
 
 

@@ -130,17 +130,22 @@ def _jt_terms(mu: Partition) -> tuple[tuple[int, Partition], ...]:
     return tuple((c, rows) for rows, c in terms.items() if c)
 
 
+def check_basis_bound(k: int, n: int) -> None:
+    """ValueError if the Schubert basis of G(k, n), C(n, k) labels, exceeds MAX_BASIS_LABELS."""
+    if comb(n, k) > MAX_BASIS_LABELS:
+        raise ValueError(
+            f"G({k},{n}) has a basis of C({n},{k}) = {comb(n, k)} Schubert classes, "
+            f"more than the {MAX_BASIS_LABELS} this tool builds"
+        )
+
+
 class GrassmannianRing(RingModel):
     """Chow ring of G(k, n) in the Schubert basis."""
 
     def __init__(self, k: int, n: int):
         if not 1 <= k <= n - 1:
             raise ValueError(f"G(k, n) needs 1 <= k <= n-1, got k={k}, n={n}")
-        if comb(n, k) > MAX_BASIS_LABELS:
-            raise ValueError(
-                f"G({k},{n}) has a basis of C({n},{k}) = {comb(n, k)} Schubert classes, "
-                f"more than the {MAX_BASIS_LABELS} this tool builds"
-            )
+        check_basis_bound(k, n)
         self.k = k
         self.n = n
         self.cols = n - k

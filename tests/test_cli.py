@@ -205,6 +205,26 @@ def test_census_reaching_an_over_bound_spec_exits_2(capsys, monkeypatch):
     assert run_cli(capsys, *argv[:5], "4..6", "--format", "csv")[0] == 0
 
 
+def test_census_refuses_an_over_bound_spec_before_any_row(capsys, monkeypatch):
+    argv = ["census", "G", "--k-range", "2", "--n-range", "4..7", "--format", "csv"]
+    rows = []
+
+    def counting_row(task):
+        rows.append(task)
+        return compute_row(*task)
+
+    monkeypatch.setattr(cli, "_census_row", counting_row)
+    assert run_cli(capsys, *argv)[0] == 0 and len(rows) == 4
+    # G[2,7] is the last spec in row order and the only one above the bound:
+    # it used to be refused only after the three rows before it
+    rows.clear()
+    monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 20)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "G(2,7)" in captured.err
+    assert rows == []
+
+
 def test_census_requires_ranges(capsys):
     assert main(["census", "G"]) == 2
     assert main(["census", "CI"]) == 2
@@ -299,8 +319,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
-# stdout digests recorded before the suites moved out of the CLI; the JSON
-# echoes argv, so each digest holds for exactly this argv
+# stdout digests recorded before the suites moved out of the CLI (the last,
+# at the benchmark's size, before claim31 took its powers from per-ring
+# tables); the JSON echoes argv, so each digest holds for exactly this argv
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "claim31", "--n-max", "6", "--d-max", "5", "--k-max", "4"),
      "56fac2d770ed3abb89b9b9690c8211f7aaeeb863d3c804a9d27530220cea6901"),
@@ -312,6 +333,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
      "462209dd037b2217b6314e5e9dcdf4da58481a5660af78219e723618a67621f1"),
     (("verify", "catalog"),
      "cb6b16f345b4f2bb6a5c9446bf74345d0781f680c0277f1fc0157dbf7927609a"),
+    (("verify", "claim31", "--n-max", "12", "--d-max", "11", "--k-max", "8"),
+     "b5bfb443088a48558bdeb6a7c3bdf045e2e5c8dc165562743acbf79b97d33cf0"),
 ])
 def test_verify_suite_golden_json(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

@@ -3,12 +3,14 @@ from math import factorial
 
 import pytest
 
+from higherfano import minimalfamily
 from higherfano.families import enumerate_fano_ci
 from higherfano.minimalfamily import (
     FamilyModel,
     MinimalFamilyInput,
     MissingTransferError,
     T_power,
+    UniversalModel,
     VerificationReport,
     ch_Hx,
     ci_T_images,
@@ -149,6 +151,43 @@ def test_sigma_power_normal_form():
     s, l = u.sigma(), u.ell()
     for k in range(1, 6):
         assert s**k == (-l) ** (k - 1) * s
+
+
+def test_power_tables_match_repeated_products():
+    u = model_ring(7, 3, 5)
+    gens = (u.sigma(), u.ell(), u.c1_relative_tangent(), u.family.ell())
+    for table, x in zip(u.powers, gens):
+        assert len(table) == x.ring.dimension + 1
+        assert all(table[e] == x**e for e in range(len(table)))
+    assert u.powers is u.powers  # built once per ring
+
+
+class _WrongSquare(UniversalModel):
+    """s^2 = +s*l instead of -s*l."""
+
+    def _mul_labels(self, x, y):
+        (a1, _, s1), (a2, _, s2) = self._key[x], self._key[y]
+        if s1 + s2 == 2:
+            return self._term((a1 + a2 + 1, (), 1))
+        return super()._mul_labels(x, y)
+
+
+def test_ring_identities_are_checked_in_every_claim31_report(monkeypatch):
+    # a fresh ring with a wrong relation; the memoised rings stay as they are
+    broken = _WrongSquare(5)
+    monkeypatch.setattr(minimalfamily, "_universal_ring", lambda max_degree: broken)
+    reports = {(n, d): verify_claim31(n, d, 4) for n, d in [(6, 2), (9, 5)]}
+    for (n, d), rep in reports.items():
+        identities = [c for c in rep.checks if c.name.startswith("(")]
+        failed = {c.name for c in identities if not c.ok}
+        assert {"(iv) l^i s^j", "(v) c1^i s^j", "(vi) c1^i"} <= failed
+        assert all(c.params[:2] == (n, d) for c in rep.checks)
+        detail = VerificationReport("identities", identities).item()["detail"]
+        assert detail.count(f"({n}, {d}, ") == 3
+    first, second = reports.values()
+    assert first.checks is not second.checks
+    monkeypatch.undo()
+    assert verify_claim31(6, 2, 4).ok and verify_claim31(9, 5, 4).ok
 
 
 def _assert_all_ok(items: list[dict], count: int) -> None:
