@@ -24,7 +24,6 @@ from . import __version__
 from . import catalog as cat
 from . import families as fam
 from . import minimalfamily as mf
-from . import schubert
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "twist", "agree")
@@ -91,10 +90,9 @@ def _census_specs(ns) -> list[str]:
                     continue
     # ch_k vanishes above dim X, so those specs are skipped like invalid (k, n)
     specs = [s for s in specs if fam.dim_x(s) >= ns.k]
-    # one over-bound Grassmannian fails the whole census: refuse it before any row
+    # one over-bound ambient ring fails the whole census: refuse it before any row
     for s in specs:
-        if s.kind in fam._GRASS_KINDS:
-            schubert.check_basis_bound(s.k, s.n)
+        fam.check_ambient_bound(s)
     specs.sort(key=lambda s: (s.kind, s.k, s.n, s.degrees))
     return [s.text() for s in specs]
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import catalog as cat
+from . import schubert
 from .bundles import (
     CharacterVector,
     chern_to_character,
@@ -31,7 +32,7 @@ from .bundles import (
     wedge2_character,
 )
 from .catalog import PolarizedPair
-from .rings import GradedClass, RingModel, product_ring, projective_space_ring
+from .rings import GradedClass, RingModel, check_basis_size, product_ring, projective_space_ring
 from .schubert import GrassmannianRing, grassmannian_ring, partition_label, tautological_chern
 
 POSITIVE = "POSITIVE"
@@ -208,6 +209,20 @@ def _pn_ring(n: int) -> RingModel:
     return projective_space_ring(n)
 
 
+# the ambient parts of a CI character, shared by every row on the same P^n;
+# nothing mutates a CharacterVector or its classes, so rows may hold them
+@lru_cache(maxsize=None)
+def _pn_line(n: int, d: int, cap: int) -> CharacterVector:
+    """ch(O(d)) = e^(d*h) on P^n, up to degree cap."""
+    return line_character(d * _pn_ring(n).hyperplane(), cap)
+
+
+@lru_cache(maxsize=None)
+def _pn_tangent(n: int, cap: int) -> CharacterVector:
+    """ch(T_{P^n}) = (n+1)*e^h - 1 (the Euler sequence), up to degree cap."""
+    return _pn_line(n, 1, cap) * (n + 1) - trivial_character(_pn_ring(n), 1, cap)
+
+
 @lru_cache(maxsize=None)
 def _grass_ring(k: int, n: int) -> GrassmannianRing:
     return grassmannian_ring(k, n)
@@ -218,7 +233,22 @@ def _pp_ring(a: int, b: int) -> RingModel:
     return product_ring(projective_space_ring(a, gen="h1"), projective_space_ring(b, gen="h2"))
 
 
+def check_ambient_bound(spec: FamilySpec) -> None:
+    """ValueError if the spec's ambient ring has more than schubert.MAX_BASIS_LABELS labels.
+
+    It builds no label, so a census can check every spec before its first row.
+    """
+    k, n = spec.k, spec.n
+    if spec.kind == CI:
+        check_basis_size(f"P^{n}", f"{n}+1", n + 1, schubert.MAX_BASIS_LABELS)
+    elif spec.kind == PRODUCT_PN:
+        check_basis_size(f"P^{k} x P^{n}", f"({k}+1)({n}+1)", (k + 1) * (n + 1), schubert.MAX_BASIS_LABELS)
+    elif spec.kind in _GRASS_KINDS:
+        schubert.check_basis_bound(k, n)
+
+
 def ambient_ring(spec: FamilySpec) -> RingModel:
+    check_ambient_bound(spec)
     if spec.kind == CI:
         return _pn_ring(spec.n)
     if spec.kind in _GRASS_KINDS:
@@ -239,10 +269,9 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
     if spec.kind == CI:
-        h = ring.hyperplane()
-        ch = line_character(h, cap) * (spec.n + 1) - trivial_character(ring, 1, cap)
+        ch = _pn_tangent(spec.n, cap)
         for d in spec.degrees:
-            ch = ch - line_character(d * h, cap)
+            ch = ch - _pn_line(spec.n, d, cap)
         return ch
     if spec.kind == PRODUCT_PN:
         h1, h2 = ring.monomial("h1"), ring.monomial("h2")

@@ -23,7 +23,8 @@ only the monomials l^a*e_J and l^a*s.  The ring depends on the truncation
 alone and is shared; the ambient dimension n enters through tangent_pullback.
 What reads no n is built once per ring: the powers of s, l and c_1(T_pi),
 the n-free factors of z_class and w_class, and the identities (iv)-(viii) of
-verify_claim31.
+verify_claim31.  Its checks on Z, which read n but not d, are built once per
+n on each ring.
 
 Pushforward down the bundle lands in FamilyModel, whose labels are l^a and
 l^a*t_j with t_j of degree j-1 (such as "l^2*t_3"): pure powers of l push to
@@ -138,6 +139,7 @@ class UniversalModel(_MonomialModel):
         ]
         super().__init__(f"U<{max_degree}>", "e", keys)
         self.family = FamilyModel(max_degree - 1)
+        self._claim31_by_n: dict[int, tuple[Check, ...]] = {}
 
     def sigma(self) -> GradedClass:
         return self._generator("s")
@@ -229,6 +231,38 @@ class UniversalModel(_MonomialModel):
             checks.append(Check.compare("(viii) push(l^a)", (a,), push_pi(L[a]), self.family.zero()))
         return tuple(checks)
 
+    def claim31_z_checks(self, n: int) -> tuple[Check, ...]:
+        """The checks of verify_claim31 on Z = z_class(n), which read n but not d; once per n.
+
+        Z_0 = n-1, then for each k up to the truncation's k_max the normal
+        form of Z_k and Z_k*s and their pushforwards.  Like
+        claim31_identities, params lack the (n, d) prefix that each report adds.
+        """
+        hit = self._claim31_by_n.get(n)
+        if hit is not None:
+            return hit
+        fam = self.family
+        S, L, _, LH = self.powers
+        sig = S[1]
+        z = self.z_class(n)
+        checks = [Check.compare("Z_0 = n-1", (0,), z.degree_part(0), self.scalar(n - 1))]
+        for k in range(1, self.dimension):
+            zk = z.degree_part(k)
+            co = Fraction((n + 1) * (-1) ** k, factorial(k))
+            rhs = self.e(k) + co * S[k] - L[k] * Fraction(1, factorial(k))
+            checks.append(Check.compare("Z_k", (k,), zk, rhs))
+
+            rhs_zs = co * S[k + 1] - (sig * L[k]) * Fraction(1, factorial(k))
+            checks.append(Check.compare("Z_k*s", (k,), zk * sig, rhs_zs))
+
+            rhs_push = fam.t(k) - LH[k - 1] * Fraction(n + 1, factorial(k))
+            checks.append(Check.compare("push(Z_k)", (k,), push_pi(zk), rhs_push))
+
+            rhs_push_zs = LH[k] * Fraction(n, factorial(k))
+            checks.append(Check.compare("push(Z_k*s)", (k,), push_pi(zk * sig), rhs_push_zs))
+        self._claim31_by_n[n] = hit = tuple(checks)
+        return hit
+
 
 @lru_cache(maxsize=None)
 def _universal_ring(max_degree: int) -> UniversalModel:
@@ -306,33 +340,14 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
 
     Exercises, for all k <= k_max: the normal form of Z_k, Z_k*s, their
     pushforwards, Z_0 = n-1, and the auxiliary product and pushforward
-    identities used along the way.
+    identities used along the way.  The ring computes each check once per n
+    (the Z checks) or once (the identities); d enters only the params.
     """
     u = model_ring(n, d, k_max)
-    fam = u.family
-    S, L, _, LH = u.powers
-    sig = S[1]
     report = VerificationReport(f"claim31(n={n}, d={d}, k_max={k_max})")
-
-    z = u.z_class(n)
-    report.record("Z_0 = n-1", (n, d, 0), z.degree_part(0), u.scalar(n - 1))
-    for k in range(1, k_max + 1):
-        zk = z.degree_part(k)
-        co = Fraction((n + 1) * (-1) ** k, factorial(k))
-        rhs = u.e(k) + co * S[k] - L[k] * Fraction(1, factorial(k))
-        report.record("Z_k", (n, d, k), zk, rhs)
-
-        rhs_zs = co * S[k + 1] - (sig * L[k]) * Fraction(1, factorial(k))
-        report.record("Z_k*s", (n, d, k), zk * sig, rhs_zs)
-
-        rhs_push = fam.t(k) - LH[k - 1] * Fraction(n + 1, factorial(k))
-        report.record("push(Z_k)", (n, d, k), push_pi(zk), rhs_push)
-
-        rhs_push_zs = LH[k] * Fraction(n, factorial(k))
-        report.record("push(Z_k*s)", (n, d, k), push_pi(zk * sig), rhs_push_zs)
-
     report.checks.extend(
-        Check(c.name, (n, d) + c.params, c.ok, c.lhs, c.rhs) for c in u.claim31_identities
+        Check(c.name, (n, d) + c.params, c.ok, c.lhs, c.rhs)
+        for c in u.claim31_z_checks(n) + u.claim31_identities
     )
     return report
 

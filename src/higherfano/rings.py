@@ -117,9 +117,14 @@ class GradedClass:
         return GradedClass(self.ring, {l: -c for l, c in self.terms.items()})
 
     def __sub__(self, other):
+        # one pass, like __add__: self + (-other) would build a class for -other first
         if isinstance(other, (int, Fraction)):
             other = self.ring.scalar(other)
-        return self + (-other)
+        self._check_ring(other)
+        out = dict(self.terms)
+        for l, c in other.terms.items():
+            out[l] = out.get(l, _ZERO) - c
+        return GradedClass(self.ring, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -418,6 +423,18 @@ class ProjBundleRing(RingModel):
 
 
 # -- public constructors and operations -------------------------------------
+
+
+def check_basis_size(space: str, formula: str, count: int, bound: int, classes: str = "classes") -> None:
+    """ValueError if a basis of `count` labels (`formula` in the ring's parameters) exceeds bound.
+
+    It builds no label, so a caller can check a ring before building it.
+    """
+    if count > bound:
+        raise ValueError(
+            f"{space} has a basis of {formula} = {count} {classes}, "
+            f"more than the {bound} this tool builds"
+        )
 
 
 def projective_space_ring(n: int, gen: str = "h") -> ProjectiveSpaceRing:

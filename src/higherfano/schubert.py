@@ -21,13 +21,15 @@ from itertools import permutations
 from math import comb
 from typing import Iterable, Iterator
 
-from .rings import DegreeError, GradedClass, RingModel
+from .rings import DegreeError, GradedClass, RingModel, check_basis_size
 
 Partition = tuple[int, ...]
 
-# the largest basis a GrassmannianRing builds, in labels (C(n, k)).  A build
-# costs about 0.4 KB per label (G(10,20): 184,756 labels, 67 MB on CPython
-# 3.11), so the bound keeps one ring near 0.4 GB
+# the largest basis an ambient ring builds, in labels: C(n, k) for G(k, n), and
+# through families.check_ambient_bound n+1 for P^n and (a+1)(b+1) for P^a x P^b.
+# A Grassmannian build costs about 0.4 KB per label (G(10,20): 184,756 labels,
+# 67 MB on CPython 3.11), so the bound keeps one ring near 0.4 GB; P^n costs
+# less (P^100000: 28 MB)
 MAX_BASIS_LABELS = 10**6
 
 # shared by the product tables: almost every structure constant is 1, and one
@@ -132,11 +134,7 @@ def _jt_terms(mu: Partition) -> tuple[tuple[int, Partition], ...]:
 
 def check_basis_bound(k: int, n: int) -> None:
     """ValueError if the Schubert basis of G(k, n), C(n, k) labels, exceeds MAX_BASIS_LABELS."""
-    if comb(n, k) > MAX_BASIS_LABELS:
-        raise ValueError(
-            f"G({k},{n}) has a basis of C({n},{k}) = {comb(n, k)} Schubert classes, "
-            f"more than the {MAX_BASIS_LABELS} this tool builds"
-        )
+    check_basis_size(f"G({k},{n})", f"C({n},{k})", comb(n, k), MAX_BASIS_LABELS, "Schubert classes")
 
 
 class GrassmannianRing(RingModel):

@@ -225,6 +225,30 @@ def test_census_refuses_an_over_bound_spec_before_any_row(capsys, monkeypatch):
     assert rows == []
 
 
+def test_over_bound_projective_ambients_are_refused_before_any_label(capsys, monkeypatch):
+    def no_ring(*args):
+        raise AssertionError("the bound must refuse the ring before any label is built")
+
+    monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 10)
+    monkeypatch.setattr(fam, "_pn_ring", no_ring)
+    monkeypatch.setattr(fam, "_pp_ring", no_ring)
+    # P^10 has 11 labels, P^2 x P^3 has 12: both above the lowered bound
+    for spec, count in [("CI[10;3]", "10+1 = 11"), ("PP[2,3]", "(2+1)(3+1) = 12")]:
+        assert main(["check", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and count in captured.err, spec
+    rows = []
+    monkeypatch.setattr(cli, "_census_row", lambda task: rows.append(task))
+    assert main(["census", "CI", "--n-range", "2..12", "--max-c", "1", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "P^10 has a basis of 10+1 = 11 classes" in captured.err
+    assert rows == []
+    monkeypatch.undo()
+    monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 12)
+    assert run_cli(capsys, "check", "PP[2,3]")[0] == 0
+    assert run_cli(capsys, "census", "CI", "--n-range", "2..11", "--max-c", "1", "--format", "csv")[0] == 0
+
+
 def test_census_requires_ranges(capsys):
     assert main(["census", "G"]) == 2
     assert main(["census", "CI"]) == 2

@@ -1,10 +1,17 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from higherfano import families as fam
-from higherfano.bundles import character_to_chern, chern_to_character, wedge2_character
+from higherfano.bundles import (
+    character_to_chern,
+    chern_to_character,
+    line_character,
+    trivial_character,
+    wedge2_character,
+)
 from higherfano.catalog import AMPLE, NEF_ONLY
 from higherfano.families import (
     NEITHER,
@@ -15,6 +22,7 @@ from higherfano.families import (
     chk_verdict,
     consistency_check,
     dim_x,
+    enumerate_fano_ci,
     minimal_pair,
     parse_spec,
     product_nonexample,
@@ -285,3 +293,44 @@ def test_ci_not_covered_by_lines_gets_a_row():
         assert rep.twist_status == "" and rep.pair_label == ""
         assert rep.pair_dim is None and rep.expected_dim is None
         assert rep.agree
+
+
+def _euler_sequence_character(n, degrees, cap):
+    """ch(T_X) = (n+1)e^h - 1 - sum_i e^(d_i h) up to cap, built afresh with no cache."""
+    h = fam.ambient_ring(fam.ci(n, ())).hyperplane()
+    ch = line_character(h, cap) * (n + 1) - trivial_character(h.ring, 1, cap)
+    for d in degrees:
+        ch = ch - line_character(d * h, cap)
+    return ch
+
+
+def test_ci_character_from_the_cache_matches_the_euler_sequence():
+    for n in range(1, 11):
+        for degrees in enumerate_fano_ci(n, 3):
+            spec = fam.ci(n, degrees)
+            h = fam.ambient_ring(spec).hyperplane()
+            for cap in range(1, dim_x(spec) + 1):
+                ch = tangent_character(spec, cap)
+                assert ch == _euler_sequence_character(n, degrees, cap), (spec, cap)
+                # and the closed form: rank dim X, ch_k = ((n+1) - sum_i d_i^k) h^k / k!
+                assert ch.rank == dim_x(spec) and ch.cap == cap
+                for k in range(1, cap + 1):
+                    coeff = Fraction(n + 1 - sum(d**k for d in degrees), factorial(k))
+                    assert ch.component(k) == coeff * h**k, (spec, k)
+
+
+def test_cached_ambient_characters_stay_equal_to_a_fresh_computation():
+    # many rows on the same P^n share the cached characters; none may leak into another
+    held = []
+    for n in range(2, 13):
+        for degrees in enumerate_fano_ci(n, 3):
+            spec = fam.ci(n, degrees)
+            for k in range(2, min(dim_x(spec), 4) + 1):
+                held.append((n, degrees, k, consistency_check(spec, k).verdict.character))
+    assert fam._pn_tangent.cache_info().currsize and fam._pn_line.cache_info().currsize
+    for n, degrees, k, ch in held:
+        assert ch == _euler_sequence_character(n, degrees, k), (n, degrees, k)
+        assert fam._pn_tangent(n, k) == _euler_sequence_character(n, (), k)
+        h = fam.ambient_ring(fam.ci(n, ())).hyperplane()
+        for d in (1,) + degrees:
+            assert fam._pn_line(n, d, k) == line_character(d * h, k), (n, d, k)

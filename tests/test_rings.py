@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from higherfano.rings import (
     DegreeError,
@@ -218,3 +220,41 @@ def test_unknown_label_rejected():
     p2 = projective_space_ring(2)
     with pytest.raises(ValueError):
         GradedClass(p2, {"nope": Fraction(1)})
+
+
+_SUB_RINGS = (
+    projective_space_ring(4),
+    product_ring(projective_space_ring(2, "h1"), projective_space_ring(2, "h2")),
+)
+
+
+def _classes(ring):
+    """Classes of ring whose coefficients may be zero, which the class must drop."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.dictionaries(st.sampled_from(ring.basis()), coeffs).map(lambda t: GradedClass(ring, t))
+
+
+@given(data=st.data())
+def test_subtraction_adds_the_negative(data):
+    ring = data.draw(st.sampled_from(_SUB_RINGS))
+    a, b = data.draw(_classes(ring)), data.draw(_classes(ring))
+    diff = a - b
+    assert diff == a + (-b)
+    assert diff.ring is ring and all(diff.terms.values())
+
+
+def test_subtraction_edge_cases():
+    p3 = projective_space_ring(3)
+    h = p3.hyperplane()
+    x = 2 * h + Fraction(1, 3) * h**3
+    assert (x - x).terms == {}
+    # int and Fraction operands on either side
+    assert x - 2 == p3.scalar(-2) + x
+    assert x - Fraction(1, 2) == p3.scalar(Fraction(-1, 2)) + x
+    assert 2 - x == p3.scalar(2) + (-x)
+    assert Fraction(1, 3) - x == GradedClass(p3, {"1": Fraction(1, 3), "h": -2, "h^3": Fraction(-1, 3)})
+    assert (p3.unit() - 1).terms == {} and (1 - p3.unit()).terms == {}
+    with pytest.raises(RingMismatchError):
+        x - projective_space_ring(3, "g").hyperplane()
+    with pytest.raises(RingMismatchError):
+        x - product_ring(projective_space_ring(1, "h1"), projective_space_ring(1, "h2")).unit()
