@@ -126,12 +126,13 @@ def line_character(divisor: GradedClass, cap: int | None = None) -> CharacterVec
     if not divisor.is_zero() and divisor.homogeneous_degree() != 1:
         raise DegreeError("line bundle class must have degree 1")
     cap = ring.dimension if cap is None else cap
-    comps = []
-    power = ring.unit()
-    for k in range(1, cap + 1):
-        power = power * divisor
-        comps.append(power * Fraction(1, factorial(k)))
-    return CharacterVector(ring, 1, comps)
+    powers = divisor.powers(cap)
+    return CharacterVector(ring, 1, [powers[k] * Fraction(1, factorial(k)) for k in range(1, cap + 1)])
+
+
+def euler_character(h: GradedClass, n: int, cap: int | None = None) -> CharacterVector:
+    """ch(T_{P^n}) = (n+1)*e^h - 1 from the Euler sequence, for a hyperplane class h."""
+    return line_character(h, cap) * (n + 1) - trivial_character(h.ring, 1, cap)
 
 
 def chern_to_character(
@@ -217,9 +218,7 @@ def todd_line(divisor: GradedClass, cap: int | None = None) -> GradedClass:
         raise DegreeError("Todd class of a line bundle needs a degree-1 class")
     cap = ring.dimension if cap is None else cap
     out = ring.unit()
-    power = ring.unit()
-    for j in range(1, cap + 1):
-        power = power * divisor
+    for j, power in enumerate(divisor.powers(cap)[1:], start=1):
         aj = todd_coeff(j)
         if aj:
             out = out + power * aj

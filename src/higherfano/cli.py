@@ -59,7 +59,7 @@ def compute_row(spec_text: str, k: int) -> dict:
         "oracle": report.oracle_status,
         "twist": report.twist_status,
         "pair": report.pair_label,
-        "note": report.note,
+        "note": verdict.note,
         "agree": report.agree,
     }
 
@@ -71,6 +71,11 @@ def _census_row(args: tuple[str, int]) -> dict:
 def _census_specs(ns) -> list[str]:
     kind = ns.kind
     specs: list[fam.FamilySpec] = []
+    # only a CI census without --n-range reads --n; anywhere else it would be dropped unread
+    if ns.n is not None and kind != "CI":
+        raise UsageError(f"--n is for census CI; census {kind} takes --n-range")
+    if ns.n is not None and ns.n_range is not None:
+        raise UsageError("census CI takes --n or --n-range, not both")
     if kind == "CI":
         if ns.n is None and ns.n_range is None:
             raise UsageError("census CI needs --n or --n-range")

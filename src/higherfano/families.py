@@ -26,13 +26,15 @@ from . import schubert
 from .bundles import (
     CharacterVector,
     chern_to_character,
+    dual,
+    euler_character,
     line_character,
     sym2_character,
     trivial_character,
     wedge2_character,
 )
 from .catalog import PolarizedPair
-from .rings import GradedClass, RingModel, check_basis_size, product_ring, projective_space_ring
+from .rings import RingModel, check_basis_size, product_ring, projective_space_ring
 from .schubert import GrassmannianRing, grassmannian_ring, partition_label, tautological_chern
 
 POSITIVE = "POSITIVE"
@@ -219,8 +221,8 @@ def _pn_line(n: int, d: int, cap: int) -> CharacterVector:
 
 @lru_cache(maxsize=None)
 def _pn_tangent(n: int, cap: int) -> CharacterVector:
-    """ch(T_{P^n}) = (n+1)*e^h - 1 (the Euler sequence), up to degree cap."""
-    return _pn_line(n, 1, cap) * (n + 1) - trivial_character(_pn_ring(n), 1, cap)
+    """ch(T_{P^n}) up to degree cap."""
+    return euler_character(_pn_ring(n).hyperplane(), n, cap)
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +263,13 @@ def ambient_ring(spec: FamilySpec) -> RingModel:
 def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVector:
     """ch(T_X), expressed in the distinguished ambient ring.
 
-    For the zero-locus families the components are the ambient classes whose
-    restrictions give ch(T_X): ch(T_G) minus the character of the normal
-    bundle (Sym^2 of the dual subbundle, Lambda^2 of it, or the hyperplane
-    line bundle).
+    P^n and each factor of P^a x P^b take the Euler sequence.  On G(k,n),
+    T_G = S^dual (x) Q, and the tautological sequence 0 -> S -> O^n -> Q -> 0
+    gives ch(Q) = n - ch(S) from ch(S^dual), so each row runs Newton's
+    identities once.  For the zero-locus families the components are the
+    ambient classes whose restrictions give ch(T_X): ch(T_G) minus the
+    character of the normal bundle (Sym^2 of the dual subbundle, Lambda^2 of
+    it, or the hyperplane line bundle).
     """
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
@@ -275,15 +280,9 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
         return ch
     if spec.kind == PRODUCT_PN:
         h1, h2 = ring.monomial("h1"), ring.monomial("h2")
-        one = trivial_character(ring, 1, cap)
-        return (
-            line_character(h1, cap) * (spec.k + 1)
-            - one
-            + line_character(h2, cap) * (spec.n + 1)
-            - one
-        )
+        return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)
     sdual = chern_to_character(tautological_chern(ring, "sub-dual"), spec.k, ring, cap)
-    quot = chern_to_character(tautological_chern(ring, "quotient"), spec.n - spec.k, ring, cap)
+    quot = trivial_character(ring, spec.n, cap) - dual(sdual)
     ch = sdual * quot
     if spec.kind == GRASS:
         return ch
@@ -319,9 +318,8 @@ class Verdict:
     k: int
     status: str
     witnesses: tuple[tuple[str, Fraction], ...]
-    cls: GradedClass | None  # ch_k; None for a fact record
     note: str = ""
-    # ch(T_X) up to degree k, which cls was read from
+    # ch(T_X) up to degree k, whose ch_k the witnesses pair; None for a fact record
     character: CharacterVector | None = field(default=None, repr=False, compare=False)
 
 
@@ -338,10 +336,9 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
     if spec.kind == G2P:
         if k != 2:
             raise InvalidFamilyError("the G2 fivefold is a fact record for k = 2 only")
-        return Verdict(2, POSITIVE, (), None, note="fact record: second character positive, b_4 = 1")
+        return Verdict(2, POSITIVE, (), note="fact record: second character positive, b_4 = 1")
     if k > dim_x(spec):
         raise InvalidFamilyError(f"ch_{k} exceeds dim X = {dim_x(spec)}")
-    ring = ambient_ring(spec)
     ch = tangent_character(spec, cap=k)
     cls = ch.component(k)
     note = ""
@@ -351,11 +348,11 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
         witnesses = ((f"{partition_label((2,))}+{partition_label((1, 1))}", a + b),)
         note = "Lagrangian boundary: b_4 = 1, both ambient duals restrict to one class"
     else:
-        witnesses = tuple((label, cls.coefficient(label)) for label in ring.basis(k))
+        witnesses = tuple((label, cls.coefficient(label)) for label in ch.ring.basis(k))
         if spec.kind in (GRASS_HYP, OG, SG, SG_DEGENERATE):
             note = "ambient Schubert coefficients; zero-locus modeling assumption"
     status = TWIST_TO_VERDICT[cat.tri_state([v for _, v in witnesses])]
-    return Verdict(k, status, witnesses, cls, note=note, character=ch)
+    return Verdict(k, status, witnesses, note=note, character=ch)
 
 
 def threshold_oracle(spec: FamilySpec, k: int) -> str:
@@ -450,7 +447,6 @@ class ConsistencyReport:
     pair_label: str
     pair_dim: int | None
     expected_dim: int | None
-    note: str
 
     @property
     def agree(self) -> bool:
@@ -489,7 +485,6 @@ def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
         pair_label=label,
         pair_dim=pair_dim,
         expected_dim=expected,
-        note=verdict.note,
     )
 
 
@@ -514,7 +509,7 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     """
     if m < 1:
         raise InvalidFamilyError("bundle diagnostics need m >= 1")
-    from .bundles import character_to_chern, dual
+    from .bundles import character_to_chern
     from .rings import projbundle_ring
 
     base = projective_space_ring(m + 1)
@@ -523,7 +518,7 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     if case == "c":
         ch_e = line_character(2 * h) + line_character(h) * m
     elif case == "e":
-        ch_e = line_character(h) * (m + 2) - trivial_character(base, 1)
+        ch_e = euler_character(h, m + 1)
     else:
         raise InvalidFamilyError("diagnostic covers the bundle cases 'c' and 'e'")
     # ch_e runs to the base's top degree, so it determines every c_i of E;
@@ -534,12 +529,11 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     edual_up = CharacterVector(
         pb, edual.rank, [pb.from_base(edual.component(k)) for k in range(1, edual.cap + 1)]
     )
-    one = trivial_character(pb, 1, cap=2)
+    # T of the base pulled back, plus the relative Euler sequence E^dual (x) O(1) - 1
     tangent = (
-        line_character(h_pb, cap=2) * (m + 2)
-        - one
+        euler_character(h_pb, m + 1, 2)
         + edual_up * line_character(pb.xi(), cap=2)
-        - one
+        - trivial_character(pb, 1, cap=2)
     )
     ch2 = tangent.component(2)
     out = []

@@ -50,14 +50,6 @@ from .rings import GradedClass, RingModel, _pow_label, projective_space_ring
 _Key = tuple[int, tuple[int, ...], int]
 
 
-def _powers(x: GradedClass) -> tuple[GradedClass, ...]:
-    """x^0 .. x^dim of x's ring, each the previous power times x; higher powers vanish."""
-    out = [x.ring.unit()]
-    for _ in range(x.ring.dimension):
-        out.append(out[-1] * x)
-    return tuple(out)
-
-
 class PowerTable(NamedTuple):
     """The powers of the derivation's generators, indexed by exponent."""
 
@@ -202,10 +194,10 @@ class UniversalModel(_MonomialModel):
     @cached_property
     def powers(self) -> PowerTable:
         """s, l and c_1(T_pi) on U and l on the family, each to its ring's dimension."""
-        return PowerTable(
-            _powers(self.sigma()), _powers(self.ell()),
-            _powers(self.c1_relative_tangent()), _powers(self.family.ell()),
-        )
+        return PowerTable(*(
+            x.powers(x.ring.dimension)
+            for x in (self.sigma(), self.ell(), self.c1_relative_tangent(), self.family.ell())
+        ))
 
     @cached_property
     def claim31_identities(self) -> tuple[Check, ...]:
@@ -354,12 +346,13 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
 
 def _character_formula(ell: GradedClass, t: Callable[[int], GradedClass], k: int) -> GradedClass:
     """sum_{j=0}^{k} A_j * l^j * t(k+1-j) - l^k / k!, reading t_j only where A_j != 0."""
+    powers = ell.powers(k)
     out = ell.ring.zero()
     for j in range(0, k + 1):
         aj = todd_coeff(j)
         if aj:
-            out = out + aj * ell**j * t(k + 1 - j)
-    return out - ell**k * Fraction(1, factorial(k))
+            out = out + aj * powers[j] * t(k + 1 - j)
+    return out - powers[k] * Fraction(1, factorial(k))
 
 
 def family_character_formula(fam: FamilyModel, k: int) -> GradedClass:

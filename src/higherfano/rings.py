@@ -147,13 +147,17 @@ class GradedClass:
     def __truediv__(self, other):
         return self * (Fraction(1) / Fraction(other))
 
+    def powers(self, top: int) -> tuple["GradedClass", ...]:
+        """self^0 .. self^top, each the previous power times self."""
+        out = [self.ring.unit()]
+        for _ in range(top):
+            out.append(out[-1] * self)
+        return tuple(out)
+
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not defined")
-        out = self.ring.unit()
-        for _ in range(e):
-            out = out * self
-        return out
+        return self.powers(e)[e]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

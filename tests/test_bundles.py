@@ -8,6 +8,7 @@ from higherfano.bundles import (
     character_to_chern,
     chern_to_character,
     dual,
+    euler_character,
     line_character,
     sym2_character,
     tensor_line,
@@ -15,7 +16,7 @@ from higherfano.bundles import (
     trivial_character,
     wedge2_character,
 )
-from higherfano.rings import projective_space_ring
+from higherfano.rings import product_ring, projective_space_ring
 from higherfano.schubert import grassmannian_ring, tautological_chern
 
 
@@ -169,3 +170,16 @@ def test_dual_of_a_line_is_the_inverse_line():
     assert dual(line_character(h)) == line_character(-h)
     one = trivial_character(p3, 1)
     assert dual(line_character(2 * h) + one) == line_character(-2 * h) + one
+
+
+def test_euler_character_is_newton_on_the_total_chern_class():
+    # ch(T_{P^n}) = (n+1)e^h - 1 against Newton's identities on c(T) = (1+h)^(n+1)
+    p2xp3 = product_ring(projective_space_ring(2, "h1"), projective_space_ring(3, "h2"))
+    cases = [(projective_space_ring(n).hyperplane(), n) for n in range(1, 9)]
+    cases += [(p2xp3.monomial("h1"), 2), (p2xp3.monomial("h2"), 3)]
+    for h, n in cases:
+        ring = h.ring
+        cherns = [comb(n + 1, i) * h**i for i in range(1, n + 1)]
+        for cap in range(1, ring.dimension + 1):
+            assert euler_character(h, n, cap) == chern_to_character(cherns, n, ring, cap), (ring, n, cap)
+        assert euler_character(h, n) == chern_to_character(cherns, n, ring)

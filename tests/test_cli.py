@@ -145,6 +145,23 @@ def test_census_ci_golden_csv(capsys):
     assert digest == "48b08d2e07bbafae317d28c5c93eabb621a43bfd4ca5b0107d9beec4c56947fc"
 
 
+# digests of the zero-locus censuses, recorded before ch(Q) was built from ch(S^dual)
+@pytest.mark.parametrize("argv, digest", [
+    (("census", "GH", "--k", "3", "--k-range", "2..4", "--n-range", "4..12"),
+     "350fc5c94d1a5e62f1a0ac15e5264b1ecefa79184f49b599aa2e33a08b440c78"),
+    (("census", "OG", "--k", "3", "--k-range", "2..4", "--n-range", "7..16"),
+     "067b3ca207592475113510eb6e3f4e0c1f8354a207069d29a4209ae66a6ddd21"),
+    (("census", "SG", "--k-range", "2..5", "--n-range", "4..14"),
+     "8cc75c9807786d112d7447f931427c36686010450fe2f35b2c21d3531c8f9b13"),
+    (("census", "SGdeg", "--k", "3", "--k-range", "2..5", "--n-range", "5..15"),
+     "058b5226758a17c24b835cfd6117c2bd2d18a20e3734895d1ccfe2cc2cbf7199"),
+])
+def test_zero_locus_census_golden_csv(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_compute_row_runs_each_path_once(monkeypatch):
     names = ("tangent_character", "chk_verdict", "threshold_oracle")
     calls = dict.fromkeys(names, 0)
@@ -179,6 +196,18 @@ def test_empty_inputs_are_usage_errors(capsys):
     assert "max codimension" in capsys.readouterr().err
     assert main(["verify", "prop11-ci", "--n-max", "6", "--max-c", "-1"]) == 2
     assert run_cli(capsys, "census", "CI", "--n", "10", "--max-c", "0")[0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "CI", "--n", "5", "--n-range", "2..3"), "--n or --n-range, not both"),
+    (("census", "G", "--k-range", "2", "--n-range", "4..5", "--n", "3"), "--n is for census CI"),
+    (("census", "OG", "--k-range", "2", "--n-range", "7..9", "--n", "8"), "--n is for census CI"),
+], ids=["CI-n-and-n-range", "G-n", "OG-n"])
+def test_census_refuses_an_n_it_would_ignore(capsys, argv, message):
+    # these used to list the --n-range rows and drop --n without a word
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_huge_grassmannian_is_refused_before_any_basis_is_built(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from higherfano.bundles import (
     character_to_chern,
     chern_to_character,
     line_character,
+    sym2_character,
     trivial_character,
     wedge2_character,
 )
@@ -334,3 +335,53 @@ def test_cached_ambient_characters_stay_equal_to_a_fresh_computation():
         h = fam.ambient_ring(fam.ci(n, ())).hyperplane()
         for d in (1,) + degrees:
             assert fam._pn_line(n, d, k) == line_character(d * h, k), (n, d, k)
+
+
+def _two_recursion_tangent(spec, cap):
+    """ch(T_X) on a Grassmannian kind with Newton's identities run on S^dual and on Q."""
+    ring = fam.ambient_ring(spec)
+    sdual = chern_to_character(tautological_chern(ring, "sub-dual"), spec.k, ring, cap)
+    quot = chern_to_character(tautological_chern(ring, "quotient"), spec.n - spec.k, ring, cap)
+    normal = {
+        fam.GRASS: trivial_character(ring, 0, cap),
+        fam.GRASS_HYP: line_character(ring.sigma((1,)), cap),
+        fam.OG: sym2_character(sdual),
+        fam.SG: wedge2_character(sdual),
+        fam.SG_DEGENERATE: wedge2_character(sdual),
+    }[spec.kind]
+    return sdual * quot - normal
+
+
+def _grassmannian_kind_specs(k_values, n_max):
+    for kind in fam._GRASS_KINDS:
+        for k in k_values:
+            for n in range(2 * k, n_max + 1):
+                try:
+                    yield fam.KIND_MAKERS[kind](k, n)
+                except InvalidFamilyError:
+                    continue
+
+
+def test_grassmannian_tangent_matches_the_two_recursion_construction():
+    # ch(Q) = n - dual(ch(S^dual)) must agree with Newton on the quotient's Chern classes
+    specs = list(_grassmannian_kind_specs(range(2, 6), 12))
+    assert {s.kind for s in specs} == set(fam._GRASS_KINDS) and len(specs) == 84
+    for spec in specs:
+        for cap in range(1, min(dim_x(spec), 6) + 1):
+            ch = tangent_character(spec, cap)
+            assert ch == _two_recursion_tangent(spec, cap), (spec, cap)
+            assert ch.rank == dim_x(spec) and ch.cap == cap
+
+
+def test_grassmannian_row_runs_newton_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return chern_to_character(*args, **kwargs)
+
+    monkeypatch.setattr(fam, "chern_to_character", counted)
+    for spec in _grassmannian_kind_specs((2, 3), 9):
+        calls.clear()
+        tangent_character(spec, 3)
+        assert calls == [spec.k], spec

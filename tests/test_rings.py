@@ -209,6 +209,20 @@ def test_graded_class_api():
     assert x / 2 == h + h**2 / 2
 
 
+def test_powers_are_repeated_products():
+    for ring in _sample_rings():
+        # a homogeneous generator and a class mixing every degree
+        mixed = GradedClass(ring, {l: Fraction(i + 1, 2) for i, l in enumerate(ring.basis())})
+        for x in (ring.monomial(ring.basis(1)[0]), mixed):
+            expected = [ring.unit()]
+            for t in range(ring.dimension + 2):
+                assert x.powers(t) == tuple(expected), (ring, t)
+                assert x**t == expected[t]
+                expected.append(expected[-1] * x)
+    with pytest.raises(ValueError):
+        projective_space_ring(2).hyperplane() ** -1
+
+
 def test_ring_mismatch_rejected():
     a = projective_space_ring(2)
     b = projective_space_ring(2, "g")
