@@ -15,7 +15,7 @@ from math import factorial
 from typing import Sequence
 
 from .numeric import Rational, todd_coeff
-from .rings import DegreeError, GradedClass, RingMismatchError, RingModel
+from .rings import DegreeError, GradedClass, RingMismatchError, RingModel, check_graded
 
 
 class CharacterVector:
@@ -26,24 +26,19 @@ class CharacterVector:
     def __init__(self, ring: RingModel, rank: Rational, components: Sequence[GradedClass]):
         self.ring = ring
         self.rank = Fraction(rank)
-        comps = []
-        for k, c in enumerate(components, start=1):
-            if c.ring is not ring:
-                raise RingMismatchError("all components must share one ring")
-            if not c.is_zero() and c.homogeneous_degree() != k:
-                raise DegreeError(f"ch_{k} must be homogeneous of degree {k}")
-            comps.append(c)
-        self.components = tuple(comps)
+        self.components = check_graded(components, ring, "ch")
 
     @property
     def cap(self) -> int:
         return len(self.components)
 
     def component(self, k: int) -> GradedClass:
-        """ch_k as a GradedClass (ch_0 is rank times the unit)."""
+        """ch_k as a GradedClass (ch_0 is rank times the unit); DegreeError above the cap."""
+        if k > self.cap:
+            raise DegreeError(f"ch_{k} is above this character's cap {self.cap}")
         if k == 0:
             return self.ring.scalar(self.rank)
-        if 1 <= k <= self.cap:
+        if k > 0:
             return self.components[k - 1]
         return self.ring.zero()
 
@@ -54,28 +49,24 @@ class CharacterVector:
         return out
 
     # -- arithmetic -------------------------------------------------------
+    # componentwise, to the smaller of the two caps (zip stops at the shorter)
 
-    def _align(self, other: "CharacterVector") -> int:
+    def _check_operand(self, other: "CharacterVector") -> None:
         if not isinstance(other, CharacterVector):
             raise TypeError("expected a CharacterVector")
         if other.ring is not self.ring:
             raise RingMismatchError("characters live on different rings")
-        return min(self.cap, other.cap)
 
     def __add__(self, other):
-        cap = self._align(other)
+        self._check_operand(other)
         return CharacterVector(
-            self.ring,
-            self.rank + other.rank,
-            [self.component(k) + other.component(k) for k in range(1, cap + 1)],
+            self.ring, self.rank + other.rank, [a + b for a, b in zip(self.components, other.components)]
         )
 
     def __sub__(self, other):
-        cap = self._align(other)
+        self._check_operand(other)
         return CharacterVector(
-            self.ring,
-            self.rank - other.rank,
-            [self.component(k) - other.component(k) for k in range(1, cap + 1)],
+            self.ring, self.rank - other.rank, [a - b for a, b in zip(self.components, other.components)]
         )
 
     def __neg__(self):
@@ -85,15 +76,15 @@ class CharacterVector:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return CharacterVector(self.ring, self.rank * c, [x * c for x in self.components])
-        cap = self._align(other)
+        self._check_operand(other)
+        # ch_k(xy) = x_0 y_k + x_k y_0 + sum_{0<i<k} x_i y_(k-i), the ranks x_0, y_0 as scalars
+        x, y = self.components, other.components
         comps = []
-        for k in range(1, cap + 1):
-            acc = self.ring.zero()
-            for i in range(0, k + 1):
-                a = self.component(i)
-                b = other.component(k - i)
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
+        for k in range(1, min(len(x), len(y)) + 1):
+            acc = x[k - 1] * other.rank + y[k - 1] * self.rank
+            for i in range(1, k):
+                if not x[i - 1].is_zero() and not y[k - i - 1].is_zero():
+                    acc = acc + x[i - 1] * y[k - i - 1]
             comps.append(acc)
         return CharacterVector(self.ring, self.rank * other.rank, comps)
 
@@ -123,7 +114,7 @@ def trivial_character(ring: RingModel, rank: Rational, cap: int | None = None) -
 def line_character(divisor: GradedClass, cap: int | None = None) -> CharacterVector:
     """ch(O(D)) = e^D for a degree-1 class D."""
     ring = divisor.ring
-    if not divisor.is_zero() and divisor.homogeneous_degree() != 1:
+    if not divisor.is_homogeneous(1):
         raise DegreeError("line bundle class must have degree 1")
     cap = ring.dimension if cap is None else cap
     powers = divisor.powers(cap)
@@ -143,11 +134,7 @@ def chern_to_character(
     p_k = c_1 p_(k-1) - c_2 p_(k-2) + ... + (-1)^(k-1) k c_k, and ch_k = p_k/k!.
     """
     cap = ring.dimension if cap is None else cap
-    for i, ci in enumerate(cherns, start=1):
-        if ci.ring is not ring:
-            raise RingMismatchError("Chern classes must live on the given ring")
-        if not ci.is_zero() and ci.homogeneous_degree() != i:
-            raise DegreeError(f"c_{i} must be homogeneous of degree {i}")
+    check_graded(cherns, ring, "c")
 
     def c(i: int) -> GradedClass:
         return cherns[i - 1] if 1 <= i <= len(cherns) else ring.zero()
@@ -164,7 +151,7 @@ def chern_to_character(
 def character_to_chern(x: CharacterVector) -> tuple[GradedClass, ...]:
     """Chern classes c_1..c_cap from a character (inverse Newton recursion)."""
     ring = x.ring
-    p = [x.component(k) * factorial(k) for k in range(1, x.cap + 1)]
+    p = [c * factorial(k) for k, c in enumerate(x.components, start=1)]
     e: list[GradedClass] = []
     for k in range(1, x.cap + 1):
         acc = p[k - 1]
@@ -179,9 +166,8 @@ def character_to_chern(x: CharacterVector) -> tuple[GradedClass, ...]:
 
 def adams(x: CharacterVector, t: int) -> CharacterVector:
     """psi^t: scales ch_k by t^k, rank unchanged."""
-    return CharacterVector(
-        x.ring, x.rank, [Fraction(t) ** k * x.component(k) for k in range(1, x.cap + 1)]
-    )
+    t = Fraction(t)
+    return CharacterVector(x.ring, x.rank, [t**k * c for k, c in enumerate(x.components, start=1)])
 
 
 def dual(x: CharacterVector) -> CharacterVector:
@@ -214,7 +200,7 @@ def wedge2_character(x: CharacterVector) -> CharacterVector:
 def todd_line(divisor: GradedClass, cap: int | None = None) -> GradedClass:
     """Todd class of a line bundle with c_1 = D: sum_j A_j D^j."""
     ring = divisor.ring
-    if not divisor.is_zero() and divisor.homogeneous_degree() != 1:
+    if not divisor.is_homogeneous(1):
         raise DegreeError("Todd class of a line bundle needs a degree-1 class")
     cap = ring.dimension if cap is None else cap
     out = ring.unit()

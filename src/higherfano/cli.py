@@ -71,9 +71,16 @@ def _census_row(args: tuple[str, int]) -> dict:
 def _census_specs(ns) -> list[str]:
     kind = ns.kind
     specs: list[fam.FamilySpec] = []
-    # only a CI census without --n-range reads --n; anywhere else it would be dropped unread
+    # only a CI census reads --n (without --n-range) and --max-c, and only the
+    # other kinds read --k-range; anywhere else a flag would be dropped unread
     if ns.n is not None and kind != "CI":
         raise UsageError(f"--n is for census CI; census {kind} takes --n-range")
+    if ns.max_c is not None and kind != "CI":
+        raise UsageError(f"--max-c is for census CI; census {kind} takes no codimension bound")
+    if ns.k_range is not None and kind == "CI":
+        raise UsageError(
+            "--k-range is for census G, GH, OG, SG and SGdeg; census CI takes --n or --n-range"
+        )
     if ns.n is not None and ns.n_range is not None:
         raise UsageError("census CI takes --n or --n-range, not both")
     if kind == "CI":
@@ -81,7 +88,7 @@ def _census_specs(ns) -> list[str]:
             raise UsageError("census CI needs --n or --n-range")
         n_values = _parse_range(ns.n_range) if ns.n_range else [ns.n]
         for n in n_values:
-            for degrees in fam.enumerate_fano_ci(n, ns.max_c):
+            for degrees in fam.enumerate_fano_ci(n, 2 if ns.max_c is None else ns.max_c):
                 specs.append(fam.ci(n, degrees))
     else:
         if ns.k_range is None or ns.n_range is None:
@@ -174,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--k-range", dest="k_range", default=None, help="family k range, e.g. 2..4")
     p_census.add_argument("--n-range", dest="n_range", default=None, help="family n range, e.g. 4..12")
     p_census.add_argument("--n", type=int, default=None, help="single n (CI census)")
-    p_census.add_argument("--max-c", dest="max_c", type=int, default=2, help="max codimension (CI census)")
+    p_census.add_argument("--max-c", dest="max_c", type=int, default=None,
+                          help="max codimension (CI census, default 2)")
     p_census.add_argument("--jobs", type=int, default=1, help="parallel workers for the rows")
     common(p_census)
 

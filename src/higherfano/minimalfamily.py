@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from .bundles import line_character, todd_line
 from .families import enumerate_fano_ci
 from .numeric import Rational, power_sum, todd_coeff
-from .rings import GradedClass, RingModel, _pow_label, projective_space_ring
+from .rings import DegreeError, GradedClass, RingModel, _pow_label, projective_space_ring
 
 # -- symbolic universal-family model -----------------------------------------
 
@@ -422,13 +422,13 @@ class MinimalFamilyInput:
 
     def __post_init__(self):
         ring = self.ell.ring
-        if not self.ell.is_zero() and self.ell.homogeneous_degree() != 1:
-            raise ValueError("polarization class must have degree 1")
+        if not self.ell.is_homogeneous(1):
+            raise DegreeError("polarization class must have degree 1")
         for j, tj in self.t.items():
             if tj.ring is not ring:
                 raise ValueError("transfer images must share the polarization's ring")
-            if not tj.is_zero() and tj.homogeneous_degree() != j - 1:
-                raise ValueError(f"t_{j} must be homogeneous of degree {j - 1}")
+            if not tj.is_homogeneous(j - 1):
+                raise DegreeError(f"t_{j} must be homogeneous of degree {j - 1}")
 
 
 class MissingTransferError(KeyError):

@@ -80,6 +80,11 @@ class GradedClass:
             {l: c for l, c in self.terms.items() if self.ring.degree_of(l) == k},
         )
 
+    def is_homogeneous(self, k: int) -> bool:
+        """True when every term has degree k, so the zero class is homogeneous of every degree."""
+        degree = self.ring._degree
+        return all(degree[l] == k for l in self.terms)
+
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, None for 0, error if mixed."""
         degs = self.degrees()
@@ -322,11 +327,7 @@ class ProjBundleRing(RingModel):
         cherns = list(chern_of_e)
         if len(cherns) > rank:
             raise DegreeError("more Chern classes than the rank allows")
-        for i, ci in enumerate(cherns, start=1):
-            if ci.ring is not base:
-                raise RingMismatchError("Chern classes must live on the base")
-            if not ci.is_zero() and ci.homogeneous_degree() != i:
-                raise DegreeError(f"c_{i} must be homogeneous of degree {i}")
+        check_graded(cherns, base, "c")
         while len(cherns) < rank:
             cherns.append(base.zero())
         self.base = base
@@ -345,7 +346,6 @@ class ProjBundleRing(RingModel):
                     basis[d + t].append(label)
         self._pairs = pairs
         self._xi_normal: dict[int, tuple[GradedClass, ...]] = {}
-        self._segre: dict[int, GradedClass] = {}
         point = _join_labels(base.point_label, _pow_label(gen, rank - 1))
         super().__init__(f"P({base.name};r={rank})<{gen}>", dim, basis, point)
 
@@ -379,35 +379,17 @@ class ProjBundleRing(RingModel):
         self._xi_normal[t] = vec
         return vec
 
-    def segre(self, j: int) -> GradedClass:
-        """Fiber integral of xi^(r-1+j), as a base class."""
-        if j < 0:
-            return self.base.zero()
-        hit = self._segre.get(j)
-        if hit is not None:
-            return hit
-        if j == 0:
-            val = self.base.unit()
-        else:
-            val = self.base.zero()
-            for i in range(1, min(j, self.rank) + 1):
-                ci = self.cherns[i - 1]
-                if not ci.is_zero():
-                    val = val + (-1) ** (i + 1) * ci * self.segre(j - i)
-        self._segre[j] = val
-        return val
-
     def push_to_base(self, x: GradedClass) -> GradedClass:
-        """Integration along the fibers: xi^(r-1) * (base class) maps to the base class."""
+        """Integration along the fibers: the xi^(r-1) coordinate of x in the basis b * xi^t, t < r."""
         if x.ring is not self:
             raise RingMismatchError("class does not live on this bundle")
-        out = self.base.zero()
+        top = self.rank - 1
+        out = {}
         for label, c in x.terms.items():
             bl, t = self._pairs[label]
-            s = self.segre(t - (self.rank - 1))
-            if not s.is_zero():
-                out = out + c * self.base.monomial(bl) * s
-        return out
+            if t == top:
+                out[bl] = c
+        return GradedClass(self.base, out)
 
     def _mul_labels(self, a, b):
         la, ta = self._pairs[a]
@@ -427,6 +409,21 @@ class ProjBundleRing(RingModel):
 
 
 # -- public constructors and operations -------------------------------------
+
+
+def check_graded(
+    classes: Sequence[GradedClass], ring: RingModel, symbol: str
+) -> tuple[GradedClass, ...]:
+    """The classes as a tuple, after checking that the i-th (from 1) lives on ring in degree i.
+
+    `symbol` names the sequence in the errors: "ch" gives "ch_2 must be homogeneous of degree 2".
+    """
+    for i, x in enumerate(classes, start=1):
+        if x.ring is not ring:
+            raise RingMismatchError(f"{symbol}_{i} lives on {x.ring.name}, not on {ring.name}")
+        if not x.is_homogeneous(i):
+            raise DegreeError(f"{symbol}_{i} must be homogeneous of degree {i}")
+    return tuple(classes)
 
 
 def check_basis_size(space: str, formula: str, count: int, bound: int, classes: str = "classes") -> None:

@@ -2,8 +2,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from higherfano.bundles import (
+    CharacterVector,
     adams,
     character_to_chern,
     chern_to_character,
@@ -16,7 +19,7 @@ from higherfano.bundles import (
     trivial_character,
     wedge2_character,
 )
-from higherfano.rings import product_ring, projective_space_ring
+from higherfano.rings import GradedClass, product_ring, projective_space_ring
 from higherfano.schubert import grassmannian_ring, tautological_chern
 
 
@@ -183,3 +186,56 @@ def test_euler_character_is_newton_on_the_total_chern_class():
         for cap in range(1, ring.dimension + 1):
             assert euler_character(h, n, cap) == chern_to_character(cherns, n, ring, cap), (ring, n, cap)
         assert euler_character(h, n) == chern_to_character(cherns, n, ring)
+
+
+_CHAR_RINGS = (projective_space_ring(4), grassmannian_ring(2, 5))
+_RANKS = (0, 1, -2, Fraction(1, 2), 3)
+
+
+def _draw_character(data, ring):
+    """A character on ring with a drawn rank, cap and homogeneous components."""
+    cap = data.draw(st.integers(0, ring.dimension))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    comps = [
+        GradedClass(ring, data.draw(st.dictionaries(st.sampled_from(ring.basis(k)), coeffs)))
+        for k in range(1, cap + 1)
+    ]
+    return CharacterVector(ring, data.draw(st.sampled_from(_RANKS)), comps)
+
+
+def _reference_product(x, y):
+    """ch_k(xy) = sum_{i=0}^{k} x_i y_(k-i) to the smaller cap, with x_0 = rank times the unit."""
+    ring = x.ring
+
+    def part(v, i):
+        return ring.scalar(v.rank) if i == 0 else v.components[i - 1]
+
+    cap = min(x.cap, y.cap)
+    comps = []
+    for k in range(1, cap + 1):
+        acc = ring.zero()
+        for i in range(k + 1):
+            acc = acc + part(x, i) * part(y, k - i)
+        comps.append(acc)
+    return CharacterVector(ring, x.rank * y.rank, comps)
+
+
+@given(data=st.data())
+def test_character_arithmetic_matches_its_definitions(data):
+    ring = data.draw(st.sampled_from(_CHAR_RINGS))
+    x, y = _draw_character(data, ring), _draw_character(data, ring)
+    cap = min(x.cap, y.cap)
+    assert x + y == CharacterVector(
+        ring, x.rank + y.rank, [x.components[k] + y.components[k] for k in range(cap)]
+    )
+    assert x - y == CharacterVector(
+        ring, x.rank - y.rank, [x.components[k] - y.components[k] for k in range(cap)]
+    )
+    assert x * y == _reference_product(x, y)
+    assert y * x == _reference_product(y, x)
+    c = data.draw(st.sampled_from(_RANKS))
+    assert x * c == CharacterVector(ring, x.rank * c, [a * Fraction(c) for a in x.components])
+    t = data.draw(st.integers(-2, 3))
+    assert adams(x, t) == CharacterVector(
+        ring, x.rank, [Fraction(t) ** k * a for k, a in enumerate(x.components, start=1)]
+    )

@@ -83,6 +83,8 @@ def test_census_ci(capsys):
         expected = "POSITIVE" if s <= 10 else ("NEF_ONLY" if s == 11 else "NEITHER")
         assert item["verdict"] == expected, item["params"]
     assert doc["pass"] is True
+    # an unset --max-c reads 2 (the option is unset by default so other kinds can refuse it)
+    assert run_cli(capsys, "census", "CI", "--n", "10", "--k", "2")[1] == out.replace("--max-c 2 ", "")
 
 
 def test_census_jobs_match_serial(capsys):
@@ -135,6 +137,14 @@ def test_census_grass_deep_golden_csv(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "78617bfd3146783271a274e302febc78259f9fe476d214cafe834149a192b600"
+
+
+def test_census_grass_wide_golden_csv(capsys):
+    # digest of this census as recorded at the seed commit (the census-grass-wide workload)
+    code, out = run_cli(capsys, "census", "G", "--k-range", "2..8", "--n-range", "4..18", "--format", "csv")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "bf07713d76040479ae885cdafd9887602822c40711882df40c4bbba6f120e189"
 
 
 def test_census_ci_golden_csv(capsys):
@@ -202,9 +212,12 @@ def test_empty_inputs_are_usage_errors(capsys):
     (("census", "CI", "--n", "5", "--n-range", "2..3"), "--n or --n-range, not both"),
     (("census", "G", "--k-range", "2", "--n-range", "4..5", "--n", "3"), "--n is for census CI"),
     (("census", "OG", "--k-range", "2", "--n-range", "7..9", "--n", "8"), "--n is for census CI"),
-], ids=["CI-n-and-n-range", "G-n", "OG-n"])
+    (("census", "CI", "--n", "5", "--k-range", "9..3", "--format", "csv"), "--k-range is for census G"),
+    (("census", "G", "--k-range", "2", "--n-range", "4..5", "--max-c", "0", "--format", "csv"),
+     "--max-c is for census CI"),
+], ids=["CI-n-and-n-range", "G-n", "OG-n", "CI-k-range", "G-max-c"])
 def test_census_refuses_an_n_it_would_ignore(capsys, argv, message):
-    # these used to list the --n-range rows and drop --n without a word
+    # these used to list rows and drop a flag (--n, --k-range, --max-c) without a word
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err

@@ -30,6 +30,7 @@ from higherfano.families import (
     tangent_character,
     threshold_oracle,
 )
+from higherfano.rings import DegreeError
 from higherfano.schubert import grassmannian_ring, tautological_chern
 
 
@@ -59,6 +60,19 @@ def test_dimensions():
     for n in range(4, 10):
         for k in range(2, n // 2 + 1):
             assert grassmannian_ring(k, n).dimension == dim_x(fam.grass(k, n))
+
+
+def test_component_above_the_cap_is_refused():
+    # the true ch_3 of G(2,5) is -5/6 sigma_21 + 5/6 sigma_3, not the 0 a cap-2 character would give
+    g = fam.grass(2, 5)
+    ring = fam.ambient_ring(g)
+    assert tangent_character(g, cap=3).component(3) == (
+        Fraction(-5, 6) * ring.sigma((2, 1)) + Fraction(5, 6) * ring.sigma((3,))
+    )
+    truncated = tangent_character(g, cap=2)
+    assert truncated.component(0) == ring.scalar(6) and truncated.component(-1).is_zero()
+    with pytest.raises(DegreeError, match=r"ch_3 is above this character's cap 2"):
+        truncated.component(3)
 
 
 def test_tangent_character_examples():

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from higherfano.bundles import CharacterVector, chern_to_character
 from higherfano.rings import (
     DegreeError,
     GradedClass,
     RingMismatchError,
+    check_graded,
     integrate,
     multiply,
     product_ring,
@@ -146,6 +148,71 @@ def test_fiber_integration_and_segre():
         inv.append(acc)
     for t in range(0, 3):
         assert pb.push_to_base(xi ** (2 + t)) == (-1) ** t * inv[t]
+
+
+def _inverse_chern(cherns, base, top):
+    """[c(E)^(-1)]_0 .. [c(E)^(-1)]_top, by the recursion s_t = -sum_i c_i s_(t-i)."""
+    inv = [base.unit()]
+    for t in range(1, top + 1):
+        acc = base.zero()
+        for i in range(1, min(t, len(cherns)) + 1):
+            acc = acc - cherns[i - 1] * inv[t - i]
+        inv.append(acc)
+    return inv
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_push_to_base_matches_the_segre_oracle(n, rank):
+    # pushing xi^(r-1+j) * b gives b * (-1)^j [c(E)^(-1)]_j, and xi^t * b with t < r-1 gives 0
+    base = projective_space_ring(n)
+    h = base.hyperplane()
+    cherns = [c * h**i for i, c in enumerate([2, 3, -1, 5][:rank], start=1)]
+    pb = projbundle_ring(base, cherns, rank)
+    xi = pb.xi()
+    inv = _inverse_chern(cherns, base, pb.dimension)
+    total, expected = pb.zero(), base.zero()
+    for t in range(pb.dimension + 1):
+        for j, label in enumerate(base.basis()):
+            b = base.monomial(label)
+            want = base.zero() if t < rank - 1 else (-1) ** (t - rank + 1) * b * inv[t - rank + 1]
+            x = xi**t * pb.from_base(b)
+            assert pb.push_to_base(x) == want, (t, label)
+            coeff = Fraction(t + 1, j + 2)
+            total, expected = total + coeff * x, expected + coeff * want
+    assert pb.push_to_base(total) == expected
+
+
+def test_is_homogeneous():
+    p3 = projective_space_ring(3)
+    h = p3.hyperplane()
+    assert all(p3.zero().is_homogeneous(k) for k in range(-1, 5))
+    assert (2 * h**2).is_homogeneous(2)
+    assert not (2 * h**2).is_homogeneous(1) and not (2 * h**2).is_homogeneous(3)
+    assert p3.unit().is_homogeneous(0)
+    mixed = h + h**2
+    assert not any(mixed.is_homogeneous(k) for k in range(-1, 5))
+
+
+def test_check_graded_errors_through_each_caller():
+    p3 = projective_space_ring(3)
+    h = p3.hyperplane()
+    other = projective_space_ring(3, "g").hyperplane()
+    assert check_graded([h, p3.zero(), h**3], p3, "c") == (h, p3.zero(), h**3)
+    with pytest.raises(DegreeError, match=r"^ch_2 must be homogeneous of degree 2$"):
+        CharacterVector(p3, 1, [h, h**3])
+    with pytest.raises(DegreeError, match=r"^ch_2 must be homogeneous of degree 2$"):
+        CharacterVector(p3, 1, [h, h + h**2])
+    with pytest.raises(DegreeError, match=r"^c_2 must be homogeneous of degree 2$"):
+        chern_to_character([h, h], 2, p3)
+    with pytest.raises(DegreeError, match=r"^c_1 must be homogeneous of degree 1$"):
+        projbundle_ring(p3, [h**2], 2)
+    with pytest.raises(RingMismatchError):
+        CharacterVector(p3, 1, [h, other**2])
+    with pytest.raises(RingMismatchError):
+        chern_to_character([other], 1, p3)
+    with pytest.raises(RingMismatchError):
+        projbundle_ring(p3, [h, other**2], 2)
 
 
 def test_projbundle_rejects_bad_chern_degrees():
