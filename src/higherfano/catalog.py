@@ -110,9 +110,19 @@ def twist_class(pair: PolarizedPair) -> Vector:
     return tuple(-2 * k - pair.dim * l for k, l in zip(pair.K, pair.L))
 
 
+# the twist status by (dim, pairing, Mori generators, *K, *L): the status reads only these
+# numbers, and a census repeats them under distinct labels.  K and L are spliced in, since
+# both have the length the pairing gives them, so an entry keeps no tuple of its own for them
+_twist_status: dict[tuple, str] = {}
+
+
 def positivity_of_twist(pair: PolarizedPair) -> str:
     """AMPLE / NEF_ONLY / NEITHER for -2K - dim*L, by pairing with the Mori generators."""
-    return tri_state(pair.degrees_on_mori(twist_class(pair)))
+    key = (pair.dim, pair.pairing, pair.mori_generators, *pair.K, *pair.L)
+    status = _twist_status.get(key)
+    if status is None:
+        status = _twist_status[key] = tri_state(pair.degrees_on_mori(twist_class(pair)))
+    return status
 
 
 def extremal_L_degrees(pair: PolarizedPair) -> tuple[Fraction, ...]:
@@ -123,19 +133,23 @@ def extremal_L_degrees(pair: PolarizedPair) -> tuple[Fraction, ...]:
 # -- constructors --------------------------------------------------------------
 
 
+# pairing, nef and Mori generators of every rank-one pair, shared so that the twist memo
+# keeps one copy of them
+_RANK_ONE = (_vec([1]),)
+
+
 def pair_picard_one(label: str, dim: int, index: int, degree: int, structure: str) -> PolarizedPair:
     """Picard rank one: Pic = Z*h, -K = index*h, L = degree*h, lines span the Mori cone."""
-    one = _vec([1])
     return PolarizedPair(
         label=label,
         dim=dim,
         divisor_basis=("h",),
         curve_basis=("l",),
-        pairing=(one,),
+        pairing=_RANK_ONE,
         K=_vec([-index]),
         L=_vec([degree]),
-        nef_generators=(one,),
-        mori_generators=(one,),
+        nef_generators=_RANK_ONE,
+        mori_generators=_RANK_ONE,
         structure=structure,
     )
 

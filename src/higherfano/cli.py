@@ -145,14 +145,48 @@ def _emit(ns, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-# each `verify` suite and its call with the parsed bounds, in `verify --help` order
+# each `verify` suite: the bounds it reads and its call with them, in `verify --help` order
 SUITES = {
-    "claim31": lambda ns: mf.symbolic_suite(mf.verify_claim31, ns.n_max, ns.d_max, ns.k_max),
-    "prop11-sym": lambda ns: mf.symbolic_suite(mf.verify_prop11_symbolic, ns.n_max, ns.d_max, ns.k_max),
-    "prop11-ci": lambda ns: mf.prop11_ci_suite(ns.n_max, ns.max_c, ns.k_max),
-    "catalog": lambda ns: cat.verify_catalog(ns.m_max),
-    "todd-identity": lambda ns: mf.todd_identity_suite(ns.k_max),
+    "claim31": (("n_max", "d_max", "k_max"),
+                lambda ns: mf.symbolic_suite(mf.verify_claim31, ns.n_max, ns.d_max, ns.k_max)),
+    "prop11-sym": (("n_max", "d_max", "k_max"),
+                   lambda ns: mf.symbolic_suite(mf.verify_prop11_symbolic, ns.n_max, ns.d_max, ns.k_max)),
+    "prop11-ci": (("n_max", "max_c", "k_max"), lambda ns: mf.prop11_ci_suite(ns.n_max, ns.max_c, ns.k_max)),
+    "catalog": (("m_max",), lambda ns: cat.verify_catalog(ns.m_max)),
+    "todd-identity": (("k_max",), lambda ns: mf.todd_identity_suite(ns.k_max)),
 }
+
+# the `verify` bounds: dest -> (flag, default, floor).  The parser leaves a bound unset, so a
+# flag a suite does not read can be refused; below its floor a bound names no check, or
+# checks that test nothing (a negative --max-c is refused by the CI enumeration)
+VERIFY_BOUNDS = {
+    "n_max": ("--n-max", 8, 1),
+    "d_max": ("--d-max", 9, 0),
+    "k_max": ("--k-max", 4, 1),
+    "max_c": ("--max-c", 3, None),
+    "m_max": ("--m-max", 6, 1),
+}
+
+
+def _suites_reading(dest: str) -> str:
+    return ", ".join(name for name, (bounds, _) in SUITES.items() if dest in bounds)
+
+
+def _verify_bounds(ns) -> None:
+    """Fill in the defaults of the bounds ns.suite reads; UsageError for any other bound given."""
+    reads = SUITES[ns.suite][0]
+    for dest, (flag, default, floor) in VERIFY_BOUNDS.items():
+        value = getattr(ns, dest)
+        if dest not in reads:
+            if value is not None:
+                takes = ", ".join(VERIFY_BOUNDS[d][0] for d in reads)
+                raise UsageError(
+                    f"{flag} is for verify {_suites_reading(dest)}; verify {ns.suite} takes {takes}"
+                )
+        elif value is None:
+            setattr(ns, dest, default)
+        elif floor is not None and value < floor:
+            raise UsageError(f"{flag} must be >= {floor}, got {value}")
 
 
 # -- entry point ----------------------------------------------------------------
@@ -192,11 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite of exact identities")
     p_verify.add_argument("suite", choices=tuple(SUITES))
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p_verify.add_argument("--d-max", dest="d_max", type=int, default=9)
-    p_verify.add_argument("--k-max", dest="k_max", type=int, default=4)
-    p_verify.add_argument("--max-c", dest="max_c", type=int, default=3)
-    p_verify.add_argument("--m-max", dest="m_max", type=int, default=6)
+    for dest, (flag, default, _) in VERIFY_BOUNDS.items():
+        p_verify.add_argument(flag, dest=dest, type=int, default=None,
+                              help=f"read by {_suites_reading(dest)} (default {default})")
     common(p_verify)
     return parser
 
@@ -227,13 +259,9 @@ def main(argv: list[str] | None = None) -> int:
             item["twist_class"] = [str(x) for x in cat.twist_class(pair)]
             items, passed = [item], True
         elif ns.cmd == "verify":
-            # below these floors a bound names no check, or checks that test nothing
-            floors = [("--n-max", ns.n_max, 1), ("--d-max", ns.d_max, 0),
-                      ("--k-max", ns.k_max, 1), ("--m-max", ns.m_max, 1)]
-            for flag, value, floor in floors:
-                if value < floor:
-                    raise UsageError(f"{flag} must be >= {floor}, got {value}")
-            items = SUITES[ns.suite](ns)
+            _verify_bounds(ns)
+            run = SUITES[ns.suite][1]
+            items = run(ns)
             passed = all(item["ok"] for item in items)
         else:
             raise UsageError(f"unknown command {ns.cmd!r}")

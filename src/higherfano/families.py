@@ -25,6 +25,7 @@ from . import catalog as cat
 from . import schubert
 from .bundles import (
     CharacterVector,
+    adams_product,
     chern_to_character,
     dual,
     euler_character,
@@ -265,11 +266,15 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
 
     P^n and each factor of P^a x P^b take the Euler sequence.  On G(k,n),
     T_G = S^dual (x) Q, and the tautological sequence 0 -> S -> O^n -> Q -> 0
-    gives ch(Q) = n - ch(S) from ch(S^dual), so each row runs Newton's
-    identities once.  For the zero-locus families the components are the
-    ambient classes whose restrictions give ch(T_X): ch(T_G) minus the
-    character of the normal bundle (Sym^2 of the dual subbundle, Lambda^2 of
-    it, or the hyperplane line bundle).
+    turns it into n*S^dual - S^dual (x) S, so
+
+        ch(T_G) = n*ch(S^dual) - ch(End S),   ch(End S) = ch(S^dual) * psi^(-1) ch(S^dual),
+
+    and each row runs Newton's identities once, on S^dual.  End S is self-dual,
+    so ch(End S) has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
+    For the zero-locus families the components are the ambient classes whose
+    restrictions give ch(T_X): ch(T_G) minus the character of the normal bundle
+    (Sym^2 of the dual subbundle, Lambda^2 of it, or the hyperplane line bundle).
     """
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
@@ -282,8 +287,7 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
         h1, h2 = ring.monomial("h1"), ring.monomial("h2")
         return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)
     sdual = chern_to_character(tautological_chern(ring, "sub-dual"), spec.k, ring, cap)
-    quot = trivial_character(ring, spec.n, cap) - dual(sdual)
-    ch = sdual * quot
+    ch = sdual * spec.n - adams_product(sdual, -1)
     if spec.kind == GRASS:
         return ch
     if spec.kind == GRASS_HYP:

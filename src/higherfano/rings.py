@@ -13,6 +13,7 @@ that serialized reports are stable and diffable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .numeric import Rational
@@ -42,9 +43,15 @@ def _join_labels(a: str, b: str) -> str:
     return f"{a}*{b}"
 
 
-# shared start value for sums in products: Fractions are immutable, and
-# building a fresh Fraction(0) per term is a measurable share of a product
+# shared start value for sums: Fractions are immutable, and building a fresh
+# Fraction(0) per term is a measurable share of a sum
 _ZERO = Fraction(0)
+
+
+def _over_common_denominator(terms: Mapping[str, Fraction]) -> tuple[int, list[tuple[str, int]]]:
+    """(d, [(label, c*d)]) for d the lcm of the coefficients' denominators, so every c*d is an int."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(l, c.numerator * (d // c.denominator)) for l, c in terms.items()]
 
 
 class GradedClass:
@@ -56,7 +63,8 @@ class GradedClass:
         self.ring = ring
         clean: dict[str, Fraction] = {}
         for label, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:  # Fractions are immutable, so they are kept as given
+                c = Fraction(c)
             if c:
                 if label not in ring._degree:
                     raise ValueError(f"unknown basis label {label!r} in {ring.name}")
@@ -139,13 +147,20 @@ class GradedClass:
             c = Fraction(other)
             return GradedClass(self.ring, {l: c * v for l, v in self.terms.items()})
         self._check_ring(other)
-        out: dict[str, Fraction] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                cab = ca * cb
-                for label, m in self.ring.mul_basis(a, b).items():
-                    out[label] = out.get(label, _ZERO) + (cab if m == 1 else cab * m)
-        return GradedClass(self.ring, out)
+        # each factor as integer numerators over one denominator: the products accumulate
+        # on integers (and on Fractions only where a structure constant is not integral),
+        # and each output term divides once
+        da, xs = _over_common_denominator(self.terms)
+        db, ys = _over_common_denominator(other.terms)
+        mul_basis = self.ring.mul_basis
+        acc: dict[str, int | Fraction] = {}
+        for a, ia in xs:
+            for b, ib in ys:
+                p = ia * ib
+                for label, m in mul_basis(a, b).items():
+                    acc[label] = acc.get(label, 0) + (p if m == 1 else p * m)
+        d = da * db
+        return GradedClass(self.ring, {l: Fraction(v, d) for l, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -204,7 +219,7 @@ class RingModel:
         self._basis = tuple(tuple(labels) for labels in basis_by_degree)
         self._degree = {l: d for d, labels in enumerate(self._basis) for l in labels}
         self.point_label = point_label
-        self._mul_cache: dict[tuple[str, str], dict[str, Fraction]] = {}
+        self._mul_cache: dict[tuple[str, str], dict[str, int | Fraction]] = {}
         if point_label is not None and self._degree.get(point_label) != dimension:
             raise ValueError("point class must be a basis label in top degree")
 
@@ -236,11 +251,15 @@ class RingModel:
 
     # -- multiplication ----------------------------------------------------
 
-    def mul_basis(self, a: str, b: str) -> Mapping[str, Fraction]:
+    def mul_basis(self, a: str, b: str) -> Mapping[str, int | Fraction]:
+        """a*b as {label: structure constant}, memoised; integral constants are stored as ints."""
         key = (a, b) if a <= b else (b, a)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = dict(self._mul_labels(*key))
+            hit = {
+                l: c.numerator if c.denominator == 1 else c
+                for l, c in self._mul_labels(*key).items() if c
+            }
             self._mul_cache[key] = hit
         return hit
 

@@ -32,10 +32,6 @@ Partition = tuple[int, ...]
 # less (P^100000: 28 MB)
 MAX_BASIS_LABELS = 10**6
 
-# shared by the product tables: almost every structure constant is 1, and one
-# Fraction per table entry is a measurable share of a census's peak memory
-_ONE = Fraction(1)
-
 
 def normalize_partition(parts: Iterable[int]) -> Partition:
     p = tuple(int(x) for x in parts if int(x) != 0)
@@ -217,7 +213,7 @@ class GrassmannianRing(RingModel):
                 acc = nxt
             for mu, c in acc.items():
                 out[mu] = out.get(mu, 0) + c
-        return {self._basis_label(mu): _ONE if c == 1 else Fraction(c) for mu, c in out.items() if c}
+        return {self._basis_label(mu): c for mu, c in out.items() if c}
 
     def _basis_label(self, mu: Partition) -> str:
         """The basis label of a shape in the box: bisection in its degree, which is sorted."""

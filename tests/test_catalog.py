@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,21 @@ def test_positivity_of_twist():
     assert positivity_of_twist(pair_divisor_11(1, 2)) == NEF_ONLY  # k=2, n=5
     assert positivity_of_twist(pair_divisor_11(2, 3)) == NEF_ONLY  # k=3, n=7
     assert positivity_of_twist(pair_divisor_11(1, 3)) == NEITHER  # k=2, n=6
+
+
+def test_twist_status_is_keyed_on_the_numbers_not_the_label():
+    # the memoised status must equal a fresh pairing for every pair, whatever the order of
+    # the calls, and a relabelled pair must read the same status
+    pairs = [pair_projective_space(d, m) for d in range(1, 7) for m in range(1, 6)]
+    pairs += [pair_quadric(d) for d in range(1, 7)] + [pair_divisor_11(a, b) for a in (1, 2) for b in (2, 3)]
+    for pair in pairs + pairs[::-1]:
+        fresh = tri_state(pair.degrees_on_mori(twist_class(pair)))
+        assert positivity_of_twist(pair) == fresh
+        assert positivity_of_twist(replace(pair, label="relabelled", structure="other")) == fresh
+    # same dim, label and K, only L differs: ample, on the boundary, negative
+    p3 = pair_picard_one("P", 3, 4, 1, "projective_space")
+    statuses = [positivity_of_twist(replace(p3, L=(Fraction(m, 3),))) for m in (7, 8, 9)]
+    assert statuses == [AMPLE, NEF_ONLY, NEITHER]
 
 
 def test_extremal_degrees():

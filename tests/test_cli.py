@@ -147,6 +147,16 @@ def test_census_grass_wide_golden_csv(capsys):
     assert digest == "bf07713d76040479ae885cdafd9887602822c40711882df40c4bbba6f120e189"
 
 
+def test_census_grass_odd_k_golden_csv(capsys):
+    # digest recorded while ch(T_G) was still the product ch(S^dual) * ch(Q): it pins the odd
+    # components, which the n*ch(S^dual) - ch(End S) form takes from ch(S^dual) alone
+    code, out = run_cli(capsys, "census", "G", "--k", "5", "--k-range", "3..4", "--n-range", "8..11",
+                        "--format", "csv")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "674e877351a54f7c13cca1c26535886a92450de772beaa57d107b12e659bd5ab"
+
+
 def test_census_ci_golden_csv(capsys):
     # digest of this census as recorded at the seed commit
     code, out = run_cli(capsys, "census", "CI", "--n-range", "2..22", "--max-c", "3", "--format", "csv")
@@ -375,6 +385,36 @@ def test_verify_bounds_that_name_no_check_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be >=" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "todd-identity", "--k-max", "3", "--max-c", "9", "--n-max", "500", "--d-max", "400",
+      "--m-max", "99"),
+     "--n-max is for verify claim31, prop11-sym, prop11-ci; verify todd-identity takes --k-max"),
+    (("verify", "claim31", "--n-max", "3", "--max-c", "2"), "--max-c is for verify prop11-ci;"),
+    (("verify", "prop11-ci", "--n-max", "6", "--d-max", "2"), "--d-max is for verify claim31, prop11-sym;"),
+    (("verify", "catalog", "--k-max", "3"), "verify catalog takes --m-max"),
+    (("verify", "prop11-sym", "--m-max", "2"), "--m-max is for verify catalog;"),
+], ids=["todd-identity", "claim31-max-c", "prop11-ci-d-max", "catalog-k-max", "prop11-sym-m-max"])
+def test_verify_refuses_a_bound_it_would_ignore(capsys, argv, message):
+    # these used to run the suite and drop the bound without a word
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_verify_bounds_not_given_take_their_defaults(capsys):
+    def items(*argv):
+        code, out = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        return json.loads(out)["items"]
+
+    assert items("todd-identity") == items("todd-identity", "--k-max", "4")
+    assert len(items("todd-identity")) == 4
+    assert items("catalog") == items("catalog", "--m-max", "6")
+    assert items("prop11-ci", "--n-max", "6") == items(
+        "prop11-ci", "--n-max", "6", "--max-c", "3", "--k-max", "4"
+    )
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -339,3 +339,55 @@ def test_subtraction_edge_cases():
         x - projective_space_ring(3, "g").hyperplane()
     with pytest.raises(RingMismatchError):
         x - product_ring(projective_space_ring(1, "h1"), projective_space_ring(1, "h2")).unit()
+
+
+def _fraction_product(x, y):
+    """x * y term by term in Fractions: coefficient times coefficient times structure constant."""
+    out = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            for label, m in x.ring.mul_basis(a, b).items():
+                out[label] = out.get(label, Fraction(0)) + Fraction(ca) * Fraction(cb) * Fraction(m)
+    return {label: c for label, c in out.items() if c}
+
+
+def _rational_bundle():
+    """P(E) over P^3 for a rank-3 E with non-integral Chern classes, so xi^3 reduces with
+    rational structure constants."""
+    p3 = projective_space_ring(3)
+    h = p3.hyperplane()
+    return projbundle_ring(p3, [Fraction(1, 2) * h, Fraction(-2, 3) * h**2, Fraction(5, 7) * h**3], 3)
+
+
+_MUL_RINGS = _SUB_RINGS + (grassmannian_ring(2, 5), _rational_bundle())
+
+
+@given(data=st.data())
+def test_product_matches_the_fraction_reference(data):
+    ring = data.draw(st.sampled_from(_MUL_RINGS))
+    a, b = data.draw(_classes(ring)), data.draw(_classes(ring))
+    prod = a * b
+    assert prod.terms == _fraction_product(a, b)
+    assert all(type(c) is Fraction for c in prod.terms.values())
+
+
+def test_product_with_mixed_denominators_and_zero_factors():
+    pb = _rational_bundle()
+    # the structure constants reducing xi^3 are not all integers
+    assert any(
+        type(m) is Fraction and m.denominator > 1
+        for a in pb.basis() for b in pb.basis() for m in pb.mul_basis(a, b).values()
+    )
+    xi, h = pb.xi(), pb.from_base(pb.base.hyperplane())
+    x = Fraction(1, 6) * xi**2 + Fraction(-3, 4) * h * xi + Fraction(5, 9) * h
+    y = Fraction(2, 5) * xi + Fraction(-7, 10) * h**2 + pb.scalar(Fraction(1, 12))
+    assert (x * y).terms == _fraction_product(x, y)
+    assert (y * x).terms == _fraction_product(x, y)
+    assert (x * y) * xi == x * (y * xi)
+    assert (x * pb.zero()).terms == {} and (pb.zero() * x).terms == {}
+    assert (x * pb.unit()) == x
+    p4 = projective_space_ring(4)
+    g = p4.hyperplane()
+    u = Fraction(1, 6) * g + Fraction(1, 4) * g**2
+    v = Fraction(2, 3) * g - Fraction(3, 10) * g**3
+    assert u * v == GradedClass(p4, {"h^2": Fraction(1, 9), "h^3": Fraction(1, 6), "h^4": Fraction(-1, 20)})
