@@ -73,17 +73,18 @@ def _census_specs(ns) -> list[str]:
     specs: list[fam.FamilySpec] = []
     # only a CI census reads --n (without --n-range) and --max-c, and only the
     # other kinds read --k-range; anywhere else a flag would be dropped unread
-    if ns.n is not None and kind != "CI":
+    if ns.n is not None and kind != fam.CI:
         raise UsageError(f"--n is for census CI; census {kind} takes --n-range")
-    if ns.max_c is not None and kind != "CI":
+    if ns.max_c is not None and kind != fam.CI:
         raise UsageError(f"--max-c is for census CI; census {kind} takes no codimension bound")
-    if ns.k_range is not None and kind == "CI":
+    if ns.k_range is not None and kind == fam.CI:
+        *kinds, last = fam.ZERO_LOCI
         raise UsageError(
-            "--k-range is for census G, GH, OG, SG and SGdeg; census CI takes --n or --n-range"
+            f"--k-range is for census {', '.join(kinds)} and {last}; census CI takes --n or --n-range"
         )
     if ns.n is not None and ns.n_range is not None:
         raise UsageError("census CI takes --n or --n-range, not both")
-    if kind == "CI":
+    if kind == fam.CI:
         if ns.n is None and ns.n_range is None:
             raise UsageError("census CI needs --n or --n-range")
         n_values = _parse_range(ns.n_range) if ns.n_range else [ns.n]
@@ -210,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_check)
 
     p_census = sub.add_parser("census", help="sweep a parametric family kind")
-    p_census.add_argument("kind", choices=("G", "GH", "OG", "SG", "SGdeg", "CI"))
+    p_census.add_argument("kind", choices=(*fam.ZERO_LOCI, fam.CI))
     p_census.add_argument("--k", type=int, default=2, help="Chern character index (default 2)")
     p_census.add_argument("--k-range", dest="k_range", default=None, help="family k range, e.g. 2..4")
     p_census.add_argument("--n-range", dest="n_range", default=None, help="family n range, e.g. 4..12")
@@ -242,6 +243,8 @@ def main(argv: list[str] | None = None) -> int:
             items = [compute_row(ns.spec, ns.k)]
             passed = bool(items[0]["agree"])
         elif ns.cmd == "census":
+            if ns.jobs < 1:
+                raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
             spec_texts = _census_specs(ns)
             tasks = [(text, ns.k) for text in spec_texts]
             # more workers than cores or rows only cost processes

@@ -9,6 +9,12 @@ cycles stay effective and the curve-to-surface transfer from the minimal
 family surjects onto the effective cone - facts recorded here per family,
 never computed.
 
+Each Grassmannian kind is a row of ZERO_LOCI: X in G(k,n) is the zero locus of a
+section of its normal bundle N, and the row holds N's summands, the (k, n) the
+kind takes and that range in words.  Validation, dim X = k(n-k) - rank N,
+ch(T_X) = ch(T_G) - ch(N) and the census kinds read it; the thresholds and
+minimal pairs do not, so they still check it.
+
 Canonical text forms: "CI[9;3]", "G[2,5]", "GH[2,6]", "OG[2,8]", "SG[3,12]",
 "SGdeg[2,7]", "G2P", "PP[3,4]".
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from . import catalog as cat
@@ -53,7 +59,25 @@ SG_DEGENERATE = "SGdeg"
 G2P = "G2P"
 PRODUCT_PN = "PP"
 
-_GRASS_KINDS = (GRASS, GRASS_HYP, OG, SG, SG_DEGENERATE)
+# the zero-locus kinds X in G(k,n): kind -> (summands of the normal bundle N,
+# whether the kind takes (k, n), that range in words).  G has no summand, GH has
+# O(1), OG has Sym^2 S^dual, SG and SGdeg have Lambda^2 S^dual.
+ZERO_LOCI = {
+    GRASS: ((), lambda k, n: 2 <= k and 2 * k <= n, "2 <= k <= n/2"),
+    GRASS_HYP: (("O(1)",), lambda k, n: 2 <= k and 2 * k <= n, "2 <= k <= n/2"),
+    OG: (("Sym2",), lambda k, n: 2 <= k and 2 * k + 2 < n, "2 <= k < n/2 - 1"),
+    SG: (("Wedge2",), lambda k, n: n % 2 == 0 and 2 <= k and 2 * k <= n, "n even and 2 <= k <= n/2"),
+    SG_DEGENERATE: (("Wedge2",), lambda k, n: n % 2 == 1 and 2 <= k and 2 * k < n, "n odd and 2 <= k < n/2"),
+}
+_GRASS_KINDS = tuple(ZERO_LOCI)
+
+# each normal summand on G(k,n): its rank, and its character from ch(S^dual), to the
+# same cap; the bundle functions are looked up when called, so a rebound name is seen
+_SUMMANDS = {
+    "O(1)": (lambda k: 1, lambda sdual: line_character(sdual.ring.sigma((1,)), sdual.cap)),
+    "Sym2": (lambda k: k * (k + 1) // 2, lambda sdual: sym2_character(sdual)),
+    "Wedge2": (lambda k: k * (k - 1) // 2, lambda sdual: wedge2_character(sdual)),
+}
 
 
 class InvalidFamilyError(ValueError):
@@ -124,21 +148,14 @@ def product_pn(a: int, b: int) -> FamilySpec:
 
 
 # the two-parameter kinds: kind -> constructor
-KIND_MAKERS = {
-    GRASS: grass,
-    GRASS_HYP: grass_hyperplane,
-    OG: orthogonal_grass,
-    SG: symplectic_grass,
-    SG_DEGENERATE: degenerate_symplectic_grass,
-    PRODUCT_PN: product_pn,
-}
+KIND_MAKERS = {kind: partial(FamilySpec, kind) for kind in (*_GRASS_KINDS, PRODUCT_PN)}
 
-_SPEC_RE = re.compile(r"^(CI|GH|G2P|G|OG|SGdeg|SG|PP)(?:\[([^\]]*)\])?$")
+_SPEC_RE = re.compile(r"^(\w+)(?:\[([^\]]*)\])?$")
 
 
 def parse_spec(text: str) -> FamilySpec:
     m = _SPEC_RE.match(text.strip())
-    if not m:
+    if not m or m.group(1) not in (CI, G2P, *KIND_MAKERS):
         raise InvalidFamilyError(f"cannot parse family spec {text!r}")
     kind, body = m.group(1), m.group(2)
     if kind == G2P:
@@ -170,18 +187,10 @@ def validate(spec: FamilySpec) -> FamilySpec:
             raise InvalidFamilyError("CI degrees must be >= 1")
         if sum(spec.degrees) > n:
             raise InvalidFamilyError("not Fano: sum of degrees exceeds n")
-    elif spec.kind == GRASS or spec.kind == GRASS_HYP:
-        if not (2 <= k and 2 * k <= n):
-            raise InvalidFamilyError(f"{spec.kind} needs 2 <= k <= n/2")
-    elif spec.kind == OG:
-        if not (2 <= k and 2 * k + 2 < n):
-            raise InvalidFamilyError("OG needs 2 <= k < n/2 - 1")
-    elif spec.kind == SG:
-        if n % 2 != 0 or not (2 <= k and 2 * k <= n):
-            raise InvalidFamilyError("SG needs n even and 2 <= k <= n/2")
-    elif spec.kind == SG_DEGENERATE:
-        if n % 2 != 1 or not (2 <= k and 2 * k < n):
-            raise InvalidFamilyError("SGdeg needs n odd and 2 <= k < n/2")
+    elif spec.kind in ZERO_LOCI:
+        _, takes, needs = ZERO_LOCI[spec.kind]
+        if not takes(k, n):
+            raise InvalidFamilyError(f"{spec.kind} needs {needs}")
     elif spec.kind == PRODUCT_PN:
         if k < 1 or n < 1:
             raise InvalidFamilyError("PP needs a, b >= 1")
@@ -194,14 +203,8 @@ def dim_x(spec: FamilySpec) -> int:
     k, n = spec.k, spec.n
     if spec.kind == CI:
         return spec.n - len(spec.degrees)
-    if spec.kind == GRASS:
-        return k * (n - k)
-    if spec.kind == GRASS_HYP:
-        return k * (n - k) - 1
-    if spec.kind == OG:
-        return k * (2 * n - 3 * k - 1) // 2
-    if spec.kind in (SG, SG_DEGENERATE):
-        return k * (2 * n - 3 * k + 1) // 2
+    if spec.kind in ZERO_LOCI:
+        return k * (n - k) - sum(_SUMMANDS[s][0](k) for s in ZERO_LOCI[spec.kind][0])
     if spec.kind == G2P:
         return 5
     return spec.k + spec.n  # PP
@@ -273,8 +276,8 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     and each row runs Newton's identities once, on S^dual.  End S is self-dual,
     so ch(End S) has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
     For the zero-locus families the components are the ambient classes whose
-    restrictions give ch(T_X): ch(T_G) minus the character of the normal bundle
-    (Sym^2 of the dual subbundle, Lambda^2 of it, or the hyperplane line bundle).
+    restrictions give ch(T_X): ch(T_G) minus the character of each summand of
+    the normal bundle named in ZERO_LOCI.
     """
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
@@ -288,13 +291,9 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
         return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)
     sdual = chern_to_character(tautological_chern(ring, "sub-dual"), spec.k, ring, cap)
     ch = sdual * spec.n - adams_product(sdual, -1)
-    if spec.kind == GRASS:
-        return ch
-    if spec.kind == GRASS_HYP:
-        return ch - line_character(ring.sigma((1,)), cap)
-    if spec.kind == OG:
-        return ch - sym2_character(sdual)
-    return ch - wedge2_character(sdual)  # SG and SGdeg
+    for summand in ZERO_LOCI[spec.kind][0]:
+        ch = ch - _SUMMANDS[summand][1](sdual)
+    return ch
 
 
 def anticanonical_line_degree(spec: FamilySpec) -> int:
@@ -353,7 +352,7 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
         note = "Lagrangian boundary: b_4 = 1, both ambient duals restrict to one class"
     else:
         witnesses = tuple((label, cls.coefficient(label)) for label in ch.ring.basis(k))
-        if spec.kind in (GRASS_HYP, OG, SG, SG_DEGENERATE):
+        if spec.kind in ZERO_LOCI and ZERO_LOCI[spec.kind][0]:
             note = "ambient Schubert coefficients; zero-locus modeling assumption"
     status = TWIST_TO_VERDICT[cat.tri_state([v for _, v in witnesses])]
     return Verdict(k, status, witnesses, note=note, character=ch)

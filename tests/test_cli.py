@@ -446,3 +446,47 @@ def test_verify_suite_golden_json(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_refuses_jobs_below_one(capsys, jobs):
+    # these used to run the rows serially without a word
+    argv = ["census", "G", "--k-range", "2", "--n-range", "4..5", "--jobs", jobs, "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("OG[2,6]", "error: OG needs 2 <= k < n/2 - 1\n"),
+    ("XX[2,5]", "error: cannot parse family spec 'XX[2,5]'\n"),
+])
+def test_check_prints_the_refused_spec_message(capsys, spec, message):
+    # recorded before the Grassmannian kinds were read from one table
+    assert main(["check", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+def test_census_kinds_are_the_zero_locus_kinds_and_ci(capsys):
+    kinds = (*fam.ZERO_LOCI, fam.CI)
+    with pytest.raises(SystemExit):
+        main(["census", "--help"])
+    assert "{" + ",".join(kinds) + "}" in capsys.readouterr().out
+    round_trips = set()
+    for kind in fam.ZERO_LOCI:
+        for n in (8, 9):  # SG takes only even n, SGdeg only odd
+            text = f"{kind}[2,{n}]"
+            try:
+                spec = fam.parse_spec(text)
+            except fam.InvalidFamilyError:
+                continue
+            assert spec.text() == text and fam.parse_spec(spec.text()) == spec
+            round_trips.add(spec.kind)
+    assert round_trips == set(fam.ZERO_LOCI)
+    assert main(["census", "CI", "--n", "5", "--k-range", "2"]) == 2
+    message = "--k-range is for census G, GH, OG, SG and SGdeg; census CI takes --n or --n-range"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    listed = message.split(";")[0].removeprefix("--k-range is for census ").replace(" and ", ", ")
+    assert listed.split(", ") == list(fam.ZERO_LOCI)
+

@@ -399,3 +399,48 @@ def test_grassmannian_row_runs_newton_once(monkeypatch):
         calls.clear()
         tangent_character(spec, 3)
         assert calls == [spec.k], spec
+
+
+@pytest.mark.parametrize("text, message", [
+    ("G[2,3]", "G needs 2 <= k <= n/2"),
+    ("GH[1,5]", "GH needs 2 <= k <= n/2"),
+    ("OG[2,6]", "OG needs 2 <= k < n/2 - 1"),
+    ("SG[2,5]", "SG needs n even and 2 <= k <= n/2"),
+    ("SGdeg[2,6]", "SGdeg needs n odd and 2 <= k < n/2"),
+    # a name that only starts with a kind is no kind
+    ("XX[2,5]", "cannot parse family spec 'XX[2,5]'"),
+    ("SG2[2,5]", "cannot parse family spec 'SG2[2,5]'"),
+    ("GXX[2,5]", "cannot parse family spec 'GXX[2,5]'"),
+    ("G2PX", "cannot parse family spec 'G2PX'"),
+    ("og[2,8]", "cannot parse family spec 'og[2,8]'"),
+])
+def test_refused_spec_messages(text, message):
+    # recorded before the Grassmannian kinds were read from one table
+    with pytest.raises(InvalidFamilyError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == message
+
+
+# dim X by hand, the reference for the table's k(n-k) - rank N
+_HAND_DIMENSIONS = {
+    fam.GRASS: lambda k, n: k * (n - k),
+    fam.GRASS_HYP: lambda k, n: k * (n - k) - 1,
+    fam.OG: lambda k, n: Fraction(k * (2 * n - 3 * k - 1), 2),
+    fam.SG: lambda k, n: Fraction(k * (2 * n - 3 * k + 1), 2),
+    fam.SG_DEGENERATE: lambda k, n: Fraction(k * (2 * n - 3 * k + 1), 2),
+}
+
+
+def test_dimension_matches_the_hand_formulas_on_a_grid():
+    assert set(_HAND_DIMENSIONS) == set(fam._GRASS_KINDS)
+    valid = 0
+    for kind, formula in _HAND_DIMENSIONS.items():
+        for k in range(1, 13):
+            for n in range(1, 41):
+                try:
+                    spec = fam.KIND_MAKERS[kind](k, n)
+                except InvalidFamilyError:
+                    continue
+                valid += 1
+                assert dim_x(spec) == formula(k, n), spec
+    assert valid == 1155
