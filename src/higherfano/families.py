@@ -119,26 +119,6 @@ def ci(n: int, degrees: Sequence[int]) -> FamilySpec:
     return FamilySpec(CI, n=n, degrees=tuple(sorted((int(d) for d in degrees), reverse=True)))
 
 
-def grass(k: int, n: int) -> FamilySpec:
-    return FamilySpec(GRASS, k=k, n=n)
-
-
-def grass_hyperplane(k: int, n: int) -> FamilySpec:
-    return FamilySpec(GRASS_HYP, k=k, n=n)
-
-
-def orthogonal_grass(k: int, n: int) -> FamilySpec:
-    return FamilySpec(OG, k=k, n=n)
-
-
-def symplectic_grass(k: int, n: int) -> FamilySpec:
-    return FamilySpec(SG, k=k, n=n)
-
-
-def degenerate_symplectic_grass(k: int, n: int) -> FamilySpec:
-    return FamilySpec(SG_DEGENERATE, k=k, n=n)
-
-
 def g2_fivefold() -> FamilySpec:
     return FamilySpec(G2P)
 

@@ -72,17 +72,14 @@ class _MonomialModel(RingModel):
     """A truncated RingModel whose basis labels are monomials l^a * x_J * s^b."""
 
     def __init__(self, name: str, symbol: str, keys_by_degree: Sequence[Sequence[_Key]]):
-        self._key: dict[str, _Key] = {}
-        self._label: dict[_Key, str] = {}
-        for keys in keys_by_degree:
-            for key in keys:
-                a, idx, b = key
-                factors = [_pow_label("l", a)] + [f"{symbol}_{j}" for j in idx] + [_pow_label("s", b)]
-                label = "*".join(f for f in factors if f != "1") or "1"
-                self._key[label] = key
-                self._label[key] = label
-        basis = [[self._label[key] for key in keys] for keys in keys_by_degree]
-        super().__init__(name, len(basis) - 1, basis, None)
+        def label(key: _Key) -> str:
+            a, idx, b = key
+            factors = [_pow_label("l", a)] + [f"{symbol}_{j}" for j in idx] + [_pow_label("s", b)]
+            return "*".join(f for f in factors if f != "1") or "1"
+
+        pairs = [[(label(key), key) for key in keys] for keys in keys_by_degree]
+        self._label: dict[_Key, str] = {key: l for degree in pairs for l, key in degree}
+        super().__init__(name, len(pairs) - 1, pairs, None)
 
     def _term(self, key: _Key, c: int = 1) -> dict[str, Fraction]:
         """The monomial `key` times c, or nothing above the truncation."""

@@ -3,8 +3,8 @@
 A ring model fixes a finite labelled basis in each degree up to the variety's
 dimension, plus a rule for multiplying two basis labels.  Products landing
 above the dimension are silently dropped: only numerical classes are kept.
-Models are immutable after construction and safe to share across workers;
-elements (GradedClass) are value-semantic.
+A model may build a degree's labels when that degree is first read and is
+otherwise fixed; elements (GradedClass) are value-semantic.
 
 Basis labels are canonical strings ("1", "h^2", "h1*h2", "xi^2*h", ...) so
 that serialized reports are stable and diffable.
@@ -12,6 +12,7 @@ that serialized reports are stable and diffable.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -66,7 +67,7 @@ class GradedClass:
             if type(c) is not Fraction:  # Fractions are immutable, so they are kept as given
                 c = Fraction(c)
             if c:
-                if label not in ring._degree:
+                if label not in ring._degree and not ring._has_label(label):
                     raise ValueError(f"unknown basis label {label!r} in {ring.name}")
                 clean[label] = c
         self.terms = clean
@@ -212,12 +213,18 @@ class RingModel:
     """
 
     def __init__(
-        self, name: str, dimension: int, basis_by_degree: Sequence[Sequence[str]], point_label: str | None
+        self, name: str, dimension: int, pairs_by_degree: Sequence[Sequence[tuple]], point_label: str | None
     ):
         self.name = name
         self.dimension = dimension
-        self._basis = tuple(tuple(labels) for labels in basis_by_degree)
-        self._degree = {l: d for d, labels in enumerate(self._basis) for l in labels}
+        # each label's key is what _mul_labels reads it as (an exponent, a pair of
+        # factor labels, a partition, ...); a degree given no (label, key) pairs is
+        # built by _build_degree the first time it is read
+        self._basis: list[tuple[str, ...]] = [()] * (dimension + 1)
+        self._key: dict[str, object] = {}
+        self._degree: dict[str, int] = {}
+        for degree, pairs in enumerate(pairs_by_degree):
+            self._register(degree, pairs)
         self.point_label = point_label
         self._mul_cache: dict[tuple[str, str], dict[str, int | Fraction]] = {}
         if point_label is not None and self._degree.get(point_label) != dimension:
@@ -225,12 +232,31 @@ class RingModel:
 
     # -- basis -----------------------------------------------------------
 
+    def _register(self, degree: int, pairs: Sequence[tuple[str, object]]) -> None:
+        """Record the (label, key) pairs of one degree, in basis order."""
+        self._key.update(pairs)
+        labels = tuple(label for label, _ in pairs)
+        self._degree.update(dict.fromkeys(labels, degree))
+        self._basis[degree] = labels
+
+    def _build_degree(self, degree: int) -> Sequence[tuple[str, object]]:
+        """The (label, key) pairs of a degree that was given none."""
+        return ()
+
     def basis(self, degree: int | None = None) -> tuple[str, ...]:
         if degree is None:
-            return tuple(l for labels in self._basis for l in labels)
+            return tuple(l for d in range(self.dimension + 1) for l in self.basis(d))
         if degree < 0 or degree > self.dimension:
             return ()
+        if not self._basis[degree]:
+            self._register(degree, self._build_degree(degree))
         return self._basis[degree]
+
+    def _has_label(self, label: str) -> bool:
+        """True for a basis label; a label not met yet first builds every degree not yet built."""
+        if label not in self._key:
+            self.basis()
+        return label in self._key
 
     def degree_of(self, label: str) -> int:
         return self._degree[label]
@@ -278,8 +304,8 @@ class ProjectiveSpaceRing(RingModel):
             raise ValueError("projective space dimension must be >= 0")
         self.n = n
         self.gen = gen
-        basis = [[_pow_label(gen, e)] for e in range(n + 1)]
-        super().__init__(f"P{n}<{gen}>", n, basis, _pow_label(gen, n))
+        pairs = [[(_pow_label(gen, e), e)] for e in range(n + 1)]
+        super().__init__(f"P{n}<{gen}>", n, pairs, _pow_label(gen, n))
 
     def hyperplane(self) -> GradedClass:
         if self.n == 0:
@@ -287,7 +313,7 @@ class ProjectiveSpaceRing(RingModel):
         return self.monomial(self.gen)
 
     def _mul_labels(self, a, b):
-        e = self._degree[a] + self._degree[b]
+        e = self._key[a] + self._key[b]
         if e > self.n:
             return {}
         return {_pow_label(self.gen, e): Fraction(1)}
@@ -303,22 +329,18 @@ class ProductRing(RingModel):
         self.left = left
         self.right = right
         dim = left.dimension + right.dimension
-        split: dict[str, tuple[str, str]] = {}
-        basis: list[list[str]] = [[] for _ in range(dim + 1)]
+        pairs: list[list[tuple[str, tuple[str, str]]]] = [[] for _ in range(dim + 1)]
         for da in range(left.dimension + 1):
             for la in left.basis(da):
                 for db in range(right.dimension + 1):
                     for lb in right.basis(db):
-                        label = _join_labels(la, lb)
-                        split[label] = (la, lb)
-                        basis[da + db].append(label)
-        self._split = split
+                        pairs[da + db].append((_join_labels(la, lb), (la, lb)))
         point = _join_labels(left.point_label, right.point_label)
-        super().__init__(f"({left.name})x({right.name})", dim, basis, point)
+        super().__init__(f"({left.name})x({right.name})", dim, pairs, point)
 
     def _mul_labels(self, a, b):
-        la, ra = self._split[a]
-        lb, rb = self._split[b]
+        la, ra = self._key[a]
+        lb, rb = self._key[b]
         dl = self.left.mul_basis(la, lb)
         dr = self.right.mul_basis(ra, rb)
         out: dict[str, Fraction] = {}
@@ -354,19 +376,15 @@ class ProjBundleRing(RingModel):
         self.gen = gen
         self.cherns = tuple(cherns)
         dim = base.dimension + rank - 1
-        pairs: dict[str, tuple[str, int]] = {}
-        basis: list[list[str]] = [[] for _ in range(dim + 1)]
+        pairs: list[list[tuple[str, tuple[str, int]]]] = [[] for _ in range(dim + 1)]
         for t in range(rank):
             xp = _pow_label(gen, t)
             for d in range(base.dimension + 1):
                 for bl in base.basis(d):
-                    label = _join_labels(bl, xp)
-                    pairs[label] = (bl, t)
-                    basis[d + t].append(label)
-        self._pairs = pairs
+                    pairs[d + t].append((_join_labels(bl, xp), (bl, t)))
         self._xi_normal: dict[int, tuple[GradedClass, ...]] = {}
         point = _join_labels(base.point_label, _pow_label(gen, rank - 1))
-        super().__init__(f"P({base.name};r={rank})<{gen}>", dim, basis, point)
+        super().__init__(f"P({base.name};r={rank})<{gen}>", dim, pairs, point)
 
     def from_base(self, x: GradedClass) -> GradedClass:
         if x.ring is not self.base:
@@ -405,14 +423,14 @@ class ProjBundleRing(RingModel):
         top = self.rank - 1
         out = {}
         for label, c in x.terms.items():
-            bl, t = self._pairs[label]
+            bl, t = self._key[label]
             if t == top:
                 out[bl] = c
         return GradedClass(self.base, out)
 
     def _mul_labels(self, a, b):
-        la, ta = self._pairs[a]
-        lb, tb = self._pairs[b]
+        la, ta = self._key[a]
+        lb, tb = self._key[b]
         base_prod = self.base.mul_basis(la, lb)
         out: dict[str, Fraction] = {}
         for s, coef_class in enumerate(self.xi_power_normal(ta + tb)):
@@ -471,6 +489,7 @@ def projbundle_ring(base: RingModel, chern_of_e: Sequence[GradedClass], rank: in
 
 
 def multiply(x: GradedClass, y: GradedClass) -> GradedClass:
+    warnings.warn("rings.multiply is deprecated; use x * y", DeprecationWarning, stacklevel=2)
     return x * y
 
 

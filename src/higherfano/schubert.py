@@ -10,10 +10,12 @@ Products run on partition tuples with integer coefficients and memoised
 Pieri steps.  Only the shapes a product returns are turned into labels, by
 bisection in the sorted basis of their degree, so the labels in product
 tables are the basis's own strings and no shape-to-label table is kept.
+A ring builds the labels of a degree when that degree is first read.
 """
 
 from __future__ import annotations
 
+import warnings
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -27,9 +29,9 @@ Partition = tuple[int, ...]
 
 # the largest basis an ambient ring builds, in labels: C(n, k) for G(k, n), and
 # through families.check_ambient_bound n+1 for P^n and (a+1)(b+1) for P^a x P^b.
-# A Grassmannian build costs about 0.4 KB per label (G(10,20): 184,756 labels,
-# 67 MB on CPython 3.11), so the bound keeps one ring near 0.4 GB; P^n costs
-# less (P^100000: 28 MB)
+# A Grassmannian builds its degrees when they are read, and only a full basis()
+# pays about 0.4 KB per label (G(10,20): 184,756 labels, 67 MB on CPython 3.11),
+# so the bound keeps one full ring near 0.4 GB; P^n costs less (P^100000: 28 MB)
 MAX_BASIS_LABELS = 10**6
 
 
@@ -144,21 +146,19 @@ class GrassmannianRing(RingModel):
         self.n = n
         self.cols = n - k
         dim = k * self.cols
-        self._by_label: dict[str, Partition] = {}
-        basis: list[list[str]] = []
-        for d in range(dim + 1):
-            labels = []
-            for p in partitions_in_box(k, self.cols, d):
-                label = _label(p)
-                self._by_label[label] = p
-                labels.append(label)
-            basis.append(labels)
         # (lam, i) -> {mu: 1}: the memoised Pieri steps of pieri_dict
         self._pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
-        super().__init__(f"G({k},{n})", dim, basis, _label((self.cols,) * k))
+        # degrees 0 and dim hold one label each; _build_degree fills the rest when read
+        point = (self.cols,) * k
+        pairs = [[("1", ())]] + [()] * (dim - 1) + [[(_label(point), point)]]
+        super().__init__(f"G({k},{n})", dim, pairs, _label(point))
+
+    def _build_degree(self, degree: int) -> list[tuple[str, Partition]]:
+        return [(_label(p), p) for p in partitions_in_box(self.k, self.cols, degree)]
 
     def partition_of(self, label: str) -> Partition:
-        return self._by_label[label]
+        self._has_label(label)
+        return self._key[label]
 
     def box_partition(self, parts: Iterable[int]) -> Partition:
         """parts as a canonical partition; ValueError unless it fits the k x (n-k) box."""
@@ -168,7 +168,7 @@ class GrassmannianRing(RingModel):
         return p
 
     def sigma(self, parts: Iterable[int]) -> GradedClass:
-        return self.monomial(_label(self.box_partition(parts)))
+        return self.monomial(self._basis_label(self.box_partition(parts)))
 
     def complement(self, parts: Iterable[int]) -> Partition:
         p = self.box_partition(parts)
@@ -188,7 +188,7 @@ class GrassmannianRing(RingModel):
         return step
 
     def _mul_labels(self, a, b):
-        pa, pb = self._by_label[a], self._by_label[b]
+        pa, pb = self.partition_of(a), self.partition_of(b)
         # expand the partition with fewer rows through Jacobi-Trudi
         if len(pb) > len(pa):
             pa, pb = pb, pa
@@ -217,8 +217,8 @@ class GrassmannianRing(RingModel):
 
     def _basis_label(self, mu: Partition) -> str:
         """The basis label of a shape in the box: bisection in its degree, which is sorted."""
-        labels = self._basis[sum(mu)]
-        return labels[bisect_left(labels, mu, key=self._by_label.__getitem__)]
+        labels = self.basis(sum(mu))
+        return labels[bisect_left(labels, mu, key=self._key.__getitem__)]
 
 
 def grassmannian_ring(k: int, n: int) -> GrassmannianRing:
@@ -230,11 +230,12 @@ def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:
     lam = ring.box_partition(lam)
     if not 1 <= i <= ring.cols:
         raise ValueError(f"Pieri index must be in 1..{ring.cols}")
-    return GradedClass(ring, {_label(mu): c for mu, c in ring.pieri_dict(lam, i).items()})
+    return GradedClass(ring, {ring._basis_label(mu): c for mu, c in ring.pieri_dict(lam, i).items()})
 
 
 def schubert_multiply(x: GradedClass, y: GradedClass) -> GradedClass:
-    """Product of two classes; structure constants are nonnegative integers."""
+    """Deprecated: x * y, for two classes on one Grassmannian."""
+    warnings.warn("schubert.schubert_multiply is deprecated; use x * y", DeprecationWarning, stacklevel=2)
     if not isinstance(x.ring, GrassmannianRing) or y.ring is not x.ring:
         raise ValueError("schubert_multiply needs two classes on one Grassmannian")
     return x * y

@@ -33,7 +33,7 @@ def test_criterion_1_grassmannian_ch2_formula():
     def body():
         for n in range(4, 13):
             for k in range(2, n // 2 + 1):
-                spec = fam.grass(k, n)
+                spec = fam.FamilySpec(fam.GRASS, k=k, n=n)
                 ring = fam.ambient_ring(spec)
                 got = fam.tangent_character(spec, cap=2).component(2)
                 expected = Fraction(n + 2 - 2 * k, 2) * ring.sigma((2,)) - Fraction(
@@ -53,19 +53,19 @@ def test_criterion_2_positivity_thresholds_by_ring():
     def body():
         for n in range(4, 15):
             for k in range(2, n // 2 + 1):
-                got = fam.chk_verdict(fam.grass(k, n), 2).status
+                got = fam.chk_verdict(fam.FamilySpec(fam.GRASS, k=k, n=n), 2).status
                 assert got == tri(n <= 2 * k + 1, n <= 2 * k + 2), ("G", k, n)
-                got = fam.chk_verdict(fam.grass_hyperplane(k, n), 2).status
+                got = fam.chk_verdict(fam.FamilySpec(fam.GRASS_HYP, k=k, n=n), 2).status
                 assert got == tri(n == 2 * k, n <= 2 * k + 1), ("GH", k, n)
         for n in range(7, 15):
             for k in range(2, n // 2):
                 if 2 * k + 2 >= n:
                     continue
-                got = fam.chk_verdict(fam.orthogonal_grass(k, n), 2).status
+                got = fam.chk_verdict(fam.FamilySpec(fam.OG, k=k, n=n), 2).status
                 assert got == tri(n == 3 * k + 2, 3 * k + 1 <= n <= 3 * k + 3), ("OG", k, n)
         for n in range(4, 15, 2):
             for k in range(2, n // 2 + 1):
-                got = fam.chk_verdict(fam.symplectic_grass(k, n), 2).status
+                got = fam.chk_verdict(fam.FamilySpec(fam.SG, k=k, n=n), 2).status
                 assert got == tri(
                     n == 2 * k or n == 3 * k - 2,
                     n == 2 * k or 3 * k - 3 <= n <= 3 * k - 1,

@@ -147,6 +147,19 @@ def test_census_grass_wide_golden_csv(capsys):
     assert digest == "bf07713d76040479ae885cdafd9887602822c40711882df40c4bbba6f120e189"
 
 
+# digests of the two largest censuses here, recorded while each ring built its full Schubert basis
+@pytest.mark.parametrize("argv, digest", [
+    (("census", "G", "--k-range", "2..10", "--n-range", "4..21"),
+     "04eefb8aaa6873c60a8a568bd3afde884158fdb6fb419eb68d416d65ccff63d2"),
+    (("census", "OG", "--k-range", "2..6", "--n-range", "7..30"),
+     "af66cbe866fbd34fcd9808e7080dcf6ea39d076998200ae50eae0309319acc3c"),
+])
+def test_wide_grassmannian_census_golden_csv(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_census_grass_odd_k_golden_csv(capsys):
     # digest recorded while ch(T_G) was still the product ch(S^dual) * ch(Q): it pins the odd
     # components, which the n*ch(S^dual) - ch(End S) form takes from ch(S^dual) alone

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from higherfano import families as fam
+from higherfano import schubert
 from higherfano.bundles import (
     character_to_chern,
     chern_to_character,
@@ -31,7 +32,7 @@ from higherfano.families import (
     threshold_oracle,
 )
 from higherfano.rings import DegreeError
-from higherfano.schubert import grassmannian_ring, tautological_chern
+from higherfano.schubert import grassmannian_ring, partitions_in_box, tautological_chern
 
 
 def test_parse_and_text_round_trip():
@@ -59,12 +60,12 @@ def test_dimensions():
     # Grassmannian ring dimension realizes the formula
     for n in range(4, 10):
         for k in range(2, n // 2 + 1):
-            assert grassmannian_ring(k, n).dimension == dim_x(fam.grass(k, n))
+            assert grassmannian_ring(k, n).dimension == dim_x(fam.FamilySpec(fam.GRASS, k=k, n=n))
 
 
 def test_component_above_the_cap_is_refused():
     # the true ch_3 of G(2,5) is -5/6 sigma_21 + 5/6 sigma_3, not the 0 a cap-2 character would give
-    g = fam.grass(2, 5)
+    g = fam.FamilySpec(fam.GRASS, k=2, n=5)
     ring = fam.ambient_ring(g)
     assert tangent_character(g, cap=3).component(3) == (
         Fraction(-5, 6) * ring.sigma((2, 1)) + Fraction(5, 6) * ring.sigma((3,))
@@ -76,17 +77,17 @@ def test_component_above_the_cap_is_refused():
 
 
 def test_tangent_character_examples():
-    g = fam.grass(2, 5)
+    g = fam.FamilySpec(fam.GRASS, k=2, n=5)
     ring = fam.ambient_ring(g)
     ch2 = tangent_character(g, cap=2).component(2)
     assert ch2 == Fraction(3, 2) * ring.sigma((2,)) + Fraction(1, 2) * ring.sigma((1, 1))
 
-    og = fam.orthogonal_grass(2, 8)
+    og = fam.FamilySpec(fam.OG, k=2, n=8)
     ring = fam.ambient_ring(og)
     ch2 = tangent_character(og, cap=2).component(2)
     assert ch2 == Fraction(1, 2) * ring.sigma((2,)) + Fraction(1, 2) * ring.sigma((1, 1))
 
-    sg = fam.symplectic_grass(2, 6)
+    sg = fam.FamilySpec(fam.SG, k=2, n=6)
     ring = fam.ambient_ring(sg)
     ch2 = tangent_character(sg, cap=2).component(2)
     assert ch2 == Fraction(3, 2) * ring.sigma((2,)) - Fraction(1, 2) * ring.sigma((1, 1))
@@ -109,16 +110,16 @@ def test_ci_tangent_components():
 
 
 def test_verdict_examples():
-    assert chk_verdict(fam.grass(2, 4), 2).status == POSITIVE
-    assert chk_verdict(fam.grass(2, 7), 2).status == NEITHER
+    assert chk_verdict(fam.FamilySpec(fam.GRASS, k=2, n=4), 2).status == POSITIVE
+    assert chk_verdict(fam.FamilySpec(fam.GRASS, k=2, n=7), 2).status == NEITHER
     assert chk_verdict(fam.ci(9, (3,)), 2).status == POSITIVE
-    v = chk_verdict(fam.grass(2, 7), 2)
+    v = chk_verdict(fam.FamilySpec(fam.GRASS, k=2, n=7), 2)
     assert dict(v.witnesses)["σ[1,1]"] == Fraction(-1, 2)
 
 
 def test_verdict_rejects_bad_k():
     with pytest.raises(InvalidFamilyError):
-        chk_verdict(fam.grass(2, 4), 1)
+        chk_verdict(fam.FamilySpec(fam.GRASS, k=2, n=4), 1)
     with pytest.raises(InvalidFamilyError):
         chk_verdict(fam.ci(4, (2,)), 4)  # dim X = 3
     with pytest.raises(InvalidFamilyError):
@@ -126,32 +127,32 @@ def test_verdict_rejects_bad_k():
 
 
 def test_threshold_oracle():
-    assert threshold_oracle(fam.orthogonal_grass(3, 11), 2) == POSITIVE
-    assert threshold_oracle(fam.symplectic_grass(4, 8), 2) == POSITIVE
+    assert threshold_oracle(fam.FamilySpec(fam.OG, k=3, n=11), 2) == POSITIVE
+    assert threshold_oracle(fam.FamilySpec(fam.SG, k=4, n=8), 2) == POSITIVE
     assert threshold_oracle(fam.ci(10, (2, 2)), 3) == NEITHER  # 16 > 11
     assert threshold_oracle(fam.g2_fivefold(), 2) == POSITIVE
     with pytest.raises(NoClosedFormError):
-        threshold_oracle(fam.grass(2, 5), 3)
+        threshold_oracle(fam.FamilySpec(fam.GRASS, k=2, n=5), 3)
     with pytest.raises(NoClosedFormError):
         threshold_oracle(fam.product_pn(2, 3), 2)
 
 
 def test_ch3_verdict_computed_for_grassmannian():
     # machinery supports k = 3 on the ambient ring even without a closed form
-    v = chk_verdict(fam.grass(2, 5), 3)
+    v = chk_verdict(fam.FamilySpec(fam.GRASS, k=2, n=5), 3)
     assert set(dict(v.witnesses)) == {"σ[3]", "σ[2,1]"}
 
 
 def test_minimal_pairs():
-    assert minimal_pair(fam.grass(3, 7)).label == "P2xP3(1,1)"
-    assert minimal_pair(fam.symplectic_grass(3, 12)).label == "P_P2(O2+O1^6)(OP1)"
+    assert minimal_pair(fam.FamilySpec(fam.GRASS, k=3, n=7)).label == "P2xP3(1,1)"
+    assert minimal_pair(fam.FamilySpec(fam.SG, k=3, n=12)).label == "P_P2(O2+O1^6)(OP1)"
     assert minimal_pair(fam.g2_fivefold()).label == "P1(O3)"
-    assert minimal_pair(fam.orthogonal_grass(2, 8)).label == "P1xQ2(1,1,1)"
+    assert minimal_pair(fam.FamilySpec(fam.OG, k=2, n=8)).label == "P1xQ2(1,1,1)"
     # Lagrangian boundary: the bundle degenerates to (P^(k-1), O(2))
-    p = minimal_pair(fam.symplectic_grass(4, 8))
+    p = minimal_pair(fam.FamilySpec(fam.SG, k=4, n=8))
     assert p.dim == 3 and p.L == (Fraction(2),)
     # the (1,1)-divisor in P^1 x P^1 is a conic
-    conic = minimal_pair(fam.grass_hyperplane(2, 4))
+    conic = minimal_pair(fam.FamilySpec(fam.GRASS_HYP, k=2, n=4))
     assert conic.dim == 1 and conic.L == (Fraction(2),)
     with pytest.raises(NoPairError):
         minimal_pair(fam.product_pn(2, 2))
@@ -174,10 +175,9 @@ def test_consistency_sweep():
     specs = []
     for n in range(4, 15):
         for k in range(2, n + 1):
-            for maker in (fam.grass, fam.grass_hyperplane, fam.orthogonal_grass,
-                          fam.symplectic_grass, fam.degenerate_symplectic_grass):
+            for kind in fam.ZERO_LOCI:
                 try:
-                    specs.append(maker(k, n))
+                    specs.append(fam.FamilySpec(kind, k=k, n=n))
                 except InvalidFamilyError:
                     continue
     for n in range(2, 13):
@@ -205,8 +205,8 @@ def test_lagrangian_collapse_is_justified():
 
 def test_de_jong_starr_examples():
     for k in range(2, 6):
-        assert chk_verdict(fam.grass(k, 2 * k), 2).status == POSITIVE
-        assert chk_verdict(fam.grass(k, 2 * k + 1), 2).status == POSITIVE
+        assert chk_verdict(fam.FamilySpec(fam.GRASS, k=k, n=2 * k), 2).status == POSITIVE
+        assert chk_verdict(fam.FamilySpec(fam.GRASS, k=k, n=2 * k + 1), 2).status == POSITIVE
 
 
 def test_product_nonexample():
@@ -241,22 +241,22 @@ def test_bundle_nonexample_diagnostic():
 
 
 def test_anticanonical_degrees():
-    assert fam.anticanonical_line_degree(fam.grass(2, 5)) == 5
-    assert fam.anticanonical_line_degree(fam.orthogonal_grass(2, 8)) == 5
-    assert fam.anticanonical_line_degree(fam.symplectic_grass(3, 8)) == 6
-    assert fam.anticanonical_line_degree(fam.grass_hyperplane(2, 6)) == 5
+    assert fam.anticanonical_line_degree(fam.FamilySpec(fam.GRASS, k=2, n=5)) == 5
+    assert fam.anticanonical_line_degree(fam.FamilySpec(fam.OG, k=2, n=8)) == 5
+    assert fam.anticanonical_line_degree(fam.FamilySpec(fam.SG, k=3, n=8)) == 6
+    assert fam.anticanonical_line_degree(fam.FamilySpec(fam.GRASS_HYP, k=2, n=6)) == 5
     assert fam.anticanonical_line_degree(fam.ci(9, (3,))) == 7
     assert fam.anticanonical_line_degree(fam.g2_fivefold()) == 3
 
 
 def test_consistency_report_agreement():
-    rep = consistency_check(fam.grass(2, 5))
+    rep = consistency_check(fam.FamilySpec(fam.GRASS, k=2, n=5))
     assert rep.agree and rep.twist_status == AMPLE and rep.pair_dim == rep.expected_dim == 3
     assert not replace(rep, pair_dim=rep.pair_dim + 1).agree
     assert not replace(rep, twist_status=NEF_ONLY).agree
     assert not replace(rep, oracle_status=NEITHER).agree
     # no closed form and no twist at k = 10: the ring verdict stands alone
-    deep = consistency_check(fam.grass(3, 9), 10)
+    deep = consistency_check(fam.FamilySpec(fam.GRASS, k=3, n=9), 10)
     assert deep.oracle_status == "" and deep.twist_status == "" and deep.pair_label == ""
     assert deep.pair_dim is None and deep.expected_dim is None and deep.agree
     # products report instead of raising: no oracle, no minimal pair
@@ -269,8 +269,9 @@ def test_consistency_report_agreement():
 
 
 def test_dim_h_reads_c1_from_the_verdict_character():
-    for spec in (fam.grass(2, 5), fam.orthogonal_grass(2, 8), fam.symplectic_grass(3, 8),
-                 fam.grass_hyperplane(2, 6), fam.ci(9, (3,))):
+    for spec in (fam.FamilySpec(fam.GRASS, k=2, n=5), fam.FamilySpec(fam.OG, k=2, n=8),
+                 fam.FamilySpec(fam.SG, k=3, n=8), fam.FamilySpec(fam.GRASS_HYP, k=2, n=6),
+                 fam.ci(9, (3,))):
         rep = consistency_check(spec)
         assert rep.verdict.character.cap == 2
         assert rep.expected_dim == fam.anticanonical_line_degree(spec) - 2, spec.text()
@@ -296,7 +297,7 @@ def test_specs_are_validated_when_built():
         fam.FamilySpec("XX")
     with pytest.raises(InvalidFamilyError):
         fam.FamilySpec(fam.CI, n=4, degrees=(5,))
-    assert fam.FamilySpec(fam.GRASS, k=2, n=5) == fam.grass(2, 5)
+    assert fam.FamilySpec(fam.GRASS, k=2, n=5) == fam.KIND_MAKERS[fam.GRASS](2, 5)
 
 
 def test_ci_not_covered_by_lines_gets_a_row():
@@ -399,6 +400,22 @@ def test_grassmannian_row_runs_newton_once(monkeypatch):
         calls.clear()
         tangent_character(spec, 3)
         assert calls == [spec.k], spec
+
+
+def test_grassmannian_row_builds_only_the_degrees_it_reads(monkeypatch):
+    sizes = []
+
+    def recorded(rows, cols, size):
+        sizes.append(size)
+        return partitions_in_box(rows, cols, size)
+
+    monkeypatch.setattr(schubert, "partitions_in_box", recorded)
+    monkeypatch.setattr(fam, "_grass_ring", grassmannian_ring)
+    rep = consistency_check(fam.FamilySpec(fam.GRASS, k=8, n=18), 2)
+    assert rep.agree
+    # tautological_chern builds sigma_{1^i} for i <= rank S^dual = 8, and the
+    # verdict reads degree 2; nothing else of the 1 + 80 degrees is built
+    assert sizes and max(sizes) <= 8, sorted(set(sizes))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -271,7 +271,8 @@ def test_graded_class_api():
     assert x.coefficient("h^2") == 1
     with pytest.raises(DegreeError):
         x.homogeneous_degree()
-    assert multiply(h, h) == h**2
+    with pytest.warns(DeprecationWarning, match=r"x \* y"):
+        assert multiply(h, h) == h**2
     assert (x - x).is_zero()
     assert x / 2 == h + h**2 / 2
 

@@ -65,8 +65,10 @@ def test_pieri_examples():
 
 def test_products():
     g24 = grassmannian_ring(2, 4)
-    assert schubert_multiply(g24.sigma((1, 1)), g24.sigma((1, 1))) == g24.sigma((2, 2))
-    assert schubert_multiply(g24.sigma((2,)), g24.sigma((1, 1))).is_zero()
+    with pytest.warns(DeprecationWarning, match=r"x \* y"):
+        assert schubert_multiply(g24.sigma((1, 1)), g24.sigma((1, 1))) == g24.sigma((2, 2))
+    with pytest.warns(DeprecationWarning, match=r"x \* y"):
+        assert schubert_multiply(g24.sigma((2,)), g24.sigma((1, 1))).is_zero()
     s1 = g24.sigma((1,))
     assert integrate(s1**4) == 2
 
@@ -218,3 +220,34 @@ def test_grassmannian_of_lines_is_projective_space():
                 prod = ring.mul_basis(a, b)
                 expected = pn.mul_basis(rename(a), rename(b))
                 assert {rename(l): c for l, c in prod.items()} == dict(expected), (n, a, b)
+
+
+def test_labels_met_before_their_degree_is_built():
+    built = grassmannian_ring(3, 7)
+    built.basis()
+
+    def fresh():
+        return grassmannian_ring(3, 7)
+
+    lazy = fresh()
+    product = lazy.monomial("σ[2,1]") * lazy.sigma((1,))
+    assert product.terms == (built.monomial("σ[2,1]") * built.sigma((1,))).terms
+    for label in ("σ[4,4,4]", "σ[3,2]", "1"):
+        assert fresh().partition_of(label) == built.partition_of(label)
+    for a, b in [("σ[2,1]", "σ[3,1]"), ("σ[4,4]", "σ[1,1,1]"), ("σ[1]", "σ[4,4,3]")]:
+        assert fresh().mul_basis(a, b) == built.mul_basis(a, b), (a, b)
+    for bad in ("σ[5]", "σ[2, 1]"):
+        with pytest.raises(ValueError) as on_built:
+            built.monomial(bad)
+        with pytest.raises(ValueError) as on_fresh:
+            fresh().monomial(bad)
+        assert str(on_fresh.value) == str(on_built.value) == f"unknown basis label {bad!r} in G(3,7)"
+    # degrees built last to first still list their labels in sorted partition order,
+    # which _basis_label's bisection reads
+    backwards = fresh()
+    for d in reversed(range(backwards.dimension + 1)):
+        backwards.basis(d)
+    assert backwards.basis() == built.basis() == tuple(
+        partition_label(p) for d in range(13) for p in partitions_in_box(3, 4, d)
+    )
+    assert backwards.mul_basis("σ[2,1]", "σ[2,2]") == built.mul_basis("σ[2,1]", "σ[2,2]")
