@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from . import catalog as cat
@@ -31,6 +30,14 @@ CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "tw
 
 class UsageError(Exception):
     pass
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported here: it pulls in
+    multiprocessing, which only a parallel census needs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _parse_range(text: str) -> range:

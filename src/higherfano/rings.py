@@ -259,7 +259,11 @@ class RingModel:
         return label in self._key
 
     def degree_of(self, label: str) -> int:
-        return self._degree[label]
+        try:
+            return self._degree[label]
+        except KeyError:  # a label of a degree not built yet
+            self._has_label(label)
+            return self._degree[label]
 
     # -- element constructors ---------------------------------------------
 

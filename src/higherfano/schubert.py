@@ -7,10 +7,13 @@ Partitions are plain tuples, stored without trailing zeros, with canonical
 labels like "σ[2,1]" ("1" for the empty partition).
 
 Products run on partition tuples with integer coefficients and memoised
-Pieri steps.  Only the shapes a product returns are turned into labels, by
-bisection in the sorted basis of their degree, so the labels in product
-tables are the basis's own strings and no shape-to-label table is kept.
-A ring builds the labels of a degree when that degree is first read.
+Pieri steps.  Each product of two Schubert classes is computed once per
+process, in one table shared by every G(k, n): by the Littlewood-Richardson
+rule its terms fit a box set by the two factors, and that box is part of
+the key.  The table holds each shape's canonical label, a string equal to
+(not the same object as) the basis's own; a ring registers the product's
+degree before a class reads those labels.  A ring builds the labels of a
+degree when that degree is first read.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ Partition = tuple[int, ...]
 # pays about 0.4 KB per label (G(10,20): 184,756 labels, 67 MB on CPython 3.11),
 # so the bound keeps one full ring near 0.4 GB; P^n costs less (P^100000: 28 MB)
 MAX_BASIS_LABELS = 10**6
+
+# sigma_lam * sigma_mu as {label: count}, computed once for every G(k, n) of the
+# process: keyed (lam, mu, rows, cols) with lam >= mu and rows x cols the box
+# that holds every term (see GrassmannianRing._mul_labels); like the rings of
+# families._grass_ring, it lives as long as the process
+_PRODUCTS: dict[tuple[Partition, Partition, int, int], dict[str, int]] = {}
 
 
 def normalize_partition(parts: Iterable[int]) -> Partition:
@@ -156,6 +165,19 @@ class GrassmannianRing(RingModel):
     def _build_degree(self, degree: int) -> list[tuple[str, Partition]]:
         return [(_label(p), p) for p in partitions_in_box(self.k, self.cols, degree)]
 
+    def _has_label(self, label: str) -> bool:
+        """True for a basis label; builds at most the one degree that the parts of "σ[...]" add up to.
+
+        Every label in the box has at most k parts of at most n-k, so none is
+        longer than the point's label, and a longer string is not read.
+        """
+        if label not in self._key and label.startswith("σ[") and label.endswith("]") \
+                and len(label) <= len(self.point_label):
+            parts = label[2:-1].split(",")
+            if all(p.isascii() and p.isdigit() for p in parts):
+                self.basis(sum(map(int, parts)))
+        return label in self._key
+
     def partition_of(self, label: str) -> Partition:
         self._has_label(label)
         return self._key[label]
@@ -189,6 +211,21 @@ class GrassmannianRing(RingModel):
 
     def _mul_labels(self, a, b):
         pa, pb = self.partition_of(a), self.partition_of(b)
+        if pa < pb:
+            pa, pb = pb, pa
+        # by the Littlewood-Richardson rule no term has more rows than both
+        # factors together or a first part above their first parts together,
+        # so every G(k, n) whose box holds that smaller box has this product
+        key = (pa, pb, min(self.k, len(pa) + len(pb)), min(self.cols, sum(pa[:1] + pb[:1])))
+        # the product's degree is registered before a class reads its labels
+        self.basis(sum(pa) + sum(pb))
+        product = _PRODUCTS.get(key)
+        if product is None:
+            product = _PRODUCTS[key] = self._product(pa, pb)
+        return product
+
+    def _product(self, pa: Partition, pb: Partition) -> dict[str, int]:
+        """sigma_pa * sigma_pb in this ring's box, by Jacobi-Trudi and Pieri steps."""
         # expand the partition with fewer rows through Jacobi-Trudi
         if len(pb) > len(pa):
             pa, pb = pb, pa
@@ -213,7 +250,7 @@ class GrassmannianRing(RingModel):
                 acc = nxt
             for mu, c in acc.items():
                 out[mu] = out.get(mu, 0) + c
-        return {self._basis_label(mu): c for mu, c in out.items() if c}
+        return {_label(mu): c for mu, c in out.items() if c}
 
     def _basis_label(self, mu: Partition) -> str:
         """The basis label of a shape in the box: bisection in its degree, which is sorted."""

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,14 @@ def test_census_jobs_clamped_to_cores_and_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert run_cli(capsys, "census", "OG", "--k-range", "2", "--n-range", "7", "--jobs", "8")[0] == 0
     assert workers == [rows, 3]
+
+
+def test_import_leaves_out_the_process_pool():
+    # concurrent.futures pulls in multiprocessing, which only a parallel census needs
+    code = "import sys, higherfano.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_census_grass_deep_golden_csv(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from higherfano import cli, schubert
+from higherfano import families as fam
 from higherfano.rings import DegreeError, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
     conjugate,
@@ -251,3 +255,100 @@ def test_labels_met_before_their_degree_is_built():
         partition_label(p) for d in range(13) for p in partitions_in_box(3, 4, d)
     )
     assert backwards.mul_basis("σ[2,1]", "σ[2,2]") == built.mul_basis("σ[2,1]", "σ[2,2]")
+
+
+def test_unknown_labels_build_at_most_their_own_degree():
+    for bad in ("σ[x]", "σ[2, 1]", "σ[1,2]", "σ[0]", "σ[99999999]", "σ[]"):
+        ring = grassmannian_ring(10, 21)
+        with pytest.raises(ValueError) as err:
+            ring.monomial(bad)
+        assert str(err.value) == f"unknown basis label {bad!r} in G(10,21)"
+        built = [d for d, labels in enumerate(ring._basis) if labels]
+        # degree 0 and the point class are there from the start; "σ[1,2]" reads as degree 3
+        assert built[0] == 0 and built[-1] == ring.dimension and len(built) <= 3, (bad, built)
+    # a label of a degree not built yet has its degree, and that degree is built
+    ring = grassmannian_ring(10, 21)
+    assert ring.degree_of("σ[2,1]") == 3 and "σ[2,1]" in ring.basis(3)
+    assert [d for d, labels in enumerate(ring._basis) if labels] == [0, 3, ring.dimension]
+
+
+def all_products(ring, small, top):
+    """ring's products of the basis labels of `small` whose degrees add up to at most top."""
+    labels, degree = small.basis(), small.degree_of
+    return {
+        (a, b): dict(ring.mul_basis(a, b))
+        for i, a in enumerate(labels) for b in labels[i:] if degree(a) + degree(b) <= top
+    }
+
+
+def test_shared_products_match_an_empty_table(monkeypatch):
+    for n in range(2, 11):
+        for k in range(1, min(4, n - 1) + 1):
+            monkeypatch.setattr(schubert, "_PRODUCTS", {})
+            alone = grassmannian_ring(k, n)
+            dim = alone.dimension
+            expected = all_products(alone, alone, 2 * dim)
+            # larger rings fill the table first, each in its own box; a product
+            # they share with G(k, n) must have the same terms in both.  Above
+            # degree dim a product of G(k, n) is 0 whatever the table holds
+            monkeypatch.setattr(schubert, "_PRODUCTS", {})
+            for k2, n2 in [(k + 2, n + 5), (k, n + 6)]:
+                all_products(grassmannian_ring(k2, n2), alone, dim)
+            filled = len(schubert._PRODUCTS)
+            assert all_products(grassmannian_ring(k, n), alone, 2 * dim) == expected, (k, n)
+            # the ring read some of its products from the table
+            assert len(schubert._PRODUCTS) < filled + len(expected), (k, n)
+
+
+def test_a_product_builds_its_own_degree(monkeypatch):
+    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+    # the first ring computes the product, the second reads it from the table
+    for _ in range(2):
+        ring = grassmannian_ring(3, 7)
+        assert ring.mul_basis("σ[1]", "σ[2,1]") == {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1}
+        assert {"σ[3,1]", "σ[2,2]", "σ[2,1,1]"} <= ring._degree.keys()
+
+
+@pytest.mark.parametrize("k, n, k2, n2", [(2, 5, 2, 9), (2, 6, 5, 9), (3, 6, 4, 9), (3, 7, 5, 10), (4, 8, 4, 9)])
+def test_products_are_truncations_of_larger_grassmannians(monkeypatch, k, n, k2, n2):
+    # Schubert classes outside the k x (n-k) box vanish on G(k, n), so its
+    # products are those of G(k2, n2) restricted to that box
+    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+    small = grassmannian_ring(k, n)
+    top = 2 * small.dimension
+    expected = all_products(small, small, top)
+    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+    in_box = set(small.basis())
+    for pair, prod in all_products(grassmannian_ring(k2, n2), small, top).items():
+        assert {l: c for l, c in prod.items() if l in in_box} == expected[pair], pair
+
+
+def test_census_grass_deep_computes_each_product_once(monkeypatch, capsys):
+    stored: list = []
+    computed: list = []
+    misses: list = []
+
+    class Table(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
+    def counting(method, calls):
+        def wrapper(ring, *args):
+            calls.append(args)
+            return method(ring, *args)
+        return wrapper
+
+    monkeypatch.setattr(schubert, "_PRODUCTS", Table())
+    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
+    Ring = schubert.GrassmannianRing
+    monkeypatch.setattr(Ring, "_product", counting(Ring._product, computed))
+    monkeypatch.setattr(Ring, "_mul_labels", counting(Ring._mul_labels, misses))
+    argv = ["census", "G", "--k", "10", "--k-range", "3..5", "--n-range", "9..15", "--format", "csv"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "78617bfd3146783271a274e302febc78259f9fe476d214cafe834149a192b600"
+    )
+    # the 20 rings miss their own caches far more often than a product is computed
+    assert 0 < len(computed) == len(stored) == len(set(stored)) < len(misses)
