@@ -253,17 +253,11 @@ class RingModel:
         return self._basis[degree]
 
     def _has_label(self, label: str) -> bool:
-        """True for a basis label; a label not met yet first builds every degree not yet built."""
-        if label not in self._key:
-            self.basis()
+        """True for a basis label; a ring that builds degrees lazily builds the label's degree first."""
         return label in self._key
 
     def degree_of(self, label: str) -> int:
-        try:
-            return self._degree[label]
-        except KeyError:  # a label of a degree not built yet
-            self._has_label(label)
-            return self._degree[label]
+        return self._degree[label]
 
     # -- element constructors ---------------------------------------------
 
