@@ -16,7 +16,6 @@ from .rings import (
     GradedClass,
     RingModel,
     integrate,
-    multiply,
     product_ring,
     projbundle_ring,
     projective_space_ring,
@@ -27,7 +26,6 @@ from .schubert import (
     grassmannian_ring,
     partition_label,
     pieri,
-    schubert_multiply,
     tautological_chern,
 )
 from .bundles import (

@@ -81,10 +81,10 @@ class _MonomialModel(RingModel):
         self._label: dict[_Key, str] = {key: l for degree in pairs for l, key in degree}
         super().__init__(name, len(pairs) - 1, pairs, None)
 
-    def _term(self, key: _Key, c: int = 1) -> dict[str, Fraction]:
+    def _term(self, key: _Key, c: int = 1) -> dict[str, int]:
         """The monomial `key` times c, or nothing above the truncation."""
         label = self._label.get(key)
-        return {} if label is None else {label: Fraction(c)}
+        return {} if label is None else {label: c}
 
     def _generator(self, label: str) -> GradedClass:
         """A generator of the model, zero when it lies above the truncation."""

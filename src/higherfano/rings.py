@@ -12,7 +12,6 @@ that serialized reports are stable and diffable.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -276,18 +275,15 @@ class RingModel:
     # -- multiplication ----------------------------------------------------
 
     def mul_basis(self, a: str, b: str) -> Mapping[str, int | Fraction]:
-        """a*b as {label: structure constant}, memoised; integral constants are stored as ints."""
+        """a*b as {label: structure constant}, memoised as _mul_labels returns it."""
         key = (a, b) if a <= b else (b, a)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = {
-                l: c.numerator if c.denominator == 1 else c
-                for l, c in self._mul_labels(*key).items() if c
-            }
-            self._mul_cache[key] = hit
+            hit = self._mul_cache[key] = self._mul_labels(*key)
         return hit
 
-    def _mul_labels(self, a: str, b: str) -> Mapping[str, Fraction]:
+    def _mul_labels(self, a: str, b: str) -> Mapping[str, int | Fraction]:
+        """a*b as {label: nonzero constant}, with integral constants as ints; callers do not mutate it."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -314,7 +310,7 @@ class ProjectiveSpaceRing(RingModel):
         e = self._key[a] + self._key[b]
         if e > self.n:
             return {}
-        return {_pow_label(self.gen, e): Fraction(1)}
+        return {_pow_label(self.gen, e): 1}
 
 
 class ProductRing(RingModel):
@@ -341,7 +337,7 @@ class ProductRing(RingModel):
         lb, rb = self._key[b]
         dl = self.left.mul_basis(la, lb)
         dr = self.right.mul_basis(ra, rb)
-        out: dict[str, Fraction] = {}
+        out: dict[str, int | Fraction] = {}
         for u, cu in dl.items():
             for v, cv in dr.items():
                 out[_join_labels(u, v)] = cu * cv
@@ -439,8 +435,8 @@ class ProjBundleRing(RingModel):
                 prod = self.base.monomial(u, cu) * coef_class
                 for v, cv in prod.terms.items():
                     label = _join_labels(v, xp)
-                    out[label] = out.get(label, Fraction(0)) + cv
-        return out
+                    out[label] = out.get(label, _ZERO) + cv
+        return {l: c for l, c in out.items() if c}
 
 
 # -- public constructors and operations -------------------------------------
@@ -484,11 +480,6 @@ def product_ring(a: RingModel, b: RingModel) -> ProductRing:
 
 def projbundle_ring(base: RingModel, chern_of_e: Sequence[GradedClass], rank: int, gen: str = "xi") -> ProjBundleRing:
     return ProjBundleRing(base, chern_of_e, rank, gen)
-
-
-def multiply(x: GradedClass, y: GradedClass) -> GradedClass:
-    warnings.warn("rings.multiply is deprecated; use x * y", DeprecationWarning, stacklevel=2)
-    return x * y
 
 
 def integrate(x: GradedClass) -> Fraction:

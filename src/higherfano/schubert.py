@@ -6,19 +6,18 @@ through the Jacobi-Trudi determinant in the special (one-row) classes.
 Partitions are plain tuples, stored without trailing zeros, with canonical
 labels like "σ[2,1]" ("1" for the empty partition).
 
-Products run on partition tuples with integer coefficients and memoised
-Pieri steps.  Each product of two Schubert classes is computed once per
-process, in one table shared by every G(k, n): by the Littlewood-Richardson
-rule its terms fit a box set by the two factors, and that box is part of
-the key.  The table holds each shape's canonical label, a string equal to
-(not the same object as) the basis's own; a ring registers the product's
+A product of two Schubert classes is a function of the two partitions and
+of its Littlewood-Richardson box, the smallest box that holds every term, so
+it does not depend on the ring: `_product` computes it in that box and is
+memoised once per process, like the Pieri steps it runs on.  Every G(k, n)
+whose box holds that box reads the same dict, whose labels are strings equal
+to (not the same objects as) the basis's own; a ring registers the product's
 degree before a class reads those labels.  A ring builds the labels of a
 degree when that degree is first read.
 """
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -36,12 +35,6 @@ Partition = tuple[int, ...]
 # pays about 0.4 KB per label (G(10,20): 184,756 labels, 67 MB on CPython 3.11),
 # so the bound keeps one full ring near 0.4 GB; P^n costs less (P^100000: 28 MB)
 MAX_BASIS_LABELS = 10**6
-
-# sigma_lam * sigma_mu as {label: count}, computed once for every G(k, n) of the
-# process: keyed (lam, mu, rows, cols) with lam >= mu and rows x cols the box
-# that holds every term (see GrassmannianRing._mul_labels); like the rings of
-# families._grass_ring, it lives as long as the process
-_PRODUCTS: dict[tuple[Partition, Partition, int, int], dict[str, int]] = {}
 
 
 def normalize_partition(parts: Iterable[int]) -> Partition:
@@ -139,6 +132,40 @@ def _jt_terms(mu: Partition) -> tuple[tuple[int, Partition], ...]:
     return tuple((c, rows) for rows, c in terms.items() if c)
 
 
+@lru_cache(maxsize=None)
+def _pieri_step(lam: Partition, i: int, rows: int, cols: int) -> tuple[Partition, ...]:
+    """The shapes of sigma_lam * sigma_i in the rows x cols box, each with coefficient 1."""
+    return tuple(_horizontal_strips(lam, i, rows, cols))
+
+
+@lru_cache(maxsize=None)
+def _product(a: Partition, b: Partition, rows: int, cols: int) -> dict[str, int]:
+    """sigma_a * sigma_b in the rows x cols box as {label: nonzero count}, by Jacobi-Trudi and Pieri steps.
+
+    Truncating to a box is a ring quotient, so in a box that holds every
+    Littlewood-Richardson term this is the product in any larger box too.
+    """
+    # expand the partition with fewer rows through Jacobi-Trudi
+    if len(b) > len(a):
+        a, b = b, a
+    out: dict[Partition, int] = {}
+    for coeff, parts in _jt_terms(b):
+        if parts and parts[0] > cols:
+            # one-row classes above cols vanish (Chern classes of the
+            # rank-cols quotient bundle)
+            continue
+        acc = {a: coeff}
+        for r in parts:
+            nxt: dict[Partition, int] = {}
+            for lam, c in acc.items():
+                for mu in _pieri_step(lam, r, rows, cols):
+                    nxt[mu] = nxt.get(mu, 0) + c
+            acc = nxt
+        for mu, c in acc.items():
+            out[mu] = out.get(mu, 0) + c
+    return {_label(mu): c for mu, c in out.items() if c}
+
+
 def check_basis_bound(k: int, n: int) -> None:
     """ValueError if the Schubert basis of G(k, n), C(n, k) labels, exceeds MAX_BASIS_LABELS."""
     check_basis_size(f"G({k},{n})", f"C({n},{k})", comb(n, k), MAX_BASIS_LABELS, "Schubert classes")
@@ -155,8 +182,6 @@ class GrassmannianRing(RingModel):
         self.n = n
         self.cols = n - k
         dim = k * self.cols
-        # (lam, i) -> {mu: 1}: the memoised Pieri steps of pieri_dict
-        self._pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
         # degrees 0 and dim hold one label each; _build_degree fills the rest when read
         point = (self.cols,) * k
         pairs = [[("1", ())]] + [()] * (dim - 1) + [[(_label(point), point)]]
@@ -197,60 +222,13 @@ class GrassmannianRing(RingModel):
         padded = p + (0,) * (self.k - len(p))
         return normalize_partition(self.cols - x for x in reversed(padded))
 
-    def pieri_dict(self, lam: Partition, i: int) -> dict[Partition, int]:
-        """sigma_lam * sigma_i as {mu: 1}, memoised; lam must be a canonical partition in the box."""
-        key = (lam, i)
-        step = self._pieri.get(key)
-        if step is None:
-            if i == 0:
-                step = {lam: 1}
-            else:
-                step = {mu: 1 for mu in _horizontal_strips(lam, i, self.k, self.cols)}
-            self._pieri[key] = step
-        return step
-
     def _mul_labels(self, a, b):
         pa, pb = self.partition_of(a), self.partition_of(b)
-        if pa < pb:
-            pa, pb = pb, pa
-        # by the Littlewood-Richardson rule no term has more rows than both
-        # factors together or a first part above their first parts together,
-        # so every G(k, n) whose box holds that smaller box has this product
-        key = (pa, pb, min(self.k, len(pa) + len(pb)), min(self.cols, sum(pa[:1] + pb[:1])))
         # the product's degree is registered before a class reads its labels
         self.basis(sum(pa) + sum(pb))
-        product = _PRODUCTS.get(key)
-        if product is None:
-            product = _PRODUCTS[key] = self._product(pa, pb)
-        return product
-
-    def _product(self, pa: Partition, pb: Partition) -> dict[str, int]:
-        """sigma_pa * sigma_pb in this ring's box, by Jacobi-Trudi and Pieri steps."""
-        # expand the partition with fewer rows through Jacobi-Trudi
-        if len(pb) > len(pa):
-            pa, pb = pb, pa
-        steps = self._pieri
-        out: dict[Partition, int] = {}
-        for coeff, rows in _jt_terms(pb):
-            if rows and rows[0] > self.cols:
-                # one-row classes above n-k vanish (Chern classes of the
-                # rank n-k quotient bundle)
-                continue
-            acc = {pa: coeff}
-            for r in rows:
-                nxt: dict[Partition, int] = {}
-                for lam, c in acc.items():
-                    # a dict lookup is cheaper than a method call per step;
-                    # pieri_dict runs only on a miss and fills the memo
-                    step = steps.get((lam, r))
-                    if step is None:
-                        step = self.pieri_dict(lam, r)
-                    for mu in step:
-                        nxt[mu] = nxt.get(mu, 0) + c
-                acc = nxt
-            for mu, c in acc.items():
-                out[mu] = out.get(mu, 0) + c
-        return {_label(mu): c for mu, c in out.items() if c}
+        # by the Littlewood-Richardson rule no term has more rows than both
+        # factors together or a first part above their first parts together
+        return _product(pa, pb, min(self.k, len(pa) + len(pb)), min(self.cols, sum(pa[:1] + pb[:1])))
 
     def _basis_label(self, mu: Partition) -> str:
         """The basis label of a shape in the box: bisection in its degree, which is sorted."""
@@ -267,15 +245,7 @@ def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:
     lam = ring.box_partition(lam)
     if not 1 <= i <= ring.cols:
         raise ValueError(f"Pieri index must be in 1..{ring.cols}")
-    return GradedClass(ring, {ring._basis_label(mu): c for mu, c in ring.pieri_dict(lam, i).items()})
-
-
-def schubert_multiply(x: GradedClass, y: GradedClass) -> GradedClass:
-    """Deprecated: x * y, for two classes on one Grassmannian."""
-    warnings.warn("schubert.schubert_multiply is deprecated; use x * y", DeprecationWarning, stacklevel=2)
-    if not isinstance(x.ring, GrassmannianRing) or y.ring is not x.ring:
-        raise ValueError("schubert_multiply needs two classes on one Grassmannian")
-    return x * y
+    return GradedClass(ring, {ring._basis_label(mu): 1 for mu in _pieri_step(lam, i, ring.k, ring.cols)})
 
 
 def tautological_chern(ring: GrassmannianRing, which: str) -> tuple[GradedClass, ...]:

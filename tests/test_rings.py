@@ -11,7 +11,6 @@ from higherfano.rings import (
     RingMismatchError,
     check_graded,
     integrate,
-    multiply,
     product_ring,
     projbundle_ring,
     projective_space_ring,
@@ -271,8 +270,7 @@ def test_graded_class_api():
     assert x.coefficient("h^2") == 1
     with pytest.raises(DegreeError):
         x.homogeneous_degree()
-    with pytest.warns(DeprecationWarning, match=r"x \* y"):
-        assert multiply(h, h) == h**2
+    assert h * h == p3.monomial("h^2")
     assert (x - x).is_zero()
     assert x / 2 == h + h**2 / 2
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from higherfano import cli, schubert
 from higherfano import families as fam
-from higherfano.rings import DegreeError, ProjectiveSpaceRing, integrate
+from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
     conjugate,
     dual_pairing,
@@ -19,7 +19,6 @@ from higherfano.schubert import (
     partitions_in_box,
     pieri,
     pieri_shapes,
-    schubert_multiply,
     tautological_chern,
 )
 
@@ -69,10 +68,8 @@ def test_pieri_examples():
 
 def test_products():
     g24 = grassmannian_ring(2, 4)
-    with pytest.warns(DeprecationWarning, match=r"x \* y"):
-        assert schubert_multiply(g24.sigma((1, 1)), g24.sigma((1, 1))) == g24.sigma((2, 2))
-    with pytest.warns(DeprecationWarning, match=r"x \* y"):
-        assert schubert_multiply(g24.sigma((2,)), g24.sigma((1, 1))).is_zero()
+    assert g24.sigma((1, 1)) * g24.sigma((1, 1)) == g24.sigma((2, 2))
+    assert (g24.sigma((2,)) * g24.sigma((1, 1))).is_zero()
     s1 = g24.sigma((1,))
     assert integrate(s1**4) == 2
 
@@ -182,16 +179,28 @@ def test_partitions_in_box_matches_brute_force(rows, cols, data):
     assert partitions_in_box(rows, cols, size) == sorted(brute)
 
 
-def test_pieri_dict_is_stable_and_matches_pieri_shapes():
+def test_pieri_steps_are_stable_and_match_pieri_shapes():
     for k, n in [(2, 4), (2, 5), (3, 6), (3, 7)]:
         ring = grassmannian_ring(k, n)
+
+        def rows(p):
+            return p + (0,) * (k - len(p))
+
         for label in ring.basis():
             lam = ring.partition_of(label)
-            for i in range(ring.cols + 1):
-                first = dict(ring.pieri_dict(lam, i))
-                assert ring.pieri_dict(lam, i) == first
-                expected = {lam} if i == 0 else set(pieri_shapes(lam, i, k, n - k))
-                assert set(first) == expected and set(first.values()) <= {1}
+            for i in range(1, ring.cols + 1):
+                step = schubert._pieri_step(lam, i, k, n - k)
+                assert schubert._pieri_step(lam, i, k, n - k) is step
+                assert step == tuple(pieri_shapes(lam, i, k, n - k))
+                # horizontal strips by their definition: the shapes of |lam| + i
+                # boxes whose rows interlace, mu_1 >= lam_1 >= mu_2 >= lam_2 ...
+                strips = [
+                    mu for mu in partitions_in_box(k, n - k, sum(lam) + i)
+                    if all(m >= l for m, l in zip(rows(mu), rows(lam)))
+                    and all(l >= m for l, m in zip(rows(lam), rows(mu)[1:]))
+                ]
+                assert sorted(step) == strips
+                assert pieri(ring, lam, i) == GradedClass(ring, dict.fromkeys(map(partition_label, strips), 1))
 
 
 def test_grassmannian_duality_under_conjugation():
@@ -277,74 +286,92 @@ def all_products(ring, small, top):
     }
 
 
-def test_shared_products_match_an_empty_table(monkeypatch):
+def reference_product(ring, a, b):
+    """sigma_a * sigma_b by Jacobi-Trudi and Pieri steps in the ring's own k x (n-k) box, with no memo."""
+    pa, pb = ring.partition_of(a), ring.partition_of(b)
+    if len(pb) > len(pa):
+        pa, pb = pb, pa
+    out = {}
+    for coeff, parts in schubert._jt_terms(pb):
+        acc = {pa: coeff}
+        for r in parts:
+            nxt = {}
+            for lam, c in acc.items():
+                for mu in pieri_shapes(lam, r, ring.k, ring.cols):
+                    nxt[mu] = nxt.get(mu, 0) + c
+            acc = nxt
+        for mu, c in acc.items():
+            out[mu] = out.get(mu, 0) + c
+    return {partition_label(mu): c for mu, c in out.items() if c}
+
+
+def test_shared_products_match_an_empty_table():
     for n in range(2, 9):
         for k in range(1, min(4, n - 1) + 1):
-            monkeypatch.setattr(schubert, "_PRODUCTS", {})
             alone = grassmannian_ring(k, n)
             dim = alone.dimension
-            expected = all_products(alone, alone, 2 * dim)
-            # larger rings fill the table first, each in its own box; a product
-            # they share with G(k, n) must have the same terms in both.  Above
-            # degree dim a product of G(k, n) is 0 whatever the table holds
-            monkeypatch.setattr(schubert, "_PRODUCTS", {})
+            expected = {pair: reference_product(alone, *pair) for pair in all_products(alone, alone, 2 * dim)}
+            schubert._product.cache_clear()
+            assert all_products(grassmannian_ring(k, n), alone, 2 * dim) == expected, (k, n)
+            # larger rings fill the memo first, each product in its own box; a
+            # product they share with G(k, n) must have the same terms in both.
+            # Above degree dim a product of G(k, n) is 0 whatever the memo holds
+            schubert._product.cache_clear()
             for k2, n2 in [(k + 2, n + 5), (k, n + 6)]:
                 all_products(grassmannian_ring(k2, n2), alone, dim)
-            filled = len(schubert._PRODUCTS)
+            hits = schubert._product.cache_info().hits
             assert all_products(grassmannian_ring(k, n), alone, 2 * dim) == expected, (k, n)
-            # the ring read some of its products from the table
-            assert len(schubert._PRODUCTS) < filled + len(expected), (k, n)
+            # the ring read some of its products from the memo
+            assert schubert._product.cache_info().hits > hits, (k, n)
 
 
-def test_a_product_builds_its_own_degree(monkeypatch):
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
-    # the first ring computes the product, the second reads it from the table
+def test_a_product_builds_its_own_degree():
+    schubert._product.cache_clear()
+    # the first ring computes the product, the second reads it from the memo
     for _ in range(2):
         ring = grassmannian_ring(3, 7)
         assert ring.mul_basis("σ[1]", "σ[2,1]") == {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1}
         assert {"σ[3,1]", "σ[2,2]", "σ[2,1,1]"} <= ring._degree.keys()
 
 
+def test_grassmannians_share_one_product_dict():
+    # sigma[2,1] * sigma[1] has its terms in the 3 x 3 box, which G(3,7) and G(4,9)
+    # both hold, so the two rings cache the same dict and copy nothing
+    small, large = grassmannian_ring(3, 7), grassmannian_ring(4, 9)
+    product = small.mul_basis("σ[1]", "σ[2,1]")
+    assert large.mul_basis("σ[2,1]", "σ[1]") is product
+    assert product == {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1}
+
+
 @pytest.mark.parametrize("k, n, k2, n2", [(2, 5, 2, 9), (2, 6, 5, 9), (3, 6, 4, 9), (3, 7, 5, 10), (4, 8, 4, 9)])
-def test_products_are_truncations_of_larger_grassmannians(monkeypatch, k, n, k2, n2):
+def test_products_are_truncations_of_larger_grassmannians(k, n, k2, n2):
     # Schubert classes outside the k x (n-k) box vanish on G(k, n), so its
     # products are those of G(k2, n2) restricted to that box
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
+    schubert._product.cache_clear()
     small = grassmannian_ring(k, n)
-    top = 2 * small.dimension
-    expected = all_products(small, small, top)
-    monkeypatch.setattr(schubert, "_PRODUCTS", {})
     in_box = set(small.basis())
-    for pair, prod in all_products(grassmannian_ring(k2, n2), small, top).items():
-        assert {l: c for l, c in prod.items() if l in in_box} == expected[pair], pair
+    for (a, b), prod in all_products(grassmannian_ring(k2, n2), small, 2 * small.dimension).items():
+        assert {l: c for l, c in prod.items() if l in in_box} == reference_product(small, a, b), (a, b)
 
 
 def test_census_grass_deep_computes_each_product_once(monkeypatch, capsys):
-    stored: list = []
-    computed: list = []
-    misses: list = []
-
-    class Table(dict):
-        def __setitem__(self, key, value):
-            stored.append(key)
-            super().__setitem__(key, value)
-
-    def counting(method, calls):
-        def wrapper(ring, *args):
-            calls.append(args)
-            return method(ring, *args)
-        return wrapper
-
-    monkeypatch.setattr(schubert, "_PRODUCTS", Table())
-    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
     Ring = schubert.GrassmannianRing
-    monkeypatch.setattr(Ring, "_product", counting(Ring._product, computed))
-    monkeypatch.setattr(Ring, "_mul_labels", counting(Ring._mul_labels, misses))
+    mul_labels, misses = Ring._mul_labels, []
+
+    def counting(ring, *args):
+        misses.append(args)
+        return mul_labels(ring, *args)
+
+    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
+    monkeypatch.setattr(Ring, "_mul_labels", counting)
+    schubert._product.cache_clear()
     argv = ["census", "G", "--k", "10", "--k-range", "3..5", "--n-range", "9..15", "--format", "csv"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "78617bfd3146783271a274e302febc78259f9fe476d214cafe834149a192b600"
     )
-    # the 20 rings miss their own caches far more often than a product is computed
-    assert 0 < len(computed) == len(stored) == len(set(stored)) < len(misses)
+    # each miss of the 20 rings' own caches asks the memo once, and the memo
+    # computes far fewer products than that
+    info = schubert._product.cache_info()
+    assert info.hits + info.misses == len(misses) and 0 < info.misses < len(misses)
