@@ -59,7 +59,7 @@ class PolarizedPair:
         return len(self.divisor_basis)
 
     def intersect(self, divisor: Sequence, curve: Sequence) -> Fraction:
-        divisor, curve = _vec(divisor), _vec(curve)
+        # the pairing is Fractions, so int inputs need no conversion
         return sum(
             divisor[i] * self.pairing[i][j] * curve[j]
             for i in range(len(self.divisor_basis))

@@ -18,8 +18,10 @@ UniversalModel is the total space of the universal P^1-bundle, truncated at
 max_degree.  Its basis labels are monomials in l (degree 1, pulled back from
 the family), the section class s (degree 1) and formal symbols e_j (degree j)
 standing for the evaluation pullbacks of the ambient ch_j, such as "1",
-"l^2*e_1*e_3" and "l^3*s".  The relations s^2 = -s*l and s*e_j = 0 leave
-only the monomials l^a*e_J and l^a*s.  The ring depends on the truncation
+"l^2*e_3" and "l^3*s".  The relations s^2 = -s*l and s*e_j = 0 leave the
+monomials l^a, l^a*e_j and l^a*s, so degree m holds m + 2 labels (1 in
+degree 0).  A monomial carries at most one symbol: the derivation never
+multiplies two, and such a product raises.  The ring depends on the truncation
 alone and is shared; the ambient dimension n enters through tangent_pullback.
 What reads no n is built once per ring: the powers of s, l and c_1(T_pi),
 the n-free factors of z_class and w_class, and the identities (iv)-(viii) of
@@ -28,7 +30,8 @@ n on each ring.
 
 Pushforward down the bundle lands in FamilyModel, whose labels are l^a and
 l^a*t_j with t_j of degree j-1 (such as "l^2*t_3"): pure powers of l push to
-zero, q(l)*s pushes to q(l), and l^a*e_j pushes to l^a*t_j.
+zero, q(l)*s pushes to q(l), and l^a*e_j pushes to l^a*t_j.  Both models
+multiply monomials by one rule, in which s never occurs on the family side.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .bundles import line_character, todd_line
 from .families import enumerate_fano_ci
@@ -46,8 +49,8 @@ from .rings import DegreeError, GradedClass, RingModel, _pow_label, projective_s
 
 # -- symbolic universal-family model -----------------------------------------
 
-# exponents of a monomial: (l-exponent, sorted symbol indices, s-exponent)
-_Key = tuple[int, tuple[int, ...], int]
+# exponents of a monomial l^a * x_j * s^b: (a, j, b), with j = 0 for no symbol
+_Key = tuple[int, int, int]
 
 
 class PowerTable(NamedTuple):
@@ -59,31 +62,31 @@ class PowerTable(NamedTuple):
     lh: tuple[GradedClass, ...]  # the polarization on the family
 
 
-def _index_tuples(total: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples of integers >= smallest that sum to total."""
-    if total == 0:
-        yield ()
-    for first in range(smallest, total + 1):
-        for rest in _index_tuples(total - first, first):
-            yield (first, *rest)
-
-
 class _MonomialModel(RingModel):
-    """A truncated RingModel whose basis labels are monomials l^a * x_J * s^b."""
+    """A truncated RingModel whose basis labels are monomials l^a * x_j * s^b, at most one symbol x_j."""
 
     def __init__(self, name: str, symbol: str, keys_by_degree: Sequence[Sequence[_Key]]):
         def label(key: _Key) -> str:
-            a, idx, b = key
-            factors = [_pow_label("l", a)] + [f"{symbol}_{j}" for j in idx] + [_pow_label("s", b)]
+            a, j, b = key
+            factors = (_pow_label("l", a), f"{symbol}_{j}" if j else "1", _pow_label("s", b))
             return "*".join(f for f in factors if f != "1") or "1"
 
         pairs = [[(label(key), key) for key in keys] for keys in keys_by_degree]
         self._label: dict[_Key, str] = {key: l for degree in pairs for l, key in degree}
         super().__init__(name, len(pairs) - 1, pairs, None)
 
-    def _term(self, key: _Key, c: int = 1) -> dict[str, int]:
-        """The monomial `key` times c, or nothing above the truncation."""
-        label = self._label.get(key)
+    def _mul_labels(self, x, y):
+        """l-exponents add; s^2 = -s*l, s*x_j = 0, and nothing above the truncation."""
+        a1, j1, b1 = self._key[x]
+        a2, j2, b2 = self._key[y]
+        if j1 and j2:
+            raise ValueError(f"{self.name} has no products of two symbols: {x} * {y}")
+        a, j, b, c = a1 + a2, j1 + j2, b1 + b2, 1
+        if b == 2:  # s^2 = -s*l
+            a, b, c = a + 1, 1, -1
+        if b and j:  # s * x_j = 0
+            return {}
+        label = self._label.get((a, j, b))
         return {} if label is None else {label: c}
 
     def _generator(self, label: str) -> GradedClass:
@@ -99,7 +102,7 @@ class FamilyModel(_MonomialModel):
 
     def __init__(self, max_degree: int):
         keys = [
-            [(deg, (), 0)] + [(a, (deg - a + 1,), 0) for a in range(deg + 1)]
+            [(deg, 0, 0)] + [(a, deg - a + 1, 0) for a in range(deg + 1)]
             for deg in range(max_degree + 1)
         ]
         super().__init__(f"H<{max_degree}>", "t", keys)
@@ -109,21 +112,13 @@ class FamilyModel(_MonomialModel):
             raise ValueError("t_j needs j >= 1")
         return self._generator(f"t_{j}")
 
-    def _mul_labels(self, x, y):
-        a1, t1, _ = self._key[x]
-        a2, t2, _ = self._key[y]
-        if t1 and t2:
-            raise ValueError(f"the family model has no products of t-symbols: {x} * {y}")
-        return self._term((a1 + a2, t1 + t2, 0))
-
 
 class UniversalModel(_MonomialModel):
     """Total space of the universal family, truncated at max_degree, in normal form."""
 
     def __init__(self, max_degree: int):
         keys = [
-            [(a, es, 0) for a in range(deg + 1) for es in _index_tuples(deg - a)]
-            + ([(deg - 1, (), 1)] if deg else [])
+            [(a, deg - a, 0) for a in range(deg)] + [(deg, 0, 0)] + ([(deg - 1, 0, 1)] if deg else [])
             for deg in range(max_degree + 1)
         ]
         super().__init__(f"U<{max_degree}>", "e", keys)
@@ -137,16 +132,6 @@ class UniversalModel(_MonomialModel):
         if j < 1:
             raise ValueError("e_j needs j >= 1")
         return self._generator(f"e_{j}")
-
-    def _mul_labels(self, x, y):
-        a1, e1, s1 = self._key[x]
-        a2, e2, s2 = self._key[y]
-        a, es, s, c = a1 + a2, tuple(sorted(e1 + e2)), s1 + s2, 1
-        if s == 2:  # s^2 = -s*l
-            a, s, c = a + 1, 1, -1
-        if s and es:  # s * e_j = 0
-            return {}
-        return self._term((a, es, s), c)
 
     # -- classes used in the derivation -----------------------------------
 
@@ -266,6 +251,8 @@ def model_ring(n: int, d: int, k_max: int) -> UniversalModel:
     """
     if not 0 <= d <= n - 1:
         raise ValueError(f"need 0 <= d <= n-1, got n={n}, d={d}")
+    if k_max < 0:
+        raise ValueError(f"need k_max >= 0, got {k_max}")
     return _universal_ring(k_max + 1)
 
 
@@ -273,17 +260,15 @@ def push_pi(x: GradedClass) -> GradedClass:
     """Pushforward down the universal P^1-bundle, into the family model.
 
     q(l)*s maps to q(l); pure powers of l map to 0; l^a*e_j maps to l^a*t_j.
-    Products of two or more e-symbols have no expressible pushforward and are
-    rejected (they never occur in the derivation).
+    Every monomial of U is one of these, since U holds no product of two
+    e-symbols.
     """
     fam = x.ring.family
     out: dict[str, Fraction] = {}
     for label, c in x.terms.items():
-        a, es, s = x.ring._key[label]
-        if len(es) > 1:
-            raise ValueError(f"pushforward of a product of e-symbols is undefined: {label}")
-        if s or es:  # distinct labels have distinct images
-            out[fam._label[(a, es, 0)]] = c
+        a, j, s = x.ring._key[label]
+        if s or j:  # distinct labels have distinct images
+            out[fam._label[(a, j, 0)]] = c
     return GradedClass(fam, out)
 
 

@@ -450,9 +450,10 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
-# stdout digests recorded before the suites moved out of the CLI (the last,
-# at the benchmark's size, before claim31 took its powers from per-ring
-# tables); the JSON echoes argv, so each digest holds for exactly this argv
+# stdout digests recorded before the suites moved out of the CLI (claim31 at
+# the benchmark's size before it took its powers from per-ring tables, and
+# prop11-sym at that size while U still held products of e-symbols); the JSON
+# echoes argv, so each digest holds for exactly this argv
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "claim31", "--n-max", "6", "--d-max", "5", "--k-max", "4"),
      "56fac2d770ed3abb89b9b9690c8211f7aaeeb863d3c804a9d27530220cea6901"),
@@ -466,6 +467,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
      "cb6b16f345b4f2bb6a5c9446bf74345d0781f680c0277f1fc0157dbf7927609a"),
     (("verify", "claim31", "--n-max", "12", "--d-max", "11", "--k-max", "8"),
      "b5bfb443088a48558bdeb6a7c3bdf045e2e5c8dc165562743acbf79b97d33cf0"),
+    (("verify", "prop11-sym", "--n-max", "12", "--d-max", "11", "--k-max", "8"),
+     "1121e3ba87d5881b5745f8aa7202adbc17f84d1d5728d1ae84cc63d703eb4343"),
 ])
 def test_verify_suite_golden_json(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

@@ -116,9 +116,20 @@ def test_push_pi_spec_values():
 
 
 def test_push_pi_rejects_e_products():
+    # U holds no product of two e-symbols, so forming one raises before any pushforward
     u = model_ring(5, 2, 4)
-    with pytest.raises(ValueError):
-        push_pi(u.e(1) * u.e(2))
+    with pytest.raises(ValueError, match="no products of two symbols: e_1 \\* e_2"):
+        u.e(1) * u.e(2)
+
+
+def test_universal_basis_is_one_symbol_per_monomial():
+    # degree m > 0: l^m, l^a*e_(m-a) for a < m, and l^(m-1)*s
+    for m in range(0, 10):
+        u = UniversalModel(m)
+        assert [len(u.basis(deg)) for deg in range(m + 1)] == [1] + [deg + 2 for deg in range(1, m + 1)]
+    assert len(UniversalModel(9).basis()) == 64
+    assert UniversalModel(3).basis(3) == ("e_3", "l*e_2", "l^2*e_1", "l^3", "l^2*s")
+    assert FamilyModel(2).basis(2) == ("l^2", "t_3", "l*t_2", "l^2*t_1")
 
 
 def test_symbolic_models_reject_negative_powers_and_mixed_truncations():
@@ -140,8 +151,10 @@ def test_symbolic_models_reject_integrals_and_t_products():
     fam = u.family
     with pytest.raises(ValueError):
         (u.ell() ** 5).integrate()
-    with pytest.raises(ValueError):
-        fam.t(2) * fam.t(3)
+    # one rule refuses a product of two symbols on both models, even above the truncation
+    for product in (lambda: u.e(1) * u.e(2), lambda: u.e(2) * u.e(4), lambda: fam.t(2) * fam.t(3)):
+        with pytest.raises(ValueError, match=r"^[UH]<\d+> has no products of two symbols: "):
+            product()
     assert u.sigma() * u.e(2) == u.zero()
     assert u.e(6).is_zero()  # above the truncation
 
@@ -168,7 +181,8 @@ class _WrongSquare(UniversalModel):
     def _mul_labels(self, x, y):
         (a1, _, s1), (a2, _, s2) = self._key[x], self._key[y]
         if s1 + s2 == 2:
-            return self._term((a1 + a2 + 1, (), 1))
+            label = self._label.get((a1 + a2 + 1, 0, 1))
+            return {} if label is None else {label: 1}
         return super()._mul_labels(x, y)
 
 
@@ -241,6 +255,14 @@ def test_symbolic_specializations_present():
 def test_model_ring_validation():
     with pytest.raises(ValueError):
         model_ring(3, 3, 4)  # d must be <= n-1
+
+
+@pytest.mark.parametrize("check", [verify_claim31, verify_prop11_symbolic])
+def test_symbolic_checks_refuse_negative_truncation(check):
+    # claim31 used to die on an unknown basis label, prop11-sym to pass with no checks
+    with pytest.raises(ValueError, match="need k_max >= 0, got -1"):
+        check(5, 2, -1)
+    assert check(5, 2, 0).ok
 
 
 def test_concrete_and_symbolic_formula_agree():
