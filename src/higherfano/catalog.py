@@ -3,9 +3,10 @@
 Each PolarizedPair stores a polarized variety (Y, L) through its numerical
 lattice: a divisor basis, a curve basis, the intersection pairing between
 them, the canonical class, the polarization, and generators of the nef and
-Mori cones.  Ampleness is decided by pairing against the Mori generators
-(the nef cone is dual to the Mori cone); no general positivity algorithm is
-involved, since every catalog entry has a classical finite cone description.
+Mori cones.  Every such lattice is integral, so its numbers are ints.
+Ampleness is decided by pairing against the Mori generators (the nef cone is
+dual to the Mori cone); no general positivity algorithm is involved, since
+every catalog entry has a classical finite cone description.
 
 The `structure` tag records how the pair was built (product, blowup, divisor
 in a product, ...).  It is honest catalog data and it is needed: the pairs
@@ -18,7 +19,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 CATALOG_VERSION = "1"
 
@@ -26,11 +27,7 @@ AMPLE = "AMPLE"
 NEF_ONLY = "NEF_ONLY"
 NEITHER = "NEITHER"
 
-Vector = tuple[Fraction, ...]
-
-
-def _vec(xs: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+Vector = tuple[int, ...]
 
 
 class UnsupportedPairError(ValueError):
@@ -58,19 +55,18 @@ class PolarizedPair:
     def picard_rank(self) -> int:
         return len(self.divisor_basis)
 
-    def intersect(self, divisor: Sequence, curve: Sequence) -> Fraction:
-        # the pairing is Fractions, so int inputs need no conversion
+    def intersect(self, divisor: Sequence, curve: Sequence) -> int:
         return sum(
             divisor[i] * self.pairing[i][j] * curve[j]
             for i in range(len(self.divisor_basis))
             for j in range(len(self.curve_basis))
         )
 
-    def degrees_on_mori(self, divisor: Sequence) -> tuple[Fraction, ...]:
+    def degrees_on_mori(self, divisor: Sequence) -> tuple[int, ...]:
         return tuple(self.intersect(divisor, r) for r in self.mori_generators)
 
     @property
-    def pseudoindex(self) -> Fraction:
+    def pseudoindex(self) -> int:
         return min(self.degrees_on_mori([-x for x in self.K]))
 
     def is_ample(self, divisor: Sequence) -> bool:
@@ -110,22 +106,12 @@ def twist_class(pair: PolarizedPair) -> Vector:
     return tuple(-2 * k - pair.dim * l for k, l in zip(pair.K, pair.L))
 
 
-# the twist status by (dim, pairing, Mori generators, *K, *L): the status reads only these
-# numbers, and a census repeats them under distinct labels.  K and L are spliced in, since
-# both have the length the pairing gives them, so an entry keeps no tuple of its own for them
-_twist_status: dict[tuple, str] = {}
-
-
 def positivity_of_twist(pair: PolarizedPair) -> str:
     """AMPLE / NEF_ONLY / NEITHER for -2K - dim*L, by pairing with the Mori generators."""
-    key = (pair.dim, pair.pairing, pair.mori_generators, *pair.K, *pair.L)
-    status = _twist_status.get(key)
-    if status is None:
-        status = _twist_status[key] = tri_state(pair.degrees_on_mori(twist_class(pair)))
-    return status
+    return tri_state(pair.degrees_on_mori(twist_class(pair)))
 
 
-def extremal_L_degrees(pair: PolarizedPair) -> tuple[Fraction, ...]:
+def extremal_L_degrees(pair: PolarizedPair) -> tuple[int, ...]:
     """The polarization paired with each Mori generator."""
     return pair.degrees_on_mori(pair.L)
 
@@ -133,9 +119,8 @@ def extremal_L_degrees(pair: PolarizedPair) -> tuple[Fraction, ...]:
 # -- constructors --------------------------------------------------------------
 
 
-# pairing, nef and Mori generators of every rank-one pair, shared so that the twist memo
-# keeps one copy of them
-_RANK_ONE = (_vec([1]),)
+# pairing, nef and Mori generators of every rank-one pair
+_RANK_ONE = ((1,),)
 
 
 def pair_picard_one(label: str, dim: int, index: int, degree: int, structure: str) -> PolarizedPair:
@@ -146,8 +131,8 @@ def pair_picard_one(label: str, dim: int, index: int, degree: int, structure: st
         divisor_basis=("h",),
         curve_basis=("l",),
         pairing=_RANK_ONE,
-        K=_vec([-index]),
-        L=_vec([degree]),
+        K=(-index,),
+        L=(degree,),
         nef_generators=_RANK_ONE,
         mori_generators=_RANK_ONE,
         structure=structure,
@@ -181,14 +166,12 @@ def pair_product(a: PolarizedPair, b: PolarizedPair) -> PolarizedPair:
     ca, cb = len(a.curve_basis), len(b.curve_basis)
 
     def pad_div(v: Vector, left: bool) -> Vector:
-        return v + (Fraction(0),) * rb if left else (Fraction(0),) * ra + v
+        return v + (0,) * rb if left else (0,) * ra + v
 
     def pad_cur(v: Vector, left: bool) -> Vector:
-        return v + (Fraction(0),) * cb if left else (Fraction(0),) * ca + v
+        return v + (0,) * cb if left else (0,) * ca + v
 
-    pairing = tuple(row + (Fraction(0),) * cb for row in a.pairing) + tuple(
-        (Fraction(0),) * ca + row for row in b.pairing
-    )
+    pairing = tuple(row + (0,) * cb for row in a.pairing) + tuple((0,) * ca + row for row in b.pairing)
     pol = ",".join(str(x) for x in a.L + b.L)
     core_a = a.label.split("(")[0]
     core_b = b.label.split("(")[0]
@@ -227,11 +210,11 @@ def pair_linear_blowup(ambient_dim: int, center_dim: int, label: str | None = No
         dim=n,
         divisor_basis=("H", "E"),
         curve_basis=("l", "e"),
-        pairing=(_vec([1, 0]), _vec([0, -1])),
-        K=_vec([-(n + 1), codim - 1]),
-        L=_vec([2, -1]),
-        nef_generators=(_vec([1, 0]), _vec([1, -1])),
-        mori_generators=(_vec([1, -1]), _vec([0, 1])),
+        pairing=((1, 0), (0, -1)),
+        K=(-(n + 1), codim - 1),
+        L=(2, -1),
+        nef_generators=((1, 0), (1, -1)),
+        mori_generators=((1, -1), (0, 1)),
         structure="blowup",
     )
 
@@ -251,11 +234,11 @@ def pair_divisor_11(a: int, b: int, label: str | None = None) -> PolarizedPair:
         dim=a + b - 1,
         divisor_basis=("h1", "h2"),
         curve_basis=("l1", "l2"),
-        pairing=(_vec([1, 0]), _vec([0, 1])),
-        K=_vec([-a, -b]),
-        L=_vec([1, 1]),
-        nef_generators=(_vec([1, 0]), _vec([0, 1])),
-        mori_generators=(_vec([1, 0]), _vec([0, 1])),
+        pairing=((1, 0), (0, 1)),
+        K=(-a, -b),
+        L=(1, 1),
+        nef_generators=((1, 0), (0, 1)),
+        mori_generators=((1, 0), (0, 1)),
         structure="divisor_in_product",
     )
 
@@ -381,6 +364,11 @@ def catalog_to_json() -> str:
 # -- verification suite -----------------------------------------------------------
 
 
+def _shown(v: Vector) -> str:
+    """A lattice tuple as the report has always printed it: the repr of its Fractions."""
+    return str(tuple(map(Fraction, v)))
+
+
 def verify_catalog(m_max: int) -> list[dict]:
     """The catalog's checkable statements, one {check, ok, detail} item each.
 
@@ -408,12 +396,12 @@ def verify_catalog(m_max: int) -> list[dict]:
         if pair.picard_rank == 1 and pair.L[0] > 1:
             continue  # the stated exceptions (P^d, O(2)) and (P^1, O(3))
         degs = extremal_L_degrees(pair)
-        add(f"L.R = 1 ({pair.label})", all(v == 1 for v in degs), f"degrees={degs}")
+        add(f"L.R = 1 ({pair.label})", all(v == 1 for v in degs), f"degrees={_shown(degs)}")
     p1o3 = pair_projective_space(1, 3)
-    add("twist of (P1, O3) = 1", twist_class(p1o3) == (1,), str(twist_class(p1o3)))
+    add("twist of (P1, O3) = 1", twist_class(p1o3) == (1,), _shown(twist_class(p1o3)))
     for d in range(1, 9):
         pd = pair_projective_space(d, 2)
-        add(f"twist of (P{d}, O2) = 2h", twist_class(pd) == (2,), str(twist_class(pd)))
+        add(f"twist of (P{d}, O2) = 2h", twist_class(pd) == (2,), _shown(twist_class(pd)))
     for pair in catalog_entries():
         add(f"L ample ({pair.label})", pair.is_ample(pair.L))
         add(f"-K ample ({pair.label})", pair.is_ample([-x for x in pair.K]))

@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from . import catalog as cat
@@ -52,10 +53,10 @@ def _coeff_string(witnesses) -> str:
     return ";".join(f"{label}:{value}" for label, value in witnesses)
 
 
-def compute_row(spec_text: str, k: int) -> dict:
+def compute_row(spec: fam.FamilySpec, k: int) -> dict:
     """One check/census row: the consistency report of the spec at k, as a row dict."""
-    report = fam.consistency_check(fam.parse_spec(spec_text), k)
-    spec, verdict = report.spec, report.verdict
+    report = fam.consistency_check(spec, k)
+    verdict = report.verdict
     return {
         "params": spec.text(),
         "kind": spec.kind,
@@ -71,11 +72,7 @@ def compute_row(spec_text: str, k: int) -> dict:
     }
 
 
-def _census_row(args: tuple[str, int]) -> dict:
-    return compute_row(*args)
-
-
-def _census_specs(ns) -> list[str]:
+def _census_specs(ns) -> list[fam.FamilySpec]:
     kind = ns.kind
     specs: list[fam.FamilySpec] = []
     # only a CI census reads --n (without --n-range) and --max-c, and only the
@@ -96,6 +93,10 @@ def _census_specs(ns) -> list[str]:
             raise UsageError("census CI needs --n or --n-range")
         n_values = _parse_range(ns.n_range) if ns.n_range else [ns.n]
         for n in n_values:
+            # P^n itself is the largest spec on P^n and the bound reads n alone, so an
+            # over-bound n that can yield a row is refused before its tuples are listed
+            if n >= ns.k:
+                fam.check_ambient_bound(fam.ci(n, ()))
             for degrees in fam.enumerate_fano_ci(n, 2 if ns.max_c is None else ns.max_c):
                 specs.append(fam.ci(n, degrees))
     else:
@@ -114,7 +115,7 @@ def _census_specs(ns) -> list[str]:
     for s in specs:
         fam.check_ambient_bound(s)
     specs.sort(key=lambda s: (s.kind, s.k, s.n, s.degrees))
-    return [s.text() for s in specs]
+    return specs
 
 
 def _render_csv(items: list[dict]) -> str:
@@ -247,20 +248,20 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.cmd == "check":
-            items = [compute_row(ns.spec, ns.k)]
+            items = [compute_row(fam.parse_spec(ns.spec), ns.k)]
             passed = bool(items[0]["agree"])
         elif ns.cmd == "census":
             if ns.jobs < 1:
                 raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
-            spec_texts = _census_specs(ns)
-            tasks = [(text, ns.k) for text in spec_texts]
+            specs = _census_specs(ns)
+            row = partial(compute_row, k=ns.k)
             # more workers than cores or rows only cost processes
-            jobs = min(ns.jobs, os.cpu_count() or 1, len(tasks))
+            jobs = min(ns.jobs, os.cpu_count() or 1, len(specs))
             if jobs > 1:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    items = list(pool.map(_census_row, tasks))
+                    items = list(pool.map(row, specs))
             else:
-                items = [_census_row(t) for t in tasks]
+                items = list(map(row, specs))
             passed = all(item["agree"] for item in items)
         elif ns.cmd == "minimal-family":
             pair = fam.minimal_pair(fam.parse_spec(ns.spec))

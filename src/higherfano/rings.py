@@ -457,16 +457,15 @@ def check_graded(
     return tuple(classes)
 
 
-def check_basis_size(space: str, formula: str, count: int, bound: int, classes: str = "classes") -> None:
+def check_basis_size(space: str, formula: str, count: int | None, bound: int, classes: str = "classes") -> None:
     """ValueError if a basis of `count` labels (`formula` in the ring's parameters) exceeds bound.
 
-    It builds no label, so a caller can check a ring before building it.
+    A count of None is one known to exceed bound, left unevaluated: the message names only
+    its formula.  It builds no label, so a caller can check a ring before building it.
     """
-    if count > bound:
-        raise ValueError(
-            f"{space} has a basis of {formula} = {count} {classes}, "
-            f"more than the {bound} this tool builds"
-        )
+    if count is None or count > bound:
+        size = formula if count is None else f"{formula} = {count}"
+        raise ValueError(f"{space} has a basis of {size} {classes}, more than the {bound} this tool builds")
 
 
 def projective_space_ring(n: int, gen: str = "h") -> ProjectiveSpaceRing:

@@ -167,8 +167,15 @@ def _product(a: Partition, b: Partition, rows: int, cols: int) -> dict[str, int]
 
 
 def check_basis_bound(k: int, n: int) -> None:
-    """ValueError if the Schubert basis of G(k, n), C(n, k) labels, exceeds MAX_BASIS_LABELS."""
-    check_basis_size(f"G({k},{n})", f"C({n},{k})", comb(n, k), MAX_BASIS_LABELS, "Schubert classes")
+    """ValueError if the Schubert basis of G(k, n), C(n, k) labels, exceeds MAX_BASIS_LABELS.
+
+    C(n, k) >= 2^j for j = min(k, n-k), so from j = MAX_BASIS_LABELS.bit_length() (20) on it
+    is past the bound and is refused unevaluated: C(400000, 200000) has 120,000 digits.
+    Below that the exact count is cheap, with at most j times the digits of n.
+    """
+    huge = min(k, n - k) >= MAX_BASIS_LABELS.bit_length()
+    count = None if huge else comb(n, k)
+    check_basis_size(f"G({k},{n})", f"C({n},{k})", count, MAX_BASIS_LABELS, "Schubert classes")
 
 
 class GrassmannianRing(RingModel):

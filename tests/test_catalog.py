@@ -28,6 +28,7 @@ from higherfano.catalog import (
     tri_state,
     twist_class,
 )
+from higherfano.families import CI, G2P, ZERO_LOCI, minimal_pair, parse_spec
 
 
 def test_twist_examples():
@@ -52,8 +53,8 @@ def test_positivity_of_twist():
 
 
 def test_twist_status_is_keyed_on_the_numbers_not_the_label():
-    # the memoised status must equal a fresh pairing for every pair, whatever the order of
-    # the calls, and a relabelled pair must read the same status
+    # the status must equal a fresh pairing for every pair, whatever the order of the
+    # calls, and a relabelled pair must read the same status
     pairs = [pair_projective_space(d, m) for d in range(1, 7) for m in range(1, 6)]
     pairs += [pair_quadric(d) for d in range(1, 7)] + [pair_divisor_11(a, b) for a in (1, 2) for b in (2, 3)]
     for pair in pairs + pairs[::-1]:
@@ -64,6 +65,17 @@ def test_twist_status_is_keyed_on_the_numbers_not_the_label():
     p3 = pair_picard_one("P", 3, 4, 1, "projective_space")
     statuses = [positivity_of_twist(replace(p3, L=(Fraction(m, 3),))) for m in (7, 8, 9)]
     assert statuses == [AMPLE, NEF_ONLY, NEITHER]
+
+
+def test_every_pair_lattice_is_ints():
+    # one spec per kind with a minimal pair, and SG on both sides of n = 2k
+    specs = [parse_spec(t) for t in
+             ("CI[9;3]", "G[2,5]", "GH[3,7]", "OG[2,9]", "SG[3,6]", "SG[3,12]", "SGdeg[3,9]", "G2P")]
+    assert {s.kind for s in specs} == {*ZERO_LOCI, CI, G2P}
+    for pair in (*catalog_entries(), *map(minimal_pair, specs)):
+        vectors = (*pair.pairing, pair.K, pair.L, *pair.nef_generators, *pair.mori_generators)
+        numbers = [x for v in vectors for x in v]
+        assert numbers and all(type(x) is int for x in numbers), pair.label
 
 
 def test_extremal_degrees():

@@ -226,7 +226,7 @@ def test_compute_row_runs_each_path_once(monkeypatch):
     for spec_text, k, characters in [("CI[9;3]", 2, 1), ("G[2,5]", 2, 1), ("CI[9;3]", 3, 1),
                                       ("PP[2,3]", 2, 1), ("G2P", 2, 0)]:
         calls.update(dict.fromkeys(names, 0))
-        assert compute_row(spec_text, k)["agree"] is True, spec_text
+        assert compute_row(fam.parse_spec(spec_text), k)["agree"] is True, spec_text
         expected = {"tangent_character": characters, "chk_verdict": 1, "threshold_oracle": 1}
         assert calls == expected, (spec_text, k)
 
@@ -286,11 +286,11 @@ def test_census_refuses_an_over_bound_spec_before_any_row(capsys, monkeypatch):
     argv = ["census", "G", "--k-range", "2", "--n-range", "4..7", "--format", "csv"]
     rows = []
 
-    def counting_row(task):
-        rows.append(task)
-        return compute_row(*task)
+    def counting_row(spec, k):
+        rows.append(spec)
+        return compute_row(spec, k)
 
-    monkeypatch.setattr(cli, "_census_row", counting_row)
+    monkeypatch.setattr(cli, "compute_row", counting_row)
     assert run_cli(capsys, *argv)[0] == 0 and len(rows) == 4
     # G[2,7] is the last spec in row order and the only one above the bound:
     # it used to be refused only after the three rows before it
@@ -315,7 +315,7 @@ def test_over_bound_projective_ambients_are_refused_before_any_label(capsys, mon
         captured = capsys.readouterr()
         assert captured.out == "" and count in captured.err, spec
     rows = []
-    monkeypatch.setattr(cli, "_census_row", lambda task: rows.append(task))
+    monkeypatch.setattr(cli, "compute_row", lambda spec, k: rows.append(spec))
     assert main(["census", "CI", "--n-range", "2..12", "--max-c", "1", "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "P^10 has a basis of 10+1 = 11 classes" in captured.err
@@ -324,6 +324,63 @@ def test_over_bound_projective_ambients_are_refused_before_any_label(capsys, mon
     monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 12)
     assert run_cli(capsys, "check", "PP[2,3]")[0] == 0
     assert run_cli(capsys, "census", "CI", "--n-range", "2..11", "--max-c", "1", "--format", "csv")[0] == 0
+
+
+def test_over_bound_ci_census_is_refused_before_enumerating_it(capsys, monkeypatch):
+    listed = []
+    enumerate_fano_ci = fam.enumerate_fano_ci
+
+    def recording(n, max_c):
+        listed.append(n)
+        return enumerate_fano_ci(n, max_c)
+
+    monkeypatch.setattr(fam, "enumerate_fano_ci", recording)
+    monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 10)
+    # P^10 is the first ambient above the lowered bound: the census used to list the
+    # degree tuples of every n up to 12 before the bound saw a spec
+    assert main(["census", "CI", "--n-range", "2..12", "--max-c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "P^10 has a basis of 10+1 = 11 classes" in captured.err
+    assert listed == list(range(2, 10))
+    # every spec on P^n has dimension <= n, so an n below --k yields no row and meets no bound
+    assert run_cli(capsys, "census", "CI", "--n-range", "9..11", "--k", "12", "--format", "csv")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "G[200000,400000]"),
+    ("census", "G", "--k-range", "200000", "--n-range", "400000"),
+])
+def test_huge_grassmannian_is_refused_without_its_count(capsys, monkeypatch, argv):
+    def no_count(*args):
+        raise AssertionError("C(400000, 200000) has 120,000 digits and must not be evaluated")
+
+    # it used to spend seconds on the count, then fail to print it
+    monkeypatch.setattr(schubert, "comb", no_count)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: G(200000,400000) has a basis of C(400000,200000) Schubert classes, "
+        "more than the 1000000 this tool builds\n"
+    )
+
+
+def test_census_parses_no_spec_text(capsys, monkeypatch):
+    texts = []
+    parse_spec = fam.parse_spec
+
+    def recording(text):
+        texts.append(text)
+        return parse_spec(text)
+
+    monkeypatch.setattr(fam, "parse_spec", recording)
+    # each row used to print its spec to text and parse it back
+    for argv in (("CI", "--n-range", "2..8"), ("GH", "--k-range", "2..3", "--n-range", "4..8")):
+        assert run_cli(capsys, "census", *argv, "--format", "csv")[0] == 0
+    assert texts == []
+    # check parses its argument once
+    assert run_cli(capsys, "check", "GH[3,7]")[0] == 0
+    assert texts == ["GH[3,7]"]
 
 
 def test_census_requires_ranges(capsys):
@@ -358,7 +415,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_compute_row_product_kind():
-    row = compute_row("PP[2,3]", 2)
+    row = compute_row(fam.product_pn(2, 3), 2)
     assert row["verdict"] == "NEF_ONLY"
     assert row["oracle"] == "" and row["twist"] == ""
     assert row["agree"] is True
@@ -391,6 +448,25 @@ def test_minimal_family_golden_json(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "0f33847220ab6feb00d801de944ca7daf8bd6d697cd26b3e06d42d1606f1a931"
+
+
+# digests of the outputs that print pair lattices, recorded while the lattices were Fractions;
+# the GH census is the only pinned census with the twist column on (1,1)-divisors
+@pytest.mark.parametrize("argv, digest", [
+    (("minimal-family", "G[2,5]"), "ae8ee5b7091c1d942e86f870cb39b6d97083f945473fe224da1f688b799c57fd"),
+    (("minimal-family", "GH[3,7]"), "ff9ec46259803b758395799c09014c134c46e55ef1d300a8675571d9205f866a"),
+    (("minimal-family", "OG[2,9]"), "8fb4d6cd7e57b04a753f4398d324417cdebe14ac78639c3a1dc543bf8c0203ac"),
+    (("minimal-family", "SG[3,6]"), "33ae0c8a9446b689c50951c27517186471797b283301af164b4514f51595675a"),
+    (("minimal-family", "SG[3,12]"), "cb9d4afa69b553e6444c1ebc2e38bb0b294ebd185aca5b5273fcce0205ad8a82"),
+    (("minimal-family", "SGdeg[3,9]"), "e6cd7b4243869bb1b3b084785d0c9c971b75a4de77fcb371eb14fa180dd57d3a"),
+    (("minimal-family", "G2P"), "2278e9192f03b2c5742adc1d4ac7cb39ee202b43501040f1a6f7c5f5b97d7ec7"),
+    (("census", "GH", "--k-range", "2..5", "--n-range", "4..14", "--format", "csv"),
+     "76c98dfce47e2dd141b9d6d06fbadb228d0f5dbef6b95707b84e5f2531d7ca5b"),
+])
+def test_pair_facing_output_golden(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
