@@ -92,12 +92,17 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
         if ns.n is None and ns.n_range is None:
             raise UsageError("census CI needs --n or --n-range")
         n_values = _parse_range(ns.n_range) if ns.n_range else [ns.n]
+        max_c = 2 if ns.max_c is None else ns.max_c
+        if max_c < 0:
+            raise UsageError(f"max codimension must be >= 0, got {max_c}")
         for n in n_values:
-            # P^n itself is the largest spec on P^n and the bound reads n alone, so an
-            # over-bound n that can yield a row is refused before its tuples are listed
-            if n >= ns.k:
-                fam.check_ambient_bound(fam.ci(n, ()))
-            for degrees in fam.enumerate_fano_ci(n, 2 if ns.max_c is None else ns.max_c):
+            # every spec on P^n has dimension <= n, so an n below --k yields no row and its
+            # tuples are not listed; P^n itself is the largest spec on P^n and the bound
+            # reads n alone, so an over-bound n is refused before its tuples are listed
+            if n < ns.k:
+                continue
+            fam.check_ambient_bound(fam.ci(n, ()))
+            for degrees in fam.enumerate_fano_ci(n, max_c):
                 specs.append(fam.ci(n, degrees))
     else:
         if ns.k_range is None or ns.n_range is None:

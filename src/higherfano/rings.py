@@ -74,7 +74,7 @@ class GradedClass:
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, label: str) -> Fraction:
-        return self.terms.get(label, Fraction(0))
+        return self.terms.get(label, _ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -121,7 +121,7 @@ class GradedClass:
         self._check_ring(other)
         out = dict(self.terms)
         for l, c in other.terms.items():
-            out[l] = out.get(l, Fraction(0)) + c
+            out[l] = out.get(l, _ZERO) + c
         return GradedClass(self.ring, out)
 
     __radd__ = __add__

@@ -171,9 +171,11 @@ def check_basis_bound(k: int, n: int) -> None:
 
     C(n, k) >= 2^j for j = min(k, n-k), so from j = MAX_BASIS_LABELS.bit_length() (20) on it
     is past the bound and is refused unevaluated: C(400000, 200000) has 120,000 digits.
-    Below that the exact count is cheap, with at most j times the digits of n.
+    So is any n > MAX_BASIS_LABELS, since C(n, k) >= n for 1 <= k <= n-1: an n of
+    thousands of digits would otherwise give a count too long to print.  Below both the
+    exact count is cheap, with at most j times the digits of n.
     """
-    huge = min(k, n - k) >= MAX_BASIS_LABELS.bit_length()
+    huge = n > MAX_BASIS_LABELS or min(k, n - k) >= MAX_BASIS_LABELS.bit_length()
     count = None if huge else comb(n, k)
     check_basis_size(f"G({k},{n})", f"C({n},{k})", count, MAX_BASIS_LABELS, "Schubert classes")
 

@@ -346,6 +346,47 @@ def test_over_bound_ci_census_is_refused_before_enumerating_it(capsys, monkeypat
     assert run_cli(capsys, "census", "CI", "--n-range", "9..11", "--k", "12", "--format", "csv")[0] == 0
 
 
+def test_ci_census_lists_no_tuples_below_k(capsys, monkeypatch):
+    listed = []
+    enumerate_fano_ci = fam.enumerate_fano_ci
+
+    def recording(n, max_c):
+        listed.append(n)
+        return enumerate_fano_ci(n, max_c)
+
+    monkeypatch.setattr(fam, "enumerate_fano_ci", recording)
+    # no spec on P^n has dimension above n, so the n below --k used to be listed for nothing
+    argv = ["census", "CI", "--k", "10", "--max-c", "2", "--format", "csv", "--n-range"]
+    code, out = run_cli(capsys, *argv, "1..12")
+    assert code == 0 and listed == [10, 11, 12]
+    assert len(out.splitlines()) == 43 and run_cli(capsys, *argv, "10..12") == (0, out)
+    listed.clear()
+    assert run_cli(capsys, "census", "CI", "--n-range", "1..60", "--k", "100", "--max-c", "4")[0] == 0
+    assert listed == []
+    # a negative --max-c is refused even where no n reaches the enumeration that used to refuse it
+    assert main(["census", "CI", "--n-range", "1..5", "--k", "100", "--max-c", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: max codimension must be >= 0, got -1\n"
+    assert listed == []
+
+
+def test_grassmannian_past_the_bound_in_n_is_refused_without_its_count(capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("C(n, 2) >= n is past the bound for every n > MAX_BASIS_LABELS")
+
+    monkeypatch.setattr(schubert, "comb", no_count)
+    # n of 2,301 digits: its count used to be evaluated and then fail to print
+    n = "1" + "0" * 2300
+    assert main(["check", f"G[2,{n}]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: G(2,{n}) has a basis of C({n},2) Schubert classes, more than the 1000000 this tool builds\n"
+    )
+    assert main(["check", "G[2,1000001]"]) == 2
+    assert "C(1000001,2) Schubert classes, more than the 1000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "G[200000,400000]"),
     ("census", "G", "--k-range", "200000", "--n-range", "400000"),

@@ -1,3 +1,6 @@
+import csv
+import io
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -350,6 +353,55 @@ def test_cached_ambient_characters_stay_equal_to_a_fresh_computation():
         h = fam.ambient_ring(fam.ci(n, ())).hyperplane()
         for d in (1,) + degrees:
             assert fam._pn_line(n, d, k) == line_character(d * h, k), (n, d, k)
+
+
+def test_ci_prefix_memo_matches_the_euler_sequence_in_any_order():
+    # a census reads the rows in sorted order, where every prefix is still in the memo;
+    # a shuffled order evicts prefixes and rebuilds them, which must change no value
+    import random
+
+    fam._ci_tangent.cache_clear()
+    visits = [
+        (fam.ci(n, degrees), cap)
+        for n in range(1, 13)
+        for degrees in enumerate_fano_ci(n, 4)
+        for cap in range(1, n - len(degrees) + 1)
+    ]
+    random.Random(20090).shuffle(visits)
+    for spec, cap in visits:
+        assert tangent_character(spec, cap) == _euler_sequence_character(spec.n, spec.degrees, cap), (spec, cap)
+    info = fam._ci_tangent.cache_info()
+    assert info.currsize <= info.maxsize < len(visits) < info.misses
+
+
+def test_ci_census_builds_each_row_by_one_subtraction(monkeypatch):
+    from higherfano import cli
+    from higherfano.bundles import CharacterVector
+
+    subtractions = []
+    sub = CharacterVector.__sub__
+
+    def counting(x, y):
+        subtractions.append(x.rank)
+        return sub(x, y)
+
+    monkeypatch.setattr(CharacterVector, "__sub__", counting)
+    for memo in (fam._ci_tangent, fam._pn_tangent, fam._pn_line):
+        memo.cache_clear()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["census", "CI", "--n-range", "2..22", "--max-c", "3", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    extended = [r for r in rows if not r["params"].endswith(";]")]
+    assert len(rows) == 1731 and len(extended) == 1710
+    info = fam._ci_tangent.cache_info()
+    assert info.currsize <= info.maxsize
+    # a row of two or more degrees reads its prefix row from the memo; a row of one degree
+    # reads P^n's character, which may have left the memo but costs no subtraction to rebuild
+    assert info.hits >= sum("," in r["params"] for r in rows)
+    # so each extended row subtracts one line from its prefix; the other 21 subtractions
+    # are the Euler sequences of P^2 .. P^22
+    assert len(subtractions) == len(extended) + 21
 
 
 def _two_recursion_tangent(spec, cap):
