@@ -75,6 +75,9 @@ def compute_row(spec: fam.FamilySpec, k: int) -> dict:
 def _census_specs(ns) -> list[fam.FamilySpec]:
     kind = ns.kind
     specs: list[fam.FamilySpec] = []
+    # every row fails below k = 2, so whether a census gets that far must not
+    # depend on its ranges: refuse it before any spec is listed
+    fam.check_verdict_index(ns.k)
     # only a CI census reads --n (without --n-range) and --max-c, and only the
     # other kinds read --k-range; anywhere else a flag would be dropped unread
     if ns.n is not None and kind != fam.CI:

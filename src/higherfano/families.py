@@ -33,7 +33,6 @@ from .bundles import (
     CharacterVector,
     adams,
     adams_product,
-    chern_to_character,
     dual,
     euler_character,
     line_character,
@@ -43,7 +42,7 @@ from .bundles import (
 )
 from .catalog import PolarizedPair
 from .rings import RingModel, check_basis_size, product_ring, projective_space_ring
-from .schubert import GrassmannianRing, grassmannian_ring, partition_label, tautological_chern
+from .schubert import GrassmannianRing, grassmannian_ring, partition_label, sdual_character
 
 POSITIVE = "POSITIVE"
 NEF_ONLY = "NEF_ONLY"
@@ -280,8 +279,9 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
 
         ch(T_G) = n*ch(S^dual) - ch(End S),   ch(End S) = ch(S^dual) * psi^(-1) ch(S^dual),
 
-    and each row runs Newton's identities once, on S^dual.  End S is self-dual,
-    so ch(End S) has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
+    and ch(S^dual) is read off the hook classes by schubert.sdual_character,
+    with no product and no Newton recursion.  End S is self-dual, so
+    ch(End S) has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
     For the zero-locus families the components are the ambient classes whose
     restrictions give ch(T_X): ch(T_G) minus the character of each summand of
     the normal bundle named in ZERO_LOCI.
@@ -293,7 +293,7 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     if spec.kind == PRODUCT_PN:
         h1, h2 = ring.monomial("h1"), ring.monomial("h2")
         return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)
-    sdual = chern_to_character(tautological_chern(ring, "sub-dual"), spec.k, ring, cap)
+    sdual = sdual_character(ring, cap)
     ch = sdual * spec.n - adams_product(sdual, -1)
     for summand in ZERO_LOCI[spec.kind][0]:
         ch = ch - _SUMMANDS[summand][1](sdual)
@@ -330,6 +330,12 @@ class Verdict:
     character: CharacterVector | None = field(default=None, repr=False, compare=False)
 
 
+def check_verdict_index(k: int) -> None:
+    """InvalidFamilyError unless ch_k is one a verdict decides, k >= 2."""
+    if k < 2:
+        raise InvalidFamilyError("verdicts are for k >= 2")
+
+
 def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
     """Positivity of ch_k decided by pairing against the dual basis.
 
@@ -338,8 +344,7 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
     boundary SG[k,2k] the two ambient degree-2 duals restrict to a single
     effective class (b_4 = 1), so the verdict uses the collapsed pairing.
     """
-    if k < 2:
-        raise InvalidFamilyError("verdicts are for k >= 2")
+    check_verdict_index(k)
     if spec.kind == G2P:
         if k != 2:
             raise InvalidFamilyError("the G2 fivefold is a fact record for k = 2 only")

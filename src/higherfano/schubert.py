@@ -22,9 +22,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Iterator
 
+from .bundles import CharacterVector
 from .rings import DegreeError, GradedClass, RingModel, check_basis_size
 
 Partition = tuple[int, ...]
@@ -268,6 +269,30 @@ def tautological_chern(ring: GrassmannianRing, which: str) -> tuple[GradedClass,
     if which == "sub-dual":
         return tuple(ring.sigma((1,) * i) for i in range(1, ring.k + 1))
     raise ValueError("which must be 'sub-dual' or 'quotient'")
+
+
+def sdual_character(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
+    """ch(S^dual) up to degree cap, read off the hook classes with no product.
+
+    With x the Chern roots of S^dual, sigma_lam = s_lam(x), and the power sum
+    p_j(x) is the alternating sum of the hooks of size j (the one-part case of
+    the Murnaghan-Nakayama rule; Macdonald, Symmetric Functions and Hall
+    Polynomials, I.7):
+
+        p_j = sum_b (-1)^b sigma[j-b, 1^b],   ch_j = p_j / j!,
+
+    where only the hooks inside the k x (n-k) box, max(0, j-(n-k)) <= b <= min(j, k)-1,
+    are nonzero.  It equals Newton's identities on c_i(S^dual) = sigma[1^i].
+    """
+    cap = ring.dimension if cap is None else cap
+    comps = []
+    for j in range(1, cap + 1):
+        scale = Fraction(1, factorial(j))
+        hooks = range(max(0, j - ring.cols), min(j, ring.k))
+        comps.append(GradedClass(ring, {
+            ring._basis_label((j - b,) + (1,) * b): -scale if b % 2 else scale for b in hooks
+        }))
+    return CharacterVector(ring, ring.k, comps)
 
 
 def dual_pairing(x: GradedClass, mu: Iterable[int]) -> Fraction:

@@ -207,6 +207,20 @@ def test_zero_locus_census_golden_csv(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# digests of deep zero-locus censuses, recorded while ch(S^dual) came from Newton's identities:
+# they pin Sym^2 and Lambda^2 of ch(S^dual) at degrees up to 6
+@pytest.mark.parametrize("argv, digest", [
+    (("census", "SG", "--k", "6", "--k-range", "3..4", "--n-range", "8..12"),
+     "4325bf5afa7b2e3c43b43721115391109621ab2b6e6338ebff0df38d044bc16c"),
+    (("census", "OG", "--k", "5", "--k-range", "2..3", "--n-range", "8..14"),
+     "9b7f135ebb928fa7f45f9520fa75b3e1aaf07daed12b2f13e5b4104c2e657231"),
+])
+def test_deep_zero_locus_census_golden_csv(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_compute_row_runs_each_path_once(monkeypatch):
     names = ("tangent_character", "chk_verdict", "threshold_oracle")
     calls = dict.fromkeys(names, 0)
@@ -344,6 +358,21 @@ def test_over_bound_ci_census_is_refused_before_enumerating_it(capsys, monkeypat
     assert listed == list(range(2, 10))
     # every spec on P^n has dimension <= n, so an n below --k yields no row and meets no bound
     assert run_cli(capsys, "census", "CI", "--n-range", "9..11", "--k", "12", "--format", "csv")[0] == 0
+
+
+def test_census_refuses_k_below_two_before_listing_specs(capsys, monkeypatch):
+    listed = []
+    monkeypatch.setattr(fam, "enumerate_fano_ci", lambda n, max_c: listed.append(n) or [])
+    # the first range holds no spec and used to print an empty census with exit 0;
+    # the second holds two and used to fail on the first row
+    for k_range in ("9..9", "2..2"):
+        assert main(["census", "G", "--k", "1", "--k-range", k_range, "--n-range", "4..5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: verdicts are for k >= 2\n"
+    # a CI census used to list every degree tuple before its first row failed
+    assert main(["census", "CI", "--k", "1", "--n-range", "2..30", "--max-c", "3"]) == 2
+    assert capsys.readouterr().err == "error: verdicts are for k >= 2\n"
+    assert listed == []
 
 
 def test_ci_census_lists_no_tuples_below_k(capsys, monkeypatch):

@@ -7,8 +7,8 @@ from math import factorial
 
 import pytest
 
+from higherfano import bundles, schubert
 from higherfano import families as fam
-from higherfano import schubert
 from higherfano.bundles import (
     character_to_chern,
     chern_to_character,
@@ -440,18 +440,24 @@ def test_grassmannian_tangent_matches_the_two_recursion_construction():
             assert ch.rank == dim_x(spec) and ch.cap == cap
 
 
-def test_grassmannian_row_runs_newton_once(monkeypatch):
-    calls = []
+def test_grassmannian_row_builds_sdual_from_hooks_without_newton(monkeypatch):
+    newton, hooks = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
+    def counted_newton(*args, **kwargs):
+        newton.append(args)
         return chern_to_character(*args, **kwargs)
 
-    monkeypatch.setattr(fam, "chern_to_character", counted)
+    def counted_hooks(*args, **kwargs):
+        hooks.append(args)
+        return schubert.sdual_character(*args, **kwargs)
+
+    monkeypatch.setattr(bundles, "chern_to_character", counted_newton)
+    monkeypatch.setattr(fam, "sdual_character", counted_hooks)
     for spec in _grassmannian_kind_specs((2, 3), 9):
-        calls.clear()
+        hooks.clear()
         tangent_character(spec, 3)
-        assert calls == [spec.k], spec
+        assert len(hooks) == 1, spec
+    assert newton == []
 
 
 def test_grassmannian_row_builds_only_the_degrees_it_reads(monkeypatch):
@@ -465,9 +471,9 @@ def test_grassmannian_row_builds_only_the_degrees_it_reads(monkeypatch):
     monkeypatch.setattr(fam, "_grass_ring", grassmannian_ring)
     rep = consistency_check(fam.FamilySpec(fam.GRASS, k=8, n=18), 2)
     assert rep.agree
-    # tautological_chern builds sigma_{1^i} for i <= rank S^dual = 8, and the
+    # ch(S^dual) up to the cap reads the hooks of degrees 1 and 2, and the
     # verdict reads degree 2; nothing else of the 1 + 80 degrees is built
-    assert sizes and max(sizes) <= 8, sorted(set(sizes))
+    assert sizes and max(sizes) <= 2, sorted(set(sizes))
 
 
 @pytest.mark.parametrize("text, message", [

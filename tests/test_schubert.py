@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from higherfano import cli, schubert
 from higherfano import families as fam
+from higherfano.bundles import chern_to_character
 from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
     conjugate,
@@ -19,6 +20,7 @@ from higherfano.schubert import (
     partitions_in_box,
     pieri,
     pieri_shapes,
+    sdual_character,
     tautological_chern,
 )
 
@@ -119,6 +121,20 @@ def test_tautological_chern():
     assert tautological_chern(g14, "quotient")[0] == g14.sigma((1,))
     with pytest.raises(ValueError):
         tautological_chern(g25, "sub")
+
+
+def test_sdual_hook_rule_is_newton_on_its_chern_classes():
+    # Newton's identities on c_i(S^dual) = sigma[1^i] are the reference for the hook rule
+    rings = 0
+    for n in range(2, 15):
+        for k in range(1, n):
+            ring = grassmannian_ring(k, n)
+            cherns = tautological_chern(ring, "sub-dual")
+            for cap in range(1, min(ring.dimension, 12) + 1):
+                hooks = sdual_character(ring, cap)
+                assert hooks == chern_to_character(cherns, k, ring, cap), (k, n, cap)
+            rings += 1
+    assert rings == 91
 
 
 def test_whitney_product_is_one():
