@@ -175,30 +175,6 @@ def dual(x: CharacterVector) -> CharacterVector:
     return adams(x, -1)
 
 
-def adams_product(x: CharacterVector, t: int) -> CharacterVector:
-    """x * psi^t(x), multiplying each unordered pair of components once.
-
-    ch_k of the product is the sum over 0 <= i <= k/2 of w_i * x_i * x_(k-i), where
-    x_0 is the rank and the weight is w_i = t^i + t^(k-i), or t^i alone when 2i = k.
-    Pairs with a zero weight or a zero factor are skipped.  t = 1 gives x * x, and
-    t = -1 gives ch(E^dual (x) E) = ch(End E), whose odd components all vanish by the
-    weights alone.
-    """
-    r, comps = x.rank, x.components
-    out = []
-    for k in range(1, x.cap + 1):
-        w = 1 + t**k
-        acc = comps[k - 1] * (w * r) if w and r else x.ring.zero()
-        for i in range(1, k // 2 + 1):
-            j = k - i
-            w = t**i if i == j else t**i + t**j
-            xi, xj = comps[i - 1], comps[j - 1]
-            if w and not xi.is_zero() and not xj.is_zero():
-                acc = acc + (xi if w == 1 else xi * w) * xj
-        out.append(acc)
-    return CharacterVector(x.ring, r * r, out)
-
-
 def tensor_line(x: CharacterVector, divisor: GradedClass) -> CharacterVector:
     """Twist by a line bundle: multiply componentwise by e^D."""
     return x * line_character(divisor, cap=x.cap)
@@ -209,16 +185,21 @@ def _require_bundle_rank(x: CharacterVector) -> None:
         raise ValueError(f"plethysm needs a genuine bundle (nonnegative integral rank), got {x.rank}")
 
 
+def half_square(x: CharacterVector, square: CharacterVector, sign: int) -> CharacterVector:
+    """(square + sign * psi^2 x) / 2 for square = x * x: ch(Sym^2 E) at sign 1, ch(Lambda^2 E) at sign -1."""
+    _require_bundle_rank(x)
+    psi2 = adams(x, 2)
+    return (square + psi2 if sign > 0 else square - psi2) * Fraction(1, 2)
+
+
 def sym2_character(x: CharacterVector) -> CharacterVector:
     """ch(Sym^2 E) = (ch(E)^2 + psi^2 ch(E)) / 2."""
-    _require_bundle_rank(x)
-    return (adams_product(x, 1) + adams(x, 2)) * Fraction(1, 2)
+    return half_square(x, x * x, 1)
 
 
 def wedge2_character(x: CharacterVector) -> CharacterVector:
     """ch(Lambda^2 E) = (ch(E)^2 - psi^2 ch(E)) / 2."""
-    _require_bundle_rank(x)
-    return (adams_product(x, 1) - adams(x, 2)) * Fraction(1, 2)
+    return half_square(x, x * x, -1)
 
 
 def todd_line(divisor: GradedClass, cap: int | None = None) -> GradedClass:

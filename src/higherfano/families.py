@@ -32,17 +32,15 @@ from . import schubert
 from .bundles import (
     CharacterVector,
     adams,
-    adams_product,
     dual,
     euler_character,
+    half_square,
     line_character,
-    sym2_character,
     trivial_character,
-    wedge2_character,
 )
 from .catalog import PolarizedPair
 from .rings import RingModel, check_basis_size, product_ring, projective_space_ring
-from .schubert import GrassmannianRing, grassmannian_ring, partition_label, sdual_character
+from .schubert import GrassmannianRing, grassmannian_ring, partition_label, sdual_adams_product, sdual_character
 
 POSITIVE = "POSITIVE"
 NEF_ONLY = "NEF_ONLY"
@@ -72,12 +70,17 @@ ZERO_LOCI = {
 _GRASS_KINDS = tuple(ZERO_LOCI)
 
 # each normal summand on G(k,n): its rank, and its character from ch(S^dual), to the
-# same cap; the bundle functions are looked up when called, so a rebound name is seen
+# same cap; Sym^2 and Lambda^2 take ch(S^dual (x) S^dual) from the power-sum table
 _SUMMANDS = {
     "O(1)": (lambda k: 1, lambda sdual: line_character(sdual.ring.sigma((1,)), sdual.cap)),
-    "Sym2": (lambda k: k * (k + 1) // 2, lambda sdual: sym2_character(sdual)),
-    "Wedge2": (lambda k: k * (k - 1) // 2, lambda sdual: wedge2_character(sdual)),
+    "Sym2": (lambda k: k * (k + 1) // 2, lambda sdual: _half_square(sdual, 1)),
+    "Wedge2": (lambda k: k * (k - 1) // 2, lambda sdual: _half_square(sdual, -1)),
 }
+
+
+def _half_square(sdual: CharacterVector, sign: int) -> CharacterVector:
+    """ch(Sym^2 S^dual) at sign 1, ch(Lambda^2 S^dual) at sign -1, to sdual's cap."""
+    return half_square(sdual, sdual_adams_product(sdual.ring, 1, sdual.cap), sign)
 
 
 class InvalidFamilyError(ValueError):
@@ -277,14 +280,17 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     T_G = S^dual (x) Q, and the tautological sequence 0 -> S -> O^n -> Q -> 0
     turns it into n*S^dual - S^dual (x) S, so
 
-        ch(T_G) = n*ch(S^dual) - ch(End S),   ch(End S) = ch(S^dual) * psi^(-1) ch(S^dual),
+        ch(T_G) = n*ch(S^dual) - ch(End S),   ch(End S) = ch(S^dual) * psi^(-1) ch(S^dual).
 
-    and ch(S^dual) is read off the hook classes by schubert.sdual_character,
-    with no product and no Newton recursion.  End S is self-dual, so
-    ch(End S) has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
+    ch(S^dual) is read off the hook classes by schubert.sdual_character, and
+    ch(End S) off the memoised power-sum table of schubert.sdual_adams_product
+    (the Murnaghan-Nakayama rule on p_a * p_b), so ch(T_G) takes no class
+    product and no Newton recursion.  End S is self-dual, so ch(End S)
+    has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
     For the zero-locus families the components are the ambient classes whose
     restrictions give ch(T_X): ch(T_G) minus the character of each summand of
-    the normal bundle named in ZERO_LOCI.
+    the normal bundle named in ZERO_LOCI; Sym^2 and Lambda^2 read
+    ch(S^dual (x) S^dual) off the same table at t = 1.
     """
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
@@ -294,7 +300,7 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
         h1, h2 = ring.monomial("h1"), ring.monomial("h2")
         return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)
     sdual = sdual_character(ring, cap)
-    ch = sdual * spec.n - adams_product(sdual, -1)
+    ch = sdual * spec.n - sdual_adams_product(ring, -1, cap)
     for summand in ZERO_LOCI[spec.kind][0]:
         ch = ch - _SUMMANDS[summand][1](sdual)
     return ch

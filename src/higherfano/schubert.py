@@ -14,6 +14,11 @@ whose box holds that box reads the same dict, whose labels are strings equal
 to (not the same objects as) the basis's own; a ring registers the product's
 degree before a class reads those labels.  A ring builds the labels of a
 degree when that degree is first read.
+
+ch(S^dual), ch(End S) and ch(S^dual (x) S^dual) multiply no classes: they
+are read off the power sums of S^dual as hooks and border strips (the
+Murnaghan-Nakayama rule) by sdual_character and sdual_adams_product, whose
+integer table is memoised once per process in the same way.
 """
 
 from __future__ import annotations
@@ -282,17 +287,92 @@ def sdual_character(ring: GrassmannianRing, cap: int | None = None) -> Character
         p_j = sum_b (-1)^b sigma[j-b, 1^b],   ch_j = p_j / j!,
 
     where only the hooks inside the k x (n-k) box, max(0, j-(n-k)) <= b <= min(j, k)-1,
-    are nonzero.  It equals Newton's identities on c_i(S^dual) = sigma[1^i].
+    are nonzero: they are the border strips of size j on the empty shape, the
+    height b giving the sign.  It equals Newton's identities on c_i(S^dual) = sigma[1^i].
     """
     cap = ring.dimension if cap is None else cap
     comps = []
     for j in range(1, cap + 1):
         scale = Fraction(1, factorial(j))
-        hooks = range(max(0, j - ring.cols), min(j, ring.k))
         comps.append(GradedClass(ring, {
-            ring._basis_label((j - b,) + (1,) * b): -scale if b % 2 else scale for b in hooks
+            ring._basis_label(hook): sign * scale for sign, hook in border_strips((), j, ring.k, ring.cols)
         }))
     return CharacterVector(ring, ring.k, comps)
+
+
+def border_strips(mu: Partition, r: int, rows: int, cols: int) -> list[tuple[int, Partition]]:
+    """p_r * sigma_mu in the rows x cols box as (sign, shape) pairs, by the Murnaghan-Nakayama rule.
+
+    mu (canonical, at most `rows` parts) is read as `rows` beads on the
+    positions 0..rows+cols-1, its i-th part (0-based, padded with zeros) at
+    mu_i + rows-1-i.  Each shape moves one bead up by r onto an empty position
+    of that range, and its sign is (-1)^(beads jumped), the height of the
+    border strip added (Macdonald, Symmetric Functions and Hall Polynomials, I.7).
+    """
+    beads = [part + rows - 1 - i for i, part in enumerate(mu + (0,) * (rows - len(mu)))]
+    top = rows + cols - 1
+    out = []
+    for i, bead in enumerate(beads):
+        to = bead + r
+        if to > top or to in beads:
+            continue
+        # beads are decreasing, so the ones jumped sit just before i
+        above = i
+        while above and beads[above - 1] < to:
+            above -= 1
+        moved = beads[:above] + [to] + beads[above:i] + beads[i + 1:]
+        shape = tuple(b - (rows - 1 - pos) for pos, b in enumerate(moved))
+        out.append((-1 if (i - above) % 2 else 1, normalize_partition(shape)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _adams_square(j: int, t: int, k: int, rows: int, cols: int) -> dict[str, int]:
+    """j! * ch_j(x * psi^t x) for x = ch(S^dual) of rank k, as {label: nonzero int}.
+
+    With p_0 = k and p_b the power sums of the Chern roots of S^dual,
+
+        j! ch_j(x * psi^t x) = sum_{a+b=j} C(j, a) t^b p_a p_b,
+
+    summed over a <= b with weight C(j, a)(t^a + t^b), or C(j, a) t^a when
+    a = b.  p_b is the signed hooks of size b (the border strips added to the
+    empty shape) and p_a p_b adds a border strip of size a to each of them.
+    Every shape of size j in the k x (n-k) box fits the rows x cols box with
+    rows = min(k, j), cols = min(n-k, j), so Grassmannians of one rank k that
+    agree on that box share the entry; like _product, the labels are strings
+    equal to the basis's own.
+    """
+    acc: dict[Partition, int] = {}
+    for a in range(j // 2 + 1):
+        b = j - a
+        w = comb(j, a) * (t**a if a == b else t**a + t**b)
+        if not w:
+            continue
+        for sign, hook in border_strips((), b, rows, cols):
+            if not a:
+                acc[hook] = acc.get(hook, 0) + w * k * sign
+                continue
+            for strip_sign, lam in border_strips(hook, a, rows, cols):
+                acc[lam] = acc.get(lam, 0) + w * sign * strip_sign
+    return {_label(lam): c for lam, c in acc.items() if c}
+
+
+def sdual_adams_product(ring: GrassmannianRing, t: int, cap: int | None = None) -> CharacterVector:
+    """ch(S^dual) * psi^t ch(S^dual) up to degree cap, with no class product.
+
+    t = -1 gives ch(S^dual (x) S) = ch(End S), and t = 1 gives ch(S^dual (x) S^dual).
+    Each component is an entry of the memoised power-sum table _adams_square,
+    divided by j! once per label.
+    """
+    cap = ring.dimension if cap is None else cap
+    comps = []
+    for j in range(1, cap + 1):
+        # the product's degree is registered before the class reads its labels
+        ring.basis(j)
+        scale = factorial(j)
+        square = _adams_square(j, t, ring.k, min(ring.k, j), min(ring.cols, j))
+        comps.append(GradedClass(ring, {label: Fraction(c, scale) for label, c in square.items()}))
+    return CharacterVector(ring, ring.k * ring.k, comps)
 
 
 def dual_pairing(x: GradedClass, mu: Iterable[int]) -> Fraction:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from higherfano.bundles import (
     CharacterVector,
     adams,
-    adams_product,
     character_to_chern,
     chern_to_character,
     dual,
@@ -240,14 +239,3 @@ def test_character_arithmetic_matches_its_definitions(data):
     assert adams(x, t) == CharacterVector(
         ring, x.rank, [Fraction(t) ** k * a for k, a in enumerate(x.components, start=1)]
     )
-
-
-@given(st.data())
-def test_adams_product_is_x_times_its_adams_image(data):
-    ring = data.draw(st.sampled_from(_CHAR_RINGS))
-    x = _draw_character(data, ring)
-    for t in range(-2, 4):
-        assert adams_product(x, t) == x * adams(x, t)
-        assert adams_product(x, t) == _reference_product(x, adams(x, t))
-    # x * psi^(-1)(x) is self-dual: ch_1, ch_3, ... vanish
-    assert all(c.is_zero() for c in adams_product(x, -1).components[0::2])

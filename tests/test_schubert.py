@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from higherfano import cli, schubert
 from higherfano import families as fam
-from higherfano.bundles import chern_to_character
+from higherfano.bundles import adams, chern_to_character
 from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
+    border_strips,
     conjugate,
     dual_pairing,
     grassmannian_ring,
@@ -20,6 +21,7 @@ from higherfano.schubert import (
     partitions_in_box,
     pieri,
     pieri_shapes,
+    sdual_adams_product,
     sdual_character,
     tautological_chern,
 )
@@ -133,6 +135,40 @@ def test_sdual_hook_rule_is_newton_on_its_chern_classes():
             for cap in range(1, min(ring.dimension, 12) + 1):
                 hooks = sdual_character(ring, cap)
                 assert hooks == chern_to_character(cherns, k, ring, cap), (k, n, cap)
+            rings += 1
+    assert rings == 91
+
+
+def test_border_strip_steps_are_ring_products_with_the_power_sums():
+    # p_a = a! ch_a(S^dual) from Newton's identities, times sigma_mu in the ring, is the reference
+    rings = 0
+    for n in range(2, 10):
+        for k in range(1, n):
+            ring = grassmannian_ring(k, n)
+            x = chern_to_character(tautological_chern(ring, "sub-dual"), k, ring)
+            power_sums = [None] + [x.component(a) * factorial(a) for a in range(1, ring.dimension + 1)]
+            for size in range(ring.dimension + 1):
+                for mu in partitions_in_box(k, n - k, size):
+                    for a in range(1, ring.dimension - size + 1):
+                        strips = border_strips(mu, a, k, n - k)
+                        step = GradedClass(ring, {partition_label(lam): sign for sign, lam in strips})
+                        assert step == power_sums[a] * ring.sigma(mu), (k, n, mu, a)
+            rings += 1
+    assert rings == 36
+
+
+def test_adams_square_table_is_the_ring_product():
+    # x * psi^t(x) for x = ch(S^dual) from Newton's identities, multiplied in the ring,
+    # is the reference for the table
+    rings = 0
+    for n in range(2, 15):
+        for k in range(1, n):
+            ring = grassmannian_ring(k, n)
+            cherns = tautological_chern(ring, "sub-dual")
+            for t in (-1, 1):
+                for cap in range(1, min(ring.dimension, 9) + 1):
+                    x = chern_to_character(cherns, k, ring, cap)
+                    assert sdual_adams_product(ring, t, cap) == x * adams(x, t), (k, n, t, cap)
             rings += 1
     assert rings == 91
 
@@ -370,24 +406,28 @@ def test_products_are_truncations_of_larger_grassmannians(k, n, k2, n2):
         assert {l: c for l, c in prod.items() if l in in_box} == reference_product(small, a, b), (a, b)
 
 
-def test_census_grass_deep_computes_each_product_once(monkeypatch, capsys):
+def test_census_grass_deep_makes_no_schubert_product(monkeypatch, capsys):
     Ring = schubert.GrassmannianRing
-    mul_labels, misses = Ring._mul_labels, []
+    mul_labels, products = Ring._mul_labels, []
 
     def counting(ring, *args):
-        misses.append(args)
+        products.append(args)
         return mul_labels(ring, *args)
 
     monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
     monkeypatch.setattr(Ring, "_mul_labels", counting)
-    schubert._product.cache_clear()
+    for memo in (schubert._product, schubert._pieri_step, schubert._adams_square):
+        memo.cache_clear()
     argv = ["census", "G", "--k", "10", "--k-range", "3..5", "--n-range", "9..15", "--format", "csv"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "78617bfd3146783271a274e302febc78259f9fe476d214cafe834149a192b600"
     )
-    # each miss of the 20 rings' own caches asks the memo once, and the memo
-    # computes far fewer products than that
-    info = schubert._product.cache_info()
-    assert info.hits + info.misses == len(misses) and 0 < info.misses < len(misses)
+    # ch(End S) comes from the power-sum table, so the 20 rows multiply no two
+    # Schubert classes, and rings of one rank k share the table's entries
+    assert products == []
+    for memo in (schubert._product, schubert._pieri_step):
+        info = memo.cache_info()
+        assert info.hits + info.misses == 0, memo
+    assert schubert._adams_square.cache_info().hits > 0
