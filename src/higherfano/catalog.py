@@ -15,11 +15,9 @@ P^m x Q^(m+1) and P(T_(P^(m+1))) carry identical lattices.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 CATALOG_VERSION = "1"
 
@@ -38,8 +36,7 @@ class NoMatchError(ValueError):
     """classify_pair found no matching case; would contradict the classification."""
 
 
-@dataclass(frozen=True)
-class PolarizedPair:
+class PolarizedPair(NamedTuple):
     label: str
     dim: int
     divisor_basis: tuple[str, ...]
@@ -152,11 +149,9 @@ def pair_quadric(d: int) -> PolarizedPair:
     if d < 1:
         raise UnsupportedPairError("quadric pair needs d >= 1")
     if d == 1:
-        base = pair_projective_space(1, polarization_degree=2)
-        return replace(base, label="Q1(O1)")
+        return pair_projective_space(1, polarization_degree=2)._replace(label="Q1(O1)")
     if d == 2:
-        base = pair_product(pair_projective_space(1), pair_projective_space(1))
-        return replace(base, label="Q2(O1)")
+        return pair_product(pair_projective_space(1), pair_projective_space(1))._replace(label="Q2(O1)")
     return pair_picard_one(f"Q{d}(O1)", d, d, 1, "quadric")
 
 
@@ -227,8 +222,7 @@ def pair_divisor_11(a: int, b: int, label: str | None = None) -> PolarizedPair:
     if a < 1 or b < 1:
         raise UnsupportedPairError("divisor pair needs positive-dimensional factors")
     if a == 1 and b == 1:
-        base = pair_projective_space(1, polarization_degree=2)
-        return replace(base, label=label or "D11(P1xP1)")
+        return pair_projective_space(1, polarization_degree=2)._replace(label=label or "D11(P1xP1)")
     return PolarizedPair(
         label=label or f"D11(P{a}xP{b})",
         dim=a + b - 1,
@@ -354,6 +348,7 @@ def catalog_entries() -> tuple[PolarizedPair, ...]:
 
 def catalog_to_json() -> str:
     """Serialize the static catalog (exact integers/rationals as strings)."""
+    import json
     doc = {
         "catalog_version": CATALOG_VERSION,
         "pairs": [p.to_dict() for p in catalog_entries()],

@@ -13,9 +13,7 @@ Exit codes: 0 success/agreement, 1 verified disagreement or identity failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from functools import partial
@@ -127,6 +125,7 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
 
 
 def _render_csv(items: list[dict]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -151,6 +150,7 @@ def _emit(ns, payload: dict) -> None:
     if ns.format == "csv":
         text = _render_csv(payload["items"])
     else:
+        import json
         text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if ns.out:
         try:

@@ -22,10 +22,10 @@ Canonical text forms: "CI[9;3]", "G[2,5]", "GH[2,6]", "OG[2,8]", "SG[3,12]",
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import catalog as cat
 from . import schubert
@@ -69,10 +69,10 @@ ZERO_LOCI = {
 }
 _GRASS_KINDS = tuple(ZERO_LOCI)
 
-# each normal summand on G(k,n): its rank, and its character from ch(S^dual), to the
-# same cap; Sym^2 and Lambda^2 take ch(S^dual (x) S^dual) from the power-sum table
+# each normal summand on G(k,n): its rank, and its character to the cap of ch(S^dual); O(1)
+# takes hook lengths, Sym^2 and Lambda^2 take ch(S^dual (x) S^dual) from the power-sum table
 _SUMMANDS = {
-    "O(1)": (lambda k: 1, lambda sdual: line_character(sdual.ring.sigma((1,)), sdual.cap)),
+    "O(1)": (lambda k: 1, lambda sdual: schubert.o1_character(sdual.ring, sdual.cap)),
     "Sym2": (lambda k: k * (k + 1) // 2, lambda sdual: _half_square(sdual, 1)),
     "Wedge2": (lambda k: k * (k - 1) // 2, lambda sdual: _half_square(sdual, -1)),
 }
@@ -95,17 +95,13 @@ class NoPairError(ValueError):
     """The family has no stated polarized minimal pair."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A parametric family; `k`/`n` hold (a, b) for the product kind."""
+class FamilySpec(namedtuple("FamilySpec", "kind k n degrees")):
+    """A parametric family, validated whenever built or unpickled; `k`/`n` hold (a, b) for PP."""
 
-    kind: str
-    k: int = 0
-    n: int = 0
-    degrees: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate(self)
+    def __new__(cls, kind: str, k: int = 0, n: int = 0, degrees: tuple[int, ...] = ()):
+        return validate(super().__new__(cls, kind, k, n, degrees))
 
     def text(self) -> str:
         if self.kind == CI:
@@ -114,8 +110,7 @@ class FamilySpec:
             return "G2P"
         return f"{self.kind}[{self.k},{self.n}]"
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
 
 def ci(n: int, degrees: Sequence[int]) -> FamilySpec:
@@ -289,8 +284,8 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
     For the zero-locus families the components are the ambient classes whose
     restrictions give ch(T_X): ch(T_G) minus the character of each summand of
-    the normal bundle named in ZERO_LOCI; Sym^2 and Lambda^2 read
-    ch(S^dual (x) S^dual) off the same table at t = 1.
+    the normal bundle named in ZERO_LOCI; Sym^2 and Lambda^2 read ch(S^dual (x) S^dual)
+    off the same table at t = 1, and O(1) reads hook lengths (schubert.o1_character).
     """
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
@@ -324,16 +319,17 @@ def _line_degree(spec: FamilySpec, ch: CharacterVector | None) -> int:
     return int(v)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Tri-state positivity outcome with its witnessing pairings."""
+class Verdict(namedtuple("Verdict", "k status witnesses note")):
+    """Tri-state positivity outcome with its witnessing pairings.
 
-    k: int
-    status: str
-    witnesses: tuple[tuple[str, Fraction], ...]
-    note: str = ""
-    # ch(T_X) up to degree k, whose ch_k the witnesses pair; None for a fact record
-    character: CharacterVector | None = field(default=None, repr=False, compare=False)
+    `character`, ch(T_X) up to degree k (None for a fact record), is no field: ==, hash and repr skip it.
+    """
+
+    def __new__(cls, k: int, status: str, witnesses: tuple[tuple[str, Fraction], ...], note: str = "",
+                character: CharacterVector | None = None):
+        self = super().__new__(cls, k, status, witnesses, note)
+        self.character = character
+        return self
 
 
 def check_verdict_index(k: int) -> None:
@@ -448,8 +444,7 @@ def minimal_pair(spec: FamilySpec) -> PolarizedPair:
     raise NoPairError("no stated minimal pair for products")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """One check/census row.
 
     The oracle is "" where no closed form is stated.  Twist, pair and dims
@@ -495,15 +490,7 @@ def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
         else:
             twist, label, pair_dim = cat.positivity_of_twist(pair), pair.label, pair.dim
             expected = _line_degree(spec, verdict.character) - 2
-    return ConsistencyReport(
-        spec=spec,
-        verdict=verdict,
-        oracle_status=oracle,
-        twist_status=twist,
-        pair_label=label,
-        pair_dim=pair_dim,
-        expected_dim=expected,
-    )
+    return ConsistencyReport(spec, verdict, oracle, twist, label, pair_dim, expected)
 
 
 def product_nonexample(a: int, b: int) -> Fraction:

@@ -36,7 +36,7 @@ multiply monomials by one rule, in which s never occurs on the family side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
@@ -275,8 +275,7 @@ def push_pi(x: GradedClass) -> GradedClass:
 # -- verification reports ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     params: tuple
     ok: bool
@@ -290,10 +289,10 @@ class Check:
         return cls(name, params, ok, "" if ok else repr(lhs), "" if ok else repr(rhs))
 
 
-@dataclass
 class VerificationReport:
-    label: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, label: str, checks: list[Check] | None = None):
+        self.label = label
+        self.checks = [] if checks is None else checks
 
     def record(self, name: str, params: tuple, lhs, rhs) -> None:
         self.checks.append(Check.compare(name, params, lhs, rhs))
@@ -390,27 +389,24 @@ def T_power(a: Rational, k: int, ell: GradedClass) -> GradedClass:
     return Fraction(a) ** k * ell ** (k - 1)
 
 
-@dataclass(frozen=True)
-class MinimalFamilyInput:
+class MinimalFamilyInput(namedtuple("MinimalFamilyInput", "d ell t")):
     """Polarization class and transferred ambient characters for one family.
 
     t[j] is the image of the ambient ch_j under the degree-lowering transfer,
     homogeneous of degree j-1 in the family's ring; t[1] is the scalar d+2.
     """
 
-    d: int
-    ell: GradedClass
-    t: Mapping[int, GradedClass]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ring = self.ell.ring
-        if not self.ell.is_homogeneous(1):
+    def __new__(cls, d: int, ell: GradedClass, t: Mapping[int, GradedClass]):
+        if not ell.is_homogeneous(1):
             raise DegreeError("polarization class must have degree 1")
-        for j, tj in self.t.items():
-            if tj.ring is not ring:
+        for j, tj in t.items():
+            if tj.ring is not ell.ring:
                 raise ValueError("transfer images must share the polarization's ring")
             if not tj.is_homogeneous(j - 1):
                 raise DegreeError(f"t_{j} must be homogeneous of degree {j - 1}")
+        return super().__new__(cls, d, ell, t)
 
 
 class MissingTransferError(KeyError):

@@ -15,10 +15,10 @@ to (not the same objects as) the basis's own; a ring registers the product's
 degree before a class reads those labels.  A ring builds the labels of a
 degree when that degree is first read.
 
-ch(S^dual), ch(End S) and ch(S^dual (x) S^dual) multiply no classes: they
-are read off the power sums of S^dual as hooks and border strips (the
-Murnaghan-Nakayama rule) by sdual_character and sdual_adams_product, whose
-integer table is memoised once per process in the same way.
+ch(S^dual), ch(End S), ch(S^dual (x) S^dual) and ch(O(1)) multiply no classes:
+the first three are read off the power sums of S^dual as hooks and border strips
+(the Murnaghan-Nakayama rule) by sdual_character and sdual_adams_product, whose
+integer table is memoised once per process, and ch(O(1)) by o1_character.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from .bundles import CharacterVector
@@ -298,6 +298,26 @@ def sdual_character(ring: GrassmannianRing, cap: int | None = None) -> Character
             ring._basis_label(hook): sign * scale for sign, hook in border_strips((), j, ring.k, ring.cols)
         }))
     return CharacterVector(ring, ring.k, comps)
+
+
+def o1_character(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
+    """ch(O(1)) = e^sigma_1 up to degree cap, read off the hook lengths with no product.
+
+    sigma_1 adds one box (Pieri), so sigma_1^j is the sum of f^lam sigma_lam over the shapes lam
+    of size j in the k x (n-k) box, f^lam the standard tableaux of shape lam.  By the hook-length
+    formula (Frame, Robinson and Thrall) f^lam = j! / H(lam), H(lam) the product of lam's hooks:
+
+        ch_j = sigma_1^j / j! = sum_lam sigma_lam / H(lam).
+    """
+    cap = ring.dimension if cap is None else cap
+    comps = [GradedClass(ring, {label: Fraction(1, _hook_product(ring._key[label])) for label in ring.basis(j)})
+             for j in range(1, cap + 1)]
+    return CharacterVector(ring, 1, comps)
+
+
+def _hook_product(lam: Partition) -> int:
+    heights = conjugate(lam)
+    return prod(part - j + heights[j] - i - 1 for i, part in enumerate(lam) for j in range(part))
 
 
 def border_strips(mu: Partition, r: int, rows: int, cols: int) -> list[tuple[int, Partition]]:

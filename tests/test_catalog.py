@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -60,10 +59,10 @@ def test_twist_status_is_keyed_on_the_numbers_not_the_label():
     for pair in pairs + pairs[::-1]:
         fresh = tri_state(pair.degrees_on_mori(twist_class(pair)))
         assert positivity_of_twist(pair) == fresh
-        assert positivity_of_twist(replace(pair, label="relabelled", structure="other")) == fresh
+        assert positivity_of_twist(pair._replace(label="relabelled", structure="other")) == fresh
     # same dim, label and K, only L differs: ample, on the boundary, negative
     p3 = pair_picard_one("P", 3, 4, 1, "projective_space")
-    statuses = [positivity_of_twist(replace(p3, L=(Fraction(m, 3),))) for m in (7, 8, 9)]
+    statuses = [positivity_of_twist(p3._replace(L=(Fraction(m, 3),))) for m in (7, 8, 9)]
     assert statuses == [AMPLE, NEF_ONLY, NEITHER]
 
 

@@ -142,6 +142,19 @@ def test_import_leaves_out_the_process_pool():
     assert run.stdout == "[]\n"
 
 
+def test_import_loads_no_dataclasses_inspect_json_or_csv():
+    # every CLI run pays for what the import loads: the records are tuples, and json
+    # and csv are imported where a report is rendered.  Only the modules the import
+    # adds are compared, so modules that the environment loads at start-up do not count
+    code = (
+        "import sys; before = set(sys.modules); import higherfano.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_census_grass_deep_golden_csv(capsys):
     # digest of this census as recorded at the seed commit
     code, out = run_cli(capsys, "census", "G", "--k", "10", "--k-range", "3..5", "--n-range", "9..15",

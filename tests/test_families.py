@@ -1,8 +1,9 @@
 import csv
 import io
+import pickle
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -36,6 +37,53 @@ from higherfano.families import (
 )
 from higherfano.rings import DegreeError
 from higherfano.schubert import grassmannian_ring, partitions_in_box, tautological_chern
+
+
+def test_family_specs_are_validating_tuples():
+    spec = fam.FamilySpec(fam.GRASS, k=2, n=5)
+    assert repr(spec) == "FamilySpec(kind='G', k=2, n=5, degrees=())" and str(spec) == "G[2,5]"
+    with pytest.raises(InvalidFamilyError):
+        fam.FamilySpec(fam.GRASS, k=2, n=3)
+    # a census worker receives its specs pickled: each comes back equal, as a FamilySpec
+    for spec in (spec, fam.ci(9, (3, 2)), fam.g2_fivefold(), fam.product_pn(2, 3)):
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and type(back) is fam.FamilySpec and hash(back) == hash(spec)
+    # and unpickling runs the validation: a spec that skipped it is refused on load
+    unchecked = tuple.__new__(fam.FamilySpec, (fam.GRASS, 2, 3, ()))
+    with pytest.raises(InvalidFamilyError):
+        pickle.loads(pickle.dumps(unchecked))
+
+
+def test_verdicts_hash_and_compare_without_their_character():
+    spec = fam.FamilySpec(fam.GRASS, k=2, n=5)
+    verdict = chk_verdict(spec, 2)
+    assert isinstance(hash(verdict), int) and isinstance(hash(consistency_check(spec)), int)
+    twin = fam.Verdict(2, verdict.status, verdict.witnesses, verdict.note, tangent_character(spec, cap=2))
+    assert twin.character is not verdict.character and twin.character == verdict.character
+    assert twin == verdict and hash(twin) == hash(verdict)
+    assert repr(verdict) == (
+        "Verdict(k=2, status='POSITIVE', witnesses=(('σ[1,1]', Fraction(1, 2)), ('σ[2]', Fraction(3, 2))), note='')"
+    )
+    # the character travels with a pickled verdict, on a copy of its ring
+    back = pickle.loads(pickle.dumps(verdict))
+    assert back == verdict and repr(back.character) == repr(verdict.character)
+
+
+def test_gh_rows_multiply_no_schubert_class(monkeypatch):
+    Ring = schubert.GrassmannianRing
+    mul_labels, products = Ring._mul_labels, []
+
+    def counting(ring, *args):
+        products.append(args)
+        return mul_labels(ring, *args)
+
+    # fresh rings, so no product is already in a ring's cache
+    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
+    monkeypatch.setattr(Ring, "_mul_labels", counting)
+    for n in (8, 9, 10):
+        tangent_character(fam.FamilySpec(fam.GRASS_HYP, k=3, n=n), cap=6)
+    # ch(O(1)) comes from hook lengths, not from the powers of sigma_1
+    assert products == []
 
 
 def test_parse_and_text_round_trip():
@@ -255,9 +303,9 @@ def test_anticanonical_degrees():
 def test_consistency_report_agreement():
     rep = consistency_check(fam.FamilySpec(fam.GRASS, k=2, n=5))
     assert rep.agree and rep.twist_status == AMPLE and rep.pair_dim == rep.expected_dim == 3
-    assert not replace(rep, pair_dim=rep.pair_dim + 1).agree
-    assert not replace(rep, twist_status=NEF_ONLY).agree
-    assert not replace(rep, oracle_status=NEITHER).agree
+    assert not rep._replace(pair_dim=rep.pair_dim + 1).agree
+    assert not rep._replace(twist_status=NEF_ONLY).agree
+    assert not rep._replace(oracle_status=NEITHER).agree
     # no closed form and no twist at k = 10: the ring verdict stands alone
     deep = consistency_check(fam.FamilySpec(fam.GRASS, k=3, n=9), 10)
     assert deep.oracle_status == "" and deep.twist_status == "" and deep.pair_label == ""

@@ -24,7 +24,7 @@ from higherfano.minimalfamily import (
     verify_prop11_ci,
     verify_prop11_symbolic,
 )
-from higherfano.rings import RingMismatchError, projective_space_ring
+from higherfano.rings import DegreeError, RingMismatchError, projective_space_ring
 
 
 def test_T_power():
@@ -99,6 +99,23 @@ def test_input_degree_validation():
     ell = ring.hyperplane()
     with pytest.raises(ValueError):
         MinimalFamilyInput(d=3, ell=ell, t={2: ell**2})
+
+
+def test_input_is_validated_when_built():
+    ring = projective_space_ring(3, gen="l")
+    ell = ring.hyperplane()
+    with pytest.raises(DegreeError):
+        MinimalFamilyInput(3, ell**2, {})
+    with pytest.raises(DegreeError):
+        MinimalFamilyInput(d=3, ell=ell, t={1: ring.scalar(5), 3: ell})
+    with pytest.raises(ValueError, match="share the polarization's ring"):
+        MinimalFamilyInput(d=3, ell=ell, t={1: projective_space_ring(3).scalar(5)})
+
+
+def test_reports_start_with_their_own_empty_check_list():
+    first, second = VerificationReport("first"), VerificationReport("second", checks=None)
+    first.record("equal", (), 1, 1)
+    assert len(first.checks) == 1 and second.checks == [] and VerificationReport("third").checks == []
 
 
 def test_no_lines_rejected():

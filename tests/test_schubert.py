@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from higherfano import cli, schubert
 from higherfano import families as fam
-from higherfano.bundles import adams, chern_to_character
+from higherfano.bundles import CharacterVector, adams, chern_to_character, line_character
 from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
     border_strips,
@@ -17,6 +17,7 @@ from higherfano.schubert import (
     dual_pairing,
     grassmannian_ring,
     normalize_partition,
+    o1_character,
     partition_label,
     partitions_in_box,
     pieri,
@@ -137,6 +138,22 @@ def test_sdual_hook_rule_is_newton_on_its_chern_classes():
                 assert hooks == chern_to_character(cherns, k, ring, cap), (k, n, cap)
             rings += 1
     assert rings == 91
+
+
+def test_o1_hook_rule_is_the_powers_of_sigma_1():
+    # e^sigma_1 with its powers multiplied out by Pieri steps in the ring is the reference
+    rings = 0
+    for n in range(2, 13):
+        for k in range(1, n):
+            ring = grassmannian_ring(k, n)
+            top = min(ring.dimension, 8)
+            powers = line_character(ring.sigma((1,)), top)
+            for cap in range(1, top + 1):
+                assert o1_character(ring, cap) == CharacterVector(ring, 1, powers.components[:cap]), (k, n, cap)
+            if ring.dimension <= 8:
+                assert o1_character(ring) == powers
+            rings += 1
+    assert rings == 66
 
 
 def test_border_strip_steps_are_ring_products_with_the_power_sums():
