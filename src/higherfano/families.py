@@ -69,18 +69,18 @@ ZERO_LOCI = {
 }
 _GRASS_KINDS = tuple(ZERO_LOCI)
 
-# each normal summand on G(k,n): its rank, and its character to the cap of ch(S^dual); O(1)
-# takes hook lengths, Sym^2 and Lambda^2 take ch(S^dual (x) S^dual) from the power-sum table
+# each normal summand on G(k,n): its rank, and its character on the ring to a cap; O(1) takes
+# hook lengths, Sym^2 and Lambda^2 take ch(S^dual) and the power-sum table's S^dual (x) S^dual
 _SUMMANDS = {
-    "O(1)": (lambda k: 1, lambda sdual: schubert.o1_character(sdual.ring, sdual.cap)),
-    "Sym2": (lambda k: k * (k + 1) // 2, lambda sdual: _half_square(sdual, 1)),
-    "Wedge2": (lambda k: k * (k - 1) // 2, lambda sdual: _half_square(sdual, -1)),
+    "O(1)": (lambda k: 1, schubert.o1_character),
+    "Sym2": (lambda k: k * (k + 1) // 2, lambda ring, cap: _half_square(ring, cap, 1)),
+    "Wedge2": (lambda k: k * (k - 1) // 2, lambda ring, cap: _half_square(ring, cap, -1)),
 }
 
 
-def _half_square(sdual: CharacterVector, sign: int) -> CharacterVector:
-    """ch(Sym^2 S^dual) at sign 1, ch(Lambda^2 S^dual) at sign -1, to sdual's cap."""
-    return half_square(sdual, sdual_adams_product(sdual.ring, 1, sdual.cap), sign)
+def _half_square(ring: GrassmannianRing, cap: int, sign: int) -> CharacterVector:
+    """ch(Sym^2 S^dual) at sign 1, ch(Lambda^2 S^dual) at sign -1, to the cap."""
+    return half_square(sdual_character(ring, cap), sdual_adams_product(ring, 1, cap), sign)
 
 
 class InvalidFamilyError(ValueError):
@@ -277,15 +277,17 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
 
         ch(T_G) = n*ch(S^dual) - ch(End S),   ch(End S) = ch(S^dual) * psi^(-1) ch(S^dual).
 
-    ch(S^dual) is read off the hook classes by schubert.sdual_character, and
-    ch(End S) off the memoised power-sum table of schubert.sdual_adams_product
-    (the Murnaghan-Nakayama rule on p_a * p_b), so ch(T_G) takes no class
-    product and no Newton recursion.  End S is self-dual, so ch(End S)
+    schubert.grassmannian_tangent sums it on integers: with p_j the power sums of
+    S^dual (signed hooks) and p_0 = k, j! ch_j(T_G) = n*p_j - sum_{a+b=j} C(j, a) (-1)^b p_a p_b,
+    the sum an entry of the memoised power-sum table (the Murnaghan-Nakayama rule on
+    p_a * p_b), divided by j! once per label; so ch(T_G) builds no ch(S^dual), takes no
+    class product and no Newton recursion.  End S is self-dual, so ch(End S)
     has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
     For the zero-locus families the components are the ambient classes whose
     restrictions give ch(T_X): ch(T_G) minus the character of each summand of
-    the normal bundle named in ZERO_LOCI; Sym^2 and Lambda^2 read ch(S^dual (x) S^dual)
-    off the same table at t = 1, and O(1) reads hook lengths (schubert.o1_character).
+    the normal bundle named in ZERO_LOCI; Sym^2 and Lambda^2 build ch(S^dual) from the
+    hooks (schubert.sdual_character) and read ch(S^dual (x) S^dual) off the same table at
+    t = +1 (schubert.sdual_adams_product), and O(1) reads hook lengths (schubert.o1_character).
     """
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
@@ -294,10 +296,9 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     if spec.kind == PRODUCT_PN:
         h1, h2 = ring.monomial("h1"), ring.monomial("h2")
         return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)
-    sdual = sdual_character(ring, cap)
-    ch = sdual * spec.n - sdual_adams_product(ring, -1, cap)
+    ch = schubert.grassmannian_tangent(ring, cap)
     for summand in ZERO_LOCI[spec.kind][0]:
-        ch = ch - _SUMMANDS[summand][1](sdual)
+        ch = ch - _SUMMANDS[summand][1](ring, cap)
     return ch
 
 

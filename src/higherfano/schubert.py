@@ -15,10 +15,11 @@ to (not the same objects as) the basis's own; a ring registers the product's
 degree before a class reads those labels.  A ring builds the labels of a
 degree when that degree is first read.
 
-ch(S^dual), ch(End S), ch(S^dual (x) S^dual) and ch(O(1)) multiply no classes:
-the first three are read off the power sums of S^dual as hooks and border strips
-(the Murnaghan-Nakayama rule) by sdual_character and sdual_adams_product, whose
-integer table is memoised once per process, and ch(O(1)) by o1_character.
+ch(S^dual), ch(T_G), ch(S^dual (x) S^dual) and ch(O(1)) multiply no classes: the
+first three are summed on integers from the power sums of S^dual as hooks and border
+strips (the Murnaghan-Nakayama rule) by sdual_character, grassmannian_tangent (n*p_j
+minus the t = -1 entry of the memoised table _adams_square) and sdual_adams_product
+(its t = +1 entry, behind Sym^2 and Lambda^2), and ch(O(1)) by o1_character.
 """
 
 from __future__ import annotations
@@ -276,6 +277,23 @@ def tautological_chern(ring: GrassmannianRing, which: str) -> tuple[GradedClass,
     raise ValueError("which must be 'sub-dual' or 'quotient'")
 
 
+def _character(ring: GrassmannianRing, rank: int, cap: int | None, entry) -> CharacterVector:
+    """The character of the given rank whose ch_j, j <= cap, is entry(j) / j!, entry(j) a {label: int} of degree j."""
+    cap = ring.dimension if cap is None else cap
+    comps = []
+    for j in range(1, cap + 1):
+        # the degree is registered before the class reads its labels
+        ring.basis(j)
+        scale = factorial(j)
+        comps.append(GradedClass(ring, {label: Fraction(c, scale) for label, c in entry(j).items() if c}))
+    return CharacterVector(ring, rank, comps)
+
+
+def _power_sum(ring: GrassmannianRing, j: int, times: int = 1) -> dict[str, int]:
+    """times * p_j(S^dual) as {label: int}: the signed hooks of size j in the box."""
+    return {_label(hook): times * sign for sign, hook in border_strips((), j, ring.k, ring.cols)}
+
+
 def sdual_character(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
     """ch(S^dual) up to degree cap, read off the hook classes with no product.
 
@@ -290,14 +308,23 @@ def sdual_character(ring: GrassmannianRing, cap: int | None = None) -> Character
     are nonzero: they are the border strips of size j on the empty shape, the
     height b giving the sign.  It equals Newton's identities on c_i(S^dual) = sigma[1^i].
     """
-    cap = ring.dimension if cap is None else cap
-    comps = []
-    for j in range(1, cap + 1):
-        scale = Fraction(1, factorial(j))
-        comps.append(GradedClass(ring, {
-            ring._basis_label(hook): sign * scale for sign, hook in border_strips((), j, ring.k, ring.cols)
-        }))
-    return CharacterVector(ring, ring.k, comps)
+    return _character(ring, ring.k, cap, lambda j: _power_sum(ring, j))
+
+
+def grassmannian_tangent(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
+    """ch(T_G) = n*ch(S^dual) - ch(End S) up to degree cap, summed on integers with no class product.
+
+    With p_0 = k, j! ch_j(T_G) = n p_j - sum_{a+b=j} C(j, a) (-1)^b p_a p_b: p_j is
+    the signed hooks of size j and the sum is the _adams_square entry at t = -1,
+    so each label is divided by j! once.  The rank is nk - k^2.
+    """
+    def entry(j: int) -> dict[str, int]:
+        acc = _power_sum(ring, j, ring.n)
+        for label, c in _adams_square(j, -1, ring.k, min(ring.k, j), min(ring.cols, j)).items():
+            acc[label] = acc.get(label, 0) - c
+        return acc
+
+    return _character(ring, ring.k * ring.cols, cap, entry)
 
 
 def o1_character(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
@@ -341,8 +368,9 @@ def border_strips(mu: Partition, r: int, rows: int, cols: int) -> list[tuple[int
         while above and beads[above - 1] < to:
             above -= 1
         moved = beads[:above] + [to] + beads[above:i] + beads[i + 1:]
-        shape = tuple(b - (rows - 1 - pos) for pos, b in enumerate(moved))
-        out.append((-1 if (i - above) % 2 else 1, normalize_partition(shape)))
+        # the parts are weakly decreasing and nonnegative, so without its zeros the shape is canonical
+        shape = tuple(b + pos - rows + 1 for pos, b in enumerate(moved) if b + pos >= rows)
+        out.append((-1 if (i - above) % 2 else 1, shape))
     return out
 
 
@@ -380,19 +408,13 @@ def _adams_square(j: int, t: int, k: int, rows: int, cols: int) -> dict[str, int
 def sdual_adams_product(ring: GrassmannianRing, t: int, cap: int | None = None) -> CharacterVector:
     """ch(S^dual) * psi^t ch(S^dual) up to degree cap, with no class product.
 
-    t = -1 gives ch(S^dual (x) S) = ch(End S), and t = 1 gives ch(S^dual (x) S^dual).
-    Each component is an entry of the memoised power-sum table _adams_square,
-    divided by j! once per label.
+    t = 1 gives ch(S^dual (x) S^dual), which Sym^2 and Lambda^2 S^dual read, and
+    t = -1 gives ch(S^dual (x) S) = ch(End S), which grassmannian_tangent sums on
+    integers instead.  Each component is an entry of the memoised power-sum
+    table _adams_square, divided by j! once per label.
     """
-    cap = ring.dimension if cap is None else cap
-    comps = []
-    for j in range(1, cap + 1):
-        # the product's degree is registered before the class reads its labels
-        ring.basis(j)
-        scale = factorial(j)
-        square = _adams_square(j, t, ring.k, min(ring.k, j), min(ring.cols, j))
-        comps.append(GradedClass(ring, {label: Fraction(c, scale) for label, c in square.items()}))
-    return CharacterVector(ring, ring.k * ring.k, comps)
+    return _character(ring, ring.k * ring.k, cap,
+                      lambda j: _adams_square(j, t, ring.k, min(ring.k, j), min(ring.cols, j)))
 
 
 def dual_pairing(x: GradedClass, mu: Iterable[int]) -> Fraction:

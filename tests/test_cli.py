@@ -195,6 +195,15 @@ def test_census_grass_odd_k_golden_csv(capsys):
     assert digest == "674e877351a54f7c13cca1c26535886a92450de772beaa57d107b12e659bd5ab"
 
 
+def test_check_full_dimension_narrow_box_golden_json(capsys):
+    # digest recorded while ch(T_G) was n*ch(S^dual) - ch(End S) as classes: at k = 64 = dim G(8,16)
+    # every degree j above n-k = 8 reads a power-sum entry in the narrow min(k,j) x min(n-k,j) box
+    code, out = run_cli(capsys, "check", "G[8,16]", "--k", "64")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "07329f921f47813d63c7d0bf4bd85e6dc6643b1e2874d220c82e9e1690dc19d4"
+
+
 def test_census_ci_golden_csv(capsys):
     # digest of this census as recorded at the seed commit
     code, out = run_cli(capsys, "census", "CI", "--n-range", "2..22", "--max-c", "3", "--format", "csv")

@@ -35,7 +35,7 @@ from higherfano.families import (
     tangent_character,
     threshold_oracle,
 )
-from higherfano.rings import DegreeError
+from higherfano.rings import DegreeError, GradedClass
 from higherfano.schubert import grassmannian_ring, partitions_in_box, tautological_chern
 
 
@@ -489,7 +489,7 @@ def test_grassmannian_tangent_matches_the_two_recursion_construction():
 
 
 def test_grassmannian_row_builds_sdual_from_hooks_without_newton(monkeypatch):
-    newton, hooks = [], []
+    newton, hooks, products = [], [], []
 
     def counted_newton(*args, **kwargs):
         newton.append(args)
@@ -499,12 +499,28 @@ def test_grassmannian_row_builds_sdual_from_hooks_without_newton(monkeypatch):
         hooks.append(args)
         return schubert.sdual_character(*args, **kwargs)
 
+    mul = GradedClass.__mul__
+
+    def counted_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
     monkeypatch.setattr(bundles, "chern_to_character", counted_newton)
     monkeypatch.setattr(fam, "sdual_character", counted_hooks)
-    for spec in _grassmannian_kind_specs((2, 3), 9):
+    monkeypatch.setattr(GradedClass, "__mul__", counted_mul)
+    monkeypatch.setattr(GradedClass, "__rmul__", counted_mul)
+    # ch(T_G) is summed on integers from the power-sum table, so only a normal summand that
+    # reads ch(S^dual), Sym^2 or Lambda^2 (psi^2 of it), builds it; O(1) takes hook lengths
+    reads_sdual = {fam.GRASS: 0, fam.GRASS_HYP: 0, fam.OG: 1, fam.SG: 1, fam.SG_DEGENERATE: 1}
+    specs = list(_grassmannian_kind_specs((2, 3), 9))
+    assert {spec.kind for spec in specs} == set(reads_sdual)
+    for spec in specs:
         hooks.clear()
+        products.clear()
         tangent_character(spec, 3)
-        assert len(hooks) == 1, spec
+        assert len(hooks) == reads_sdual[spec.kind], spec
+        if spec.kind in (fam.GRASS, fam.GRASS_HYP):
+            assert products == [], spec
     assert newton == []
 
 

@@ -16,6 +16,7 @@ from higherfano.schubert import (
     conjugate,
     dual_pairing,
     grassmannian_ring,
+    grassmannian_tangent,
     normalize_partition,
     o1_character,
     partition_label,
@@ -186,6 +187,40 @@ def test_adams_square_table_is_the_ring_product():
                 for cap in range(1, min(ring.dimension, 9) + 1):
                     x = chern_to_character(cherns, k, ring, cap)
                     assert sdual_adams_product(ring, t, cap) == x * adams(x, t), (k, n, t, cap)
+            rings += 1
+    assert rings == 91
+
+
+def test_border_strips_are_canonical_shapes_in_the_box():
+    # border_strips returns its shapes unvalidated, so each must already be canonical
+    shapes = 0
+    for rows in range(1, 6):
+        for cols in range(1, 8):
+            for size in range(rows * cols + 1):
+                for mu in partitions_in_box(rows, cols, size):
+                    for r in range(1, 11):
+                        for _, shape in border_strips(mu, r, rows, cols):
+                            assert shape == normalize_partition(shape), (mu, r, rows, cols, shape)
+                            assert len(shape) <= rows and shape[:1] <= (cols,), (mu, r, rows, cols, shape)
+                            assert sum(shape) == size + r, (mu, r, rows, cols, shape)
+                            shapes += 1
+    assert shapes > 0
+
+
+def test_integer_tangent_is_the_class_route_and_newton():
+    # ch(T_G) summed on integers against n*ch(S^dual) - ch(End S) as classes, and against the
+    # same combination of Newton's identities on c_i(S^dual) multiplied in the ring
+    rings = 0
+    for n in range(2, 15):
+        for k in range(1, n):
+            ring = grassmannian_ring(k, n)
+            cherns = tautological_chern(ring, "sub-dual")
+            for cap in range(1, min(ring.dimension, 9) + 1):
+                ch = grassmannian_tangent(ring, cap)
+                assert ch == sdual_character(ring, cap) * n - sdual_adams_product(ring, -1, cap), (k, n, cap)
+                x = chern_to_character(cherns, k, ring, cap)
+                assert ch == x * n - x * adams(x, -1), (k, n, cap)
+                assert ch.rank == ring.dimension and ch.cap == cap
             rings += 1
     assert rings == 91
 
