@@ -36,7 +36,6 @@ from .bundles import (
     dual,
     line_character,
     sym2_character,
-    tensor_line,
     todd_line,
     trivial_character,
     wedge2_character,

@@ -121,6 +121,22 @@ def line_character(divisor: GradedClass, cap: int | None = None) -> CharacterVec
     return CharacterVector(ring, 1, [powers[k] * Fraction(1, factorial(k)) for k in range(1, cap + 1)])
 
 
+def power_sum_character(ring: RingModel, rank: Rational, cap: int | None, power_sum) -> CharacterVector:
+    """The character of the given rank with ch_j = p_j / j! for j <= cap, p_j = power_sum(j).
+
+    p_j, the j-th power sum of the Chern roots, is a {label: int} of degree j, so
+    each label is divided by j! once and no class is added or multiplied.
+    """
+    cap = ring.dimension if cap is None else cap
+    comps = []
+    for j in range(1, cap + 1):
+        # the degree is registered before the class reads its labels
+        ring.basis(j)
+        scale = factorial(j)
+        comps.append(GradedClass(ring, {label: Fraction(c, scale) for label, c in power_sum(j).items() if c}))
+    return CharacterVector(ring, rank, comps)
+
+
 def euler_character(h: GradedClass, n: int, cap: int | None = None) -> CharacterVector:
     """ch(T_{P^n}) = (n+1)*e^h - 1 from the Euler sequence, for a hyperplane class h."""
     return line_character(h, cap) * (n + 1) - trivial_character(h.ring, 1, cap)
@@ -173,11 +189,6 @@ def adams(x: CharacterVector, t: int) -> CharacterVector:
 def dual(x: CharacterVector) -> CharacterVector:
     """psi^(-1): ch_k -> (-1)^k ch_k."""
     return adams(x, -1)
-
-
-def tensor_line(x: CharacterVector, divisor: GradedClass) -> CharacterVector:
-    """Twist by a line bundle: multiply componentwise by e^D."""
-    return x * line_character(divisor, cap=x.cap)
 
 
 def _require_bundle_rank(x: CharacterVector) -> None:

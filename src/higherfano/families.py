@@ -31,11 +31,11 @@ from . import catalog as cat
 from . import schubert
 from .bundles import (
     CharacterVector,
-    adams,
     dual,
     euler_character,
     half_square,
     line_character,
+    power_sum_character,
     trivial_character,
 )
 from .catalog import PolarizedPair
@@ -193,42 +193,6 @@ def _pn_ring(n: int) -> RingModel:
     return projective_space_ring(n)
 
 
-# the ambient parts of a CI character, shared by every row on the same P^n;
-# nothing mutates a CharacterVector or its classes, so rows may hold them.  A CI
-# row's character is its prefix row's (its degrees less the last, d_c) minus
-# ch(O(d_c)), read from a memo bounded to _CI_PREFIX_MEMO entries.
-@lru_cache(maxsize=None)
-def _pn_line(n: int, d: int, cap: int) -> CharacterVector:
-    """ch(O(d)) = e^(d*h) = psi^d ch(O(1)) on P^n, up to degree cap."""
-    if d == 1:
-        return line_character(_pn_ring(n).hyperplane(), cap)
-    return adams(_pn_line(n, 1, cap), d)
-
-
-@lru_cache(maxsize=None)
-def _pn_tangent(n: int, cap: int) -> CharacterVector:
-    """ch(T_{P^n}) up to degree cap."""
-    return euler_character(_pn_ring(n).hyperplane(), n, cap)
-
-
-# A census sorts its CI rows by degrees, so a row's prefixes were built shortly
-# before it: a prefix is read by each row one degree longer, and between two reads
-# come only the rows that extend the previous reader.  So the chain stays among the
-# most recently used entries, and each row misses only on its own character (16
-# entries do on census CI --n-range 2..22 --max-c 3).  An evicted prefix is rebuilt,
-# at the cost of subtractions but no change of value; an unbounded memo would hold
-# every row's character to the end of the run.
-_CI_PREFIX_MEMO = 16
-
-
-@lru_cache(maxsize=_CI_PREFIX_MEMO)
-def _ci_tangent(n: int, degrees: tuple[int, ...], cap: int) -> CharacterVector:
-    """ch(T_X) up to degree cap for X of the given degrees in P^n: one subtraction from its prefix."""
-    if not degrees:
-        return _pn_tangent(n, cap)
-    return _ci_tangent(n, degrees[:-1], cap) - _pn_line(n, degrees[-1], cap)
-
-
 @lru_cache(maxsize=None)
 def _grass_ring(k: int, n: int) -> GrassmannianRing:
     return grassmannian_ring(k, n)
@@ -267,11 +231,11 @@ def ambient_ring(spec: FamilySpec) -> RingModel:
 def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVector:
     """ch(T_X), expressed in the distinguished ambient ring.
 
-    P^n and each factor of P^a x P^b take the Euler sequence.  A complete
-    intersection of degrees d_1..d_c in P^n has ch(T_X) = ch(T_P^n) - sum_i ch(O(d_i)),
-    built as its prefix's character (degrees d_1..d_(c-1)) minus ch(O(d_c)); a
-    bounded memo (_CI_PREFIX_MEMO entries) keeps the prefixes of the current
-    census row, so each row costs one subtraction.  On G(k,n),
+    Each factor of P^a x P^b takes the Euler sequence.  A complete intersection
+    of degrees d_1..d_c in P^n has ch(T_X) = (n+1) e^h - 1 - sum_i e^(d_i h), so
+    its rank is n - c and j! ch_j(T_X) = (n+1 - sum_i d_i^j) h^j: one int per
+    degree, divided by j! once (bundles.power_sum_character), with no class
+    arithmetic and no memo.  On G(k,n),
     T_G = S^dual (x) Q, and the tautological sequence 0 -> S -> O^n -> Q -> 0
     turns it into n*S^dual - S^dual (x) S, so
 
@@ -292,7 +256,9 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
     if spec.kind == CI:
-        return _ci_tangent(spec.n, spec.degrees, cap)
+        n, degrees = spec.n, spec.degrees
+        return power_sum_character(ring, n - len(degrees), cap,
+                                   lambda j: {ring.basis(j)[0]: n + 1 - sum(d**j for d in degrees)})
     if spec.kind == PRODUCT_PN:
         h1, h2 = ring.monomial("h1"), ring.monomial("h2")
         return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)

@@ -28,10 +28,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterable, Iterator
 
-from .bundles import CharacterVector
+from .bundles import CharacterVector, power_sum_character
 from .rings import DegreeError, GradedClass, RingModel, check_basis_size
 
 Partition = tuple[int, ...]
@@ -277,18 +277,6 @@ def tautological_chern(ring: GrassmannianRing, which: str) -> tuple[GradedClass,
     raise ValueError("which must be 'sub-dual' or 'quotient'")
 
 
-def _character(ring: GrassmannianRing, rank: int, cap: int | None, entry) -> CharacterVector:
-    """The character of the given rank whose ch_j, j <= cap, is entry(j) / j!, entry(j) a {label: int} of degree j."""
-    cap = ring.dimension if cap is None else cap
-    comps = []
-    for j in range(1, cap + 1):
-        # the degree is registered before the class reads its labels
-        ring.basis(j)
-        scale = factorial(j)
-        comps.append(GradedClass(ring, {label: Fraction(c, scale) for label, c in entry(j).items() if c}))
-    return CharacterVector(ring, rank, comps)
-
-
 def _power_sum(ring: GrassmannianRing, j: int, times: int = 1) -> dict[str, int]:
     """times * p_j(S^dual) as {label: int}: the signed hooks of size j in the box."""
     return {_label(hook): times * sign for sign, hook in border_strips((), j, ring.k, ring.cols)}
@@ -308,7 +296,7 @@ def sdual_character(ring: GrassmannianRing, cap: int | None = None) -> Character
     are nonzero: they are the border strips of size j on the empty shape, the
     height b giving the sign.  It equals Newton's identities on c_i(S^dual) = sigma[1^i].
     """
-    return _character(ring, ring.k, cap, lambda j: _power_sum(ring, j))
+    return power_sum_character(ring, ring.k, cap, lambda j: _power_sum(ring, j))
 
 
 def grassmannian_tangent(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
@@ -324,7 +312,7 @@ def grassmannian_tangent(ring: GrassmannianRing, cap: int | None = None) -> Char
             acc[label] = acc.get(label, 0) - c
         return acc
 
-    return _character(ring, ring.k * ring.cols, cap, entry)
+    return power_sum_character(ring, ring.k * ring.cols, cap, entry)
 
 
 def o1_character(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
@@ -413,8 +401,8 @@ def sdual_adams_product(ring: GrassmannianRing, t: int, cap: int | None = None) 
     integers instead.  Each component is an entry of the memoised power-sum
     table _adams_square, divided by j! once per label.
     """
-    return _character(ring, ring.k * ring.k, cap,
-                      lambda j: _adams_square(j, t, ring.k, min(ring.k, j), min(ring.cols, j)))
+    return power_sum_character(ring, ring.k * ring.k, cap,
+                               lambda j: _adams_square(j, t, ring.k, min(ring.k, j), min(ring.cols, j)))
 
 
 def dual_pairing(x: GradedClass, mu: Iterable[int]) -> Fraction:

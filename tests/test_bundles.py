@@ -14,7 +14,6 @@ from higherfano.bundles import (
     euler_character,
     line_character,
     sym2_character,
-    tensor_line,
     todd_line,
     trivial_character,
     wedge2_character,
@@ -150,11 +149,13 @@ def test_plethysm_rejects_virtual_rank():
 
 
 def test_tensor_line():
+    # twisting by O(D) multiplies by e^D at the character's own cap
     p4 = projective_space_ring(4)
     h = p4.hyperplane()
-    assert tensor_line(line_character(h), 2 * h) == line_character(3 * h)
+    x = line_character(h)
+    assert x * line_character(2 * h, cap=x.cap) == line_character(3 * h)
     x = trivial_character(p4, 2)
-    assert tensor_line(x, h) == 2 * line_character(h)
+    assert x * line_character(h, cap=x.cap) == 2 * line_character(h)
 
 
 def test_todd_line():

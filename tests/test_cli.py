@@ -212,6 +212,21 @@ def test_census_ci_golden_csv(capsys):
     assert digest == "48b08d2e07bbafae317d28c5c93eabb621a43bfd4ca5b0107d9beec4c56947fc"
 
 
+# digests of deep CI censuses, recorded while a CI row's character was its prefix row's minus
+# one line character as classes: they pin the division by j! at every degree up to 5
+@pytest.mark.parametrize("argv, rows, digest", [
+    (("census", "CI", "--k", "3", "--n-range", "2..30", "--max-c", "4"), 10613,
+     "3e3ebb4a0547bedc96d9c4fdeb36017a98a240a68ad1d9463904feb5762d660a"),
+    (("census", "CI", "--k", "5", "--n-range", "5..24", "--max-c", "3"), 2414,
+     "641e96a85fea2394efc3164f88c60453db381093d318b92d80619f7e9034937e"),
+])
+def test_deep_ci_census_golden_csv(capsys, argv, rows, digest):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.count("\n") == rows + 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # digests of the zero-locus censuses, recorded before ch(Q) was built from ch(S^dual)
 @pytest.mark.parametrize("argv, digest", [
     (("census", "GH", "--k", "3", "--k-range", "2..4", "--n-range", "4..12"),

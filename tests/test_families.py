@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import pickle
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
@@ -363,7 +365,7 @@ def test_ci_not_covered_by_lines_gets_a_row():
 
 
 def _euler_sequence_character(n, degrees, cap):
-    """ch(T_X) = (n+1)e^h - 1 - sum_i e^(d_i h) up to cap, built afresh with no cache."""
+    """ch(T_X) = (n+1)e^h - 1 - sum_i e^(d_i h) up to cap, from line characters as classes."""
     h = fam.ambient_ring(fam.ci(n, ())).hyperplane()
     ch = line_character(h, cap) * (n + 1) - trivial_character(h.ring, 1, cap)
     for d in degrees:
@@ -372,8 +374,10 @@ def _euler_sequence_character(n, degrees, cap):
 
 
 def test_ci_character_from_the_cache_matches_the_euler_sequence():
-    for n in range(1, 11):
-        for degrees in enumerate_fano_ci(n, 3):
+    # every row on P^n reads its ring from the cached _pn_ring; its character is built
+    # on ints, (n+1) - sum_i d_i^j per degree j, and must be the Euler sequence's
+    for n in range(1, 13):
+        for degrees in enumerate_fano_ci(n, 4):
             spec = fam.ci(n, degrees)
             h = fam.ambient_ring(spec).hyperplane()
             for cap in range(1, dim_x(spec) + 1):
@@ -387,69 +391,66 @@ def test_ci_character_from_the_cache_matches_the_euler_sequence():
 
 
 def test_cached_ambient_characters_stay_equal_to_a_fresh_computation():
-    # many rows on the same P^n share the cached characters; none may leak into another
+    # many rows on the same P^n share the cached ring and its basis classes; no row's
+    # character may leak into another's
     held = []
     for n in range(2, 13):
         for degrees in enumerate_fano_ci(n, 3):
             spec = fam.ci(n, degrees)
             for k in range(2, min(dim_x(spec), 4) + 1):
                 held.append((n, degrees, k, consistency_check(spec, k).verdict.character))
-    assert fam._pn_tangent.cache_info().currsize and fam._pn_line.cache_info().currsize
+    assert fam._pn_ring.cache_info().currsize
     for n, degrees, k, ch in held:
         assert ch == _euler_sequence_character(n, degrees, k), (n, degrees, k)
-        assert fam._pn_tangent(n, k) == _euler_sequence_character(n, (), k)
-        h = fam.ambient_ring(fam.ci(n, ())).hyperplane()
-        for d in (1,) + degrees:
-            assert fam._pn_line(n, d, k) == line_character(d * h, k), (n, d, k)
+        assert tangent_character(fam.ci(n, ()), k) == _euler_sequence_character(n, (), k)
+        assert fam.ambient_ring(fam.ci(n, degrees)) is fam._pn_ring(n)
 
 
 def test_ci_prefix_memo_matches_the_euler_sequence_in_any_order():
-    # a census reads the rows in sorted order, where every prefix is still in the memo;
-    # a shuffled order evicts prefixes and rebuilds them, which must change no value
+    # a CI row keeps no prefix memo, so the order in which rows are visited can change
+    # no value: a shuffled order must give what the sorted census order gives
     import random
 
-    fam._ci_tangent.cache_clear()
     visits = [
         (fam.ci(n, degrees), cap)
         for n in range(1, 13)
         for degrees in enumerate_fano_ci(n, 4)
         for cap in range(1, n - len(degrees) + 1)
     ]
+    in_order = {visit: tangent_character(*visit) for visit in visits}
     random.Random(20090).shuffle(visits)
     for spec, cap in visits:
-        assert tangent_character(spec, cap) == _euler_sequence_character(spec.n, spec.degrees, cap), (spec, cap)
-    info = fam._ci_tangent.cache_info()
-    assert info.currsize <= info.maxsize < len(visits) < info.misses
+        ch = tangent_character(spec, cap)
+        assert ch == _euler_sequence_character(spec.n, spec.degrees, cap), (spec, cap)
+        assert ch == in_order[spec, cap], (spec, cap)
 
 
-def test_ci_census_builds_each_row_by_one_subtraction(monkeypatch):
+def test_ci_census_runs_no_character_arithmetic(monkeypatch):
+    # a CI row sums (n+1) - sum_i d_i^j on ints and divides by j! once: no row adds,
+    # subtracts or multiplies a character or a class
     from higherfano import cli
     from higherfano.bundles import CharacterVector
+    from higherfano.rings import GradedClass
 
-    subtractions = []
-    sub = CharacterVector.__sub__
+    calls = []
 
-    def counting(x, y):
-        subtractions.append(x.rank)
-        return sub(x, y)
+    def counting(name, op):
+        def counted(*args):
+            calls.append(name)
+            return op(*args)
+        return counted
 
-    monkeypatch.setattr(CharacterVector, "__sub__", counting)
-    for memo in (fam._ci_tangent, fam._pn_tangent, fam._pn_line):
-        memo.cache_clear()
+    for cls in (CharacterVector, GradedClass):
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
     out = io.StringIO()
     with redirect_stdout(out):
         assert cli.main(["census", "CI", "--n-range", "2..22", "--max-c", "3", "--format", "csv"]) == 0
-    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
-    extended = [r for r in rows if not r["params"].endswith(";]")]
-    assert len(rows) == 1731 and len(extended) == 1710
-    info = fam._ci_tangent.cache_info()
-    assert info.currsize <= info.maxsize
-    # a row of two or more degrees reads its prefix row from the memo; a row of one degree
-    # reads P^n's character, which may have left the memo but costs no subtraction to rebuild
-    assert info.hits >= sum("," in r["params"] for r in rows)
-    # so each extended row subtracts one line from its prefix; the other 21 subtractions
-    # are the Euler sequences of P^2 .. P^22
-    assert len(subtractions) == len(extended) + 21
+    assert len(list(csv.DictReader(io.StringIO(out.getvalue())))) == 1731
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == \
+        "48b08d2e07bbafae317d28c5c93eabb621a43bfd4ca5b0107d9beec4c56947fc"
+    assert not calls, Counter(calls)
 
 
 def _two_recursion_tangent(spec, cap):
