@@ -6,6 +6,11 @@ for differences of characters; the plethysm operations validate that their
 input has a genuine bundle rank.  Sym^2 and Lambda^2 are expressed through the
 Adams operation psi^t (which scales ch_k by t^k), so no Chern-root splitting
 is ever needed.
+
+power_sum_character turns integer power sums p_j = j! ch_j, one {label: int} per
+degree, into a character with one division by j! per label; every tangent character
+of the example families takes that route, and the class operations here are the
+tests' references for it.
 """
 
 from __future__ import annotations
@@ -196,21 +201,16 @@ def _require_bundle_rank(x: CharacterVector) -> None:
         raise ValueError(f"plethysm needs a genuine bundle (nonnegative integral rank), got {x.rank}")
 
 
-def half_square(x: CharacterVector, square: CharacterVector, sign: int) -> CharacterVector:
-    """(square + sign * psi^2 x) / 2 for square = x * x: ch(Sym^2 E) at sign 1, ch(Lambda^2 E) at sign -1."""
-    _require_bundle_rank(x)
-    psi2 = adams(x, 2)
-    return (square + psi2 if sign > 0 else square - psi2) * Fraction(1, 2)
-
-
 def sym2_character(x: CharacterVector) -> CharacterVector:
     """ch(Sym^2 E) = (ch(E)^2 + psi^2 ch(E)) / 2."""
-    return half_square(x, x * x, 1)
+    _require_bundle_rank(x)
+    return (x * x + adams(x, 2)) * Fraction(1, 2)
 
 
 def wedge2_character(x: CharacterVector) -> CharacterVector:
     """ch(Lambda^2 E) = (ch(E)^2 - psi^2 ch(E)) / 2."""
-    return half_square(x, x * x, -1)
+    _require_bundle_rank(x)
+    return (x * x - adams(x, 2)) * Fraction(1, 2)
 
 
 def todd_line(divisor: GradedClass, cap: int | None = None) -> GradedClass:

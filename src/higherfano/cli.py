@@ -26,6 +26,10 @@ from . import minimalfamily as mf
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "twist", "agree")
 
+# the most specs a CI census lists before it is refused; the largest census in the tests
+# has 10,613 rows, while P^60 alone holds 831,820 degree tuples at --max-c 59
+MAX_CENSUS_SPECS = 10**5
+
 
 class UsageError(Exception):
     pass
@@ -104,6 +108,10 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
                 continue
             fam.check_ambient_bound(fam.ci(n, ()))
             for degrees in fam.enumerate_fano_ci(n, max_c):
+                if len(specs) == MAX_CENSUS_SPECS:
+                    raise UsageError(
+                        f"census lists more than {MAX_CENSUS_SPECS} specs; narrow --n-range or --max-c"
+                    )
                 specs.append(fam.ci(n, degrees))
     else:
         if ns.k_range is None or ns.n_range is None:

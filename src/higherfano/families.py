@@ -29,18 +29,10 @@ from typing import NamedTuple, Sequence
 
 from . import catalog as cat
 from . import schubert
-from .bundles import (
-    CharacterVector,
-    dual,
-    euler_character,
-    half_square,
-    line_character,
-    power_sum_character,
-    trivial_character,
-)
+from .bundles import CharacterVector, dual, euler_character, line_character, power_sum_character, trivial_character
 from .catalog import PolarizedPair
 from .rings import RingModel, check_basis_size, product_ring, projective_space_ring
-from .schubert import GrassmannianRing, grassmannian_ring, partition_label, sdual_adams_product, sdual_character
+from .schubert import GrassmannianRing, grassmannian_ring, partition_label
 
 POSITIVE = "POSITIVE"
 NEF_ONLY = "NEF_ONLY"
@@ -69,18 +61,13 @@ ZERO_LOCI = {
 }
 _GRASS_KINDS = tuple(ZERO_LOCI)
 
-# each normal summand on G(k,n): its rank, and its character on the ring to a cap; O(1) takes
-# hook lengths, Sym^2 and Lambda^2 take ch(S^dual) and the power-sum table's S^dual (x) S^dual
+# each normal summand on G(k,n): its rank, and j! ch_j of it on the ring as {label: int};
+# O(1) takes hook lengths, Sym^2 and Lambda^2 the power-sum table at t = +1
 _SUMMANDS = {
-    "O(1)": (lambda k: 1, schubert.o1_character),
-    "Sym2": (lambda k: k * (k + 1) // 2, lambda ring, cap: _half_square(ring, cap, 1)),
-    "Wedge2": (lambda k: k * (k - 1) // 2, lambda ring, cap: _half_square(ring, cap, -1)),
+    "O(1)": (lambda k: 1, schubert.o1_power_sum),
+    "Sym2": (lambda k: k * (k + 1) // 2, lambda ring, j: schubert.square_power_sum(ring, j, 1)),
+    "Wedge2": (lambda k: k * (k - 1) // 2, lambda ring, j: schubert.square_power_sum(ring, j, -1)),
 }
-
-
-def _half_square(ring: GrassmannianRing, cap: int, sign: int) -> CharacterVector:
-    """ch(Sym^2 S^dual) at sign 1, ch(Lambda^2 S^dual) at sign -1, to the cap."""
-    return half_square(sdual_character(ring, cap), sdual_adams_product(ring, 1, cap), sign)
 
 
 class InvalidFamilyError(ValueError):
@@ -231,41 +218,41 @@ def ambient_ring(spec: FamilySpec) -> RingModel:
 def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVector:
     """ch(T_X), expressed in the distinguished ambient ring.
 
-    Each factor of P^a x P^b takes the Euler sequence.  A complete intersection
-    of degrees d_1..d_c in P^n has ch(T_X) = (n+1) e^h - 1 - sum_i e^(d_i h), so
-    its rank is n - c and j! ch_j(T_X) = (n+1 - sum_i d_i^j) h^j: one int per
-    degree, divided by j! once (bundles.power_sum_character), with no class
-    arithmetic and no memo.  On G(k,n),
-    T_G = S^dual (x) Q, and the tautological sequence 0 -> S -> O^n -> Q -> 0
-    turns it into n*S^dual - S^dual (x) S, so
+    Every kind gives p(j) = j! ch_j(T_X) as one {label: int} per degree and divides
+    it by j! once (bundles.power_sum_character), with no class arithmetic:
 
-        ch(T_G) = n*ch(S^dual) - ch(End S),   ch(End S) = ch(S^dual) * psi^(-1) ch(S^dual).
-
-    schubert.grassmannian_tangent sums it on integers: with p_j the power sums of
-    S^dual (signed hooks) and p_0 = k, j! ch_j(T_G) = n*p_j - sum_{a+b=j} C(j, a) (-1)^b p_a p_b,
-    the sum an entry of the memoised power-sum table (the Murnaghan-Nakayama rule on
-    p_a * p_b), divided by j! once per label; so ch(T_G) builds no ch(S^dual), takes no
-    class product and no Newton recursion.  End S is self-dual, so ch(End S)
-    has no odd components: ch_k(T_G) for odd k is n*ch_k(S^dual).
-    For the zero-locus families the components are the ambient classes whose
-    restrictions give ch(T_X): ch(T_G) minus the character of each summand of
-    the normal bundle named in ZERO_LOCI; Sym^2 and Lambda^2 build ch(S^dual) from the
-    hooks (schubert.sdual_character) and read ch(S^dual (x) S^dual) off the same table at
-    t = +1 (schubert.sdual_adams_product), and O(1) reads hook lengths (schubert.o1_character).
+    - CI of degrees d_1..d_c in P^n: ch(T_X) = (n+1) e^h - 1 - sum_i e^(d_i h), so
+      p(j) = (n+1 - sum_i d_i^j) h^j;
+    - PP, P^a x P^b: the Euler sequence on each factor, p(j) = (a+1) h1^j + (b+1) h2^j,
+      each term only while j is at most its factor's dimension;
+    - the zero loci X in G(k,n): the components are the ambient classes whose
+      restrictions give ch(T_X) = ch(T_G) - ch(N), so p(j) is
+      schubert.tangent_power_sum (n times the signed hooks minus the power-sum table's
+      t = -1 entry, for ch(End S)) minus the entry of each summand of N named in
+      ZERO_LOCI (schubert.o1_power_sum, schubert.square_power_sum).
     """
     ring = ambient_ring(spec)
     cap = ring.dimension if cap is None else min(cap, ring.dimension)
     if spec.kind == CI:
         n, degrees = spec.n, spec.degrees
-        return power_sum_character(ring, n - len(degrees), cap,
-                                   lambda j: {ring.basis(j)[0]: n + 1 - sum(d**j for d in degrees)})
-    if spec.kind == PRODUCT_PN:
-        h1, h2 = ring.monomial("h1"), ring.monomial("h2")
-        return euler_character(h1, spec.k, cap) + euler_character(h2, spec.n, cap)
-    ch = schubert.grassmannian_tangent(ring, cap)
-    for summand in ZERO_LOCI[spec.kind][0]:
-        ch = ch - _SUMMANDS[summand][1](ring, cap)
-    return ch
+
+        def p(j: int) -> dict[str, int]:
+            return {ring.basis(j)[0]: n + 1 - sum(d**j for d in degrees)}
+    elif spec.kind == PRODUCT_PN:
+        factors = ((ring.left, spec.k), (ring.right, spec.n))
+
+        def p(j: int) -> dict[str, int]:
+            return {factor.basis(j)[0]: m + 1 for factor, m in factors if j <= m}
+    else:
+        summands = [_SUMMANDS[s][1] for s in ZERO_LOCI[spec.kind][0]]
+
+        def p(j: int) -> dict[str, int]:
+            acc = schubert.tangent_power_sum(ring, j)
+            for summand in summands:
+                for label, c in summand(ring, j).items():
+                    acc[label] = acc.get(label, 0) - c
+            return acc
+    return power_sum_character(ring, dim_x(spec), cap, p)
 
 
 def anticanonical_line_degree(spec: FamilySpec) -> int:

@@ -15,11 +15,12 @@ to (not the same objects as) the basis's own; a ring registers the product's
 degree before a class reads those labels.  A ring builds the labels of a
 degree when that degree is first read.
 
-ch(S^dual), ch(T_G), ch(S^dual (x) S^dual) and ch(O(1)) multiply no classes: the
-first three are summed on integers from the power sums of S^dual as hooks and border
-strips (the Murnaghan-Nakayama rule) by sdual_character, grassmannian_tangent (n*p_j
-minus the t = -1 entry of the memoised table _adams_square) and sdual_adams_product
-(its t = +1 entry, behind Sym^2 and Lambda^2), and ch(O(1)) by o1_character.
+The tangent character of G(k, n) and of its zero loci is read off integer power
+sums p_j = j! ch_j, one {label: int} per degree j, with no class product:
+tangent_power_sum (n*p_j(S^dual) minus the t = -1 entry of the memoised table
+_adams_square, from hooks and border strips by the Murnaghan-Nakayama rule),
+square_power_sum (Sym^2 and Lambda^2 S^dual, from its t = +1 entry) and
+o1_power_sum (O(1), from the hook lengths).
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
-from .bundles import CharacterVector, power_sum_character
 from .rings import DegreeError, GradedClass, RingModel, check_basis_size
 
 Partition = tuple[int, ...]
@@ -278,56 +278,55 @@ def tautological_chern(ring: GrassmannianRing, which: str) -> tuple[GradedClass,
 
 
 def _power_sum(ring: GrassmannianRing, j: int, times: int = 1) -> dict[str, int]:
-    """times * p_j(S^dual) as {label: int}: the signed hooks of size j in the box."""
+    """times * p_j(S^dual) as {label: int}: the signed hooks of size j in the box.
+
+    With x the Chern roots of S^dual, sigma_lam = s_lam(x), and p_j(x) is the alternating
+    sum of the hooks of size j, sum_b (-1)^b sigma[j-b, 1^b] (the one-part case of the
+    Murnaghan-Nakayama rule; Macdonald, Symmetric Functions and Hall Polynomials, I.7):
+    the border strips of size j on the empty shape, the height b giving the sign.
+    """
     return {_label(hook): times * sign for sign, hook in border_strips((), j, ring.k, ring.cols)}
 
 
-def sdual_character(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
-    """ch(S^dual) up to degree cap, read off the hook classes with no product.
+def tangent_power_sum(ring: GrassmannianRing, j: int) -> dict[str, int]:
+    """j! ch_j(T_G) as {label: int}: ch(T_G) = n*ch(S^dual) - ch(End S), summed on integers.
 
-    With x the Chern roots of S^dual, sigma_lam = s_lam(x), and the power sum
-    p_j(x) is the alternating sum of the hooks of size j (the one-part case of
-    the Murnaghan-Nakayama rule; Macdonald, Symmetric Functions and Hall
-    Polynomials, I.7):
+    T_G = S^dual (x) Q, and 0 -> S -> O^n -> Q -> 0 turns it into n*S^dual - S^dual (x) S.
+    With p_b the power sums of S^dual (signed hooks) and p_0 = k,
 
-        p_j = sum_b (-1)^b sigma[j-b, 1^b],   ch_j = p_j / j!,
+        j! ch_j(T_G) = n p_j - sum_{a+b=j} C(j, a) (-1)^b p_a p_b,
 
-    where only the hooks inside the k x (n-k) box, max(0, j-(n-k)) <= b <= min(j, k)-1,
-    are nonzero: they are the border strips of size j on the empty shape, the
-    height b giving the sign.  It equals Newton's identities on c_i(S^dual) = sigma[1^i].
+    the sum being the _adams_square entry at t = -1.  End S is self-dual, so for
+    odd j that entry is zero and this is n p_j.
     """
-    return power_sum_character(ring, ring.k, cap, lambda j: _power_sum(ring, j))
+    acc = _power_sum(ring, j, ring.n)
+    for label, c in _adams_square(j, -1, ring.k, min(ring.k, j), min(ring.cols, j)).items():
+        acc[label] = acc.get(label, 0) - c
+    return acc
 
 
-def grassmannian_tangent(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
-    """ch(T_G) = n*ch(S^dual) - ch(End S) up to degree cap, summed on integers with no class product.
+def square_power_sum(ring: GrassmannianRing, j: int, sign: int) -> dict[str, int]:
+    """j! ch_j of Sym^2 S^dual at sign 1, of Lambda^2 S^dual at sign -1, as {label: int}.
 
-    With p_0 = k, j! ch_j(T_G) = n p_j - sum_{a+b=j} C(j, a) (-1)^b p_a p_b: p_j is
-    the signed hooks of size j and the sum is the _adams_square entry at t = -1,
-    so each label is divided by j! once.  The rank is nk - k^2.
+    ch(Sym^2 E), ch(Lambda^2 E) = (ch(E)^2 +- psi^2 ch(E)) / 2, and j! ch_j(psi^2 E) = 2^j p_j,
+    so this is (the _adams_square entry at t = +1 +- 2^j p_j) / 2.  The power sums of a
+    bundle are integer polynomials in its Chern classes, so the halving is exact.
     """
-    def entry(j: int) -> dict[str, int]:
-        acc = _power_sum(ring, j, ring.n)
-        for label, c in _adams_square(j, -1, ring.k, min(ring.k, j), min(ring.cols, j)).items():
-            acc[label] = acc.get(label, 0) - c
-        return acc
-
-    return power_sum_character(ring, ring.k * ring.cols, cap, entry)
+    acc = dict(_adams_square(j, 1, ring.k, min(ring.k, j), min(ring.cols, j)))
+    for label, c in _power_sum(ring, j, sign * 2**j).items():
+        acc[label] = acc.get(label, 0) + c
+    return {label: c // 2 for label, c in acc.items()}
 
 
-def o1_character(ring: GrassmannianRing, cap: int | None = None) -> CharacterVector:
-    """ch(O(1)) = e^sigma_1 up to degree cap, read off the hook lengths with no product.
+def o1_power_sum(ring: GrassmannianRing, j: int) -> dict[str, int]:
+    """j! ch_j(O(1)) = sigma_1^j as {label: int}, read off the hook lengths with no product.
 
     sigma_1 adds one box (Pieri), so sigma_1^j is the sum of f^lam sigma_lam over the shapes lam
     of size j in the k x (n-k) box, f^lam the standard tableaux of shape lam.  By the hook-length
-    formula (Frame, Robinson and Thrall) f^lam = j! / H(lam), H(lam) the product of lam's hooks:
-
-        ch_j = sigma_1^j / j! = sum_lam sigma_lam / H(lam).
+    formula (Frame, Robinson and Thrall) f^lam = j! / H(lam), H(lam) the product of lam's hooks.
     """
-    cap = ring.dimension if cap is None else cap
-    comps = [GradedClass(ring, {label: Fraction(1, _hook_product(ring._key[label])) for label in ring.basis(j)})
-             for j in range(1, cap + 1)]
-    return CharacterVector(ring, 1, comps)
+    scale = factorial(j)
+    return {label: scale // _hook_product(ring._key[label]) for label in ring.basis(j)}
 
 
 def _hook_product(lam: Partition) -> int:
@@ -391,18 +390,6 @@ def _adams_square(j: int, t: int, k: int, rows: int, cols: int) -> dict[str, int
             for strip_sign, lam in border_strips(hook, a, rows, cols):
                 acc[lam] = acc.get(lam, 0) + w * sign * strip_sign
     return {_label(lam): c for lam, c in acc.items() if c}
-
-
-def sdual_adams_product(ring: GrassmannianRing, t: int, cap: int | None = None) -> CharacterVector:
-    """ch(S^dual) * psi^t ch(S^dual) up to degree cap, with no class product.
-
-    t = 1 gives ch(S^dual (x) S^dual), which Sym^2 and Lambda^2 S^dual read, and
-    t = -1 gives ch(S^dual (x) S) = ch(End S), which grassmannian_tangent sums on
-    integers instead.  Each component is an entry of the memoised power-sum
-    table _adams_square, divided by j! once per label.
-    """
-    return power_sum_character(ring, ring.k * ring.k, cap,
-                               lambda j: _adams_square(j, t, ring.k, min(ring.k, j), min(ring.cols, j)))
 
 
 def dual_pairing(x: GradedClass, mu: Iterable[int]) -> Fraction:

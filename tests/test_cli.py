@@ -436,6 +436,25 @@ def test_ci_census_lists_no_tuples_below_k(capsys, monkeypatch):
     assert listed == []
 
 
+def test_ci_census_past_the_row_bound_stops_listing(capsys, monkeypatch):
+    listed = []
+    enumerate_fano_ci = fam.enumerate_fano_ci
+
+    def recording(n, max_c):
+        for degrees in enumerate_fano_ci(n, max_c):
+            listed.append(len(degrees))
+            yield degrees
+
+    monkeypatch.setattr(fam, "enumerate_fano_ci", recording)
+    # P^60 holds 831,820 degree tuples at --max-c 59; the census used to list all of them
+    # (8.4 s, 259 MB peak) before its first row.  It stops at the first spec past the bound
+    assert main(["census", "CI", "--n-range", "60..60", "--max-c", "59"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: census lists more than 100000 specs; narrow --n-range or --max-c\n"
+    assert len(listed) == cli.MAX_CENSUS_SPECS + 1
+
+
 def test_grassmannian_past_the_bound_in_n_is_refused_without_its_count(capsys, monkeypatch):
     def no_count(*args):
         raise AssertionError("C(n, 2) >= n is past the bound for every n > MAX_BASIS_LABELS")

@@ -13,8 +13,10 @@ import pytest
 from higherfano import bundles, schubert
 from higherfano import families as fam
 from higherfano.bundles import (
+    CharacterVector,
     character_to_chern,
     chern_to_character,
+    euler_character,
     line_character,
     sym2_character,
     trivial_character,
@@ -390,6 +392,20 @@ def test_ci_character_from_the_cache_matches_the_euler_sequence():
                     assert ch.component(k) == coeff * h**k, (spec, k)
 
 
+def test_product_character_is_the_sum_of_two_euler_sequences():
+    # P^a x P^b sums (a+1) h1^j + (b+1) h2^j on ints; the Euler sequence on each factor,
+    # added as characters, is the reference
+    for a in range(1, 7):
+        for b in range(1, 7):
+            spec = fam.product_pn(a, b)
+            ring = fam.ambient_ring(spec)
+            h1, h2 = ring.monomial("h1"), ring.monomial("h2")
+            for cap in range(1, a + b + 1):
+                ch = tangent_character(spec, cap)
+                assert ch == euler_character(h1, a, cap) + euler_character(h2, b, cap), (a, b, cap)
+                assert ch.rank == dim_x(spec) and ch.cap == cap
+
+
 def test_cached_ambient_characters_stay_equal_to_a_fresh_computation():
     # many rows on the same P^n share the cached ring and its basis classes; no row's
     # character may leak into another's
@@ -425,13 +441,8 @@ def test_ci_prefix_memo_matches_the_euler_sequence_in_any_order():
         assert ch == in_order[spec, cap], (spec, cap)
 
 
-def test_ci_census_runs_no_character_arithmetic(monkeypatch):
-    # a CI row sums (n+1) - sum_i d_i^j on ints and divides by j! once: no row adds,
-    # subtracts or multiplies a character or a class
-    from higherfano import cli
-    from higherfano.bundles import CharacterVector
-    from higherfano.rings import GradedClass
-
+def _count_character_arithmetic(monkeypatch) -> list[str]:
+    """A list that records each CharacterVector or GradedClass sum, difference and product."""
     calls = []
 
     def counting(name, op):
@@ -444,6 +455,15 @@ def test_ci_census_runs_no_character_arithmetic(monkeypatch):
         for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
+    return calls
+
+
+def test_ci_census_runs_no_character_arithmetic(monkeypatch):
+    # a CI row sums (n+1) - sum_i d_i^j on ints and divides by j! once: no row adds,
+    # subtracts or multiplies a character or a class
+    from higherfano import cli
+
+    calls = _count_character_arithmetic(monkeypatch)
     out = io.StringIO()
     with redirect_stdout(out):
         assert cli.main(["census", "CI", "--n-range", "2..22", "--max-c", "3", "--format", "csv"]) == 0
@@ -489,39 +509,22 @@ def test_grassmannian_tangent_matches_the_two_recursion_construction():
             assert ch.rank == dim_x(spec) and ch.cap == cap
 
 
-def test_grassmannian_row_builds_sdual_from_hooks_without_newton(monkeypatch):
-    newton, hooks, products = [], [], []
+def test_grassmannian_rows_run_no_character_arithmetic_or_newton(monkeypatch):
+    # ch(T_G) and each normal summand are integer power sums, one {label: int} per degree,
+    # so no row of the five kinds adds, subtracts or multiplies a character or a class
+    newton = []
 
     def counted_newton(*args, **kwargs):
         newton.append(args)
         return chern_to_character(*args, **kwargs)
 
-    def counted_hooks(*args, **kwargs):
-        hooks.append(args)
-        return schubert.sdual_character(*args, **kwargs)
-
-    mul = GradedClass.__mul__
-
-    def counted_mul(self, other):
-        products.append(other)
-        return mul(self, other)
-
     monkeypatch.setattr(bundles, "chern_to_character", counted_newton)
-    monkeypatch.setattr(fam, "sdual_character", counted_hooks)
-    monkeypatch.setattr(GradedClass, "__mul__", counted_mul)
-    monkeypatch.setattr(GradedClass, "__rmul__", counted_mul)
-    # ch(T_G) is summed on integers from the power-sum table, so only a normal summand that
-    # reads ch(S^dual), Sym^2 or Lambda^2 (psi^2 of it), builds it; O(1) takes hook lengths
-    reads_sdual = {fam.GRASS: 0, fam.GRASS_HYP: 0, fam.OG: 1, fam.SG: 1, fam.SG_DEGENERATE: 1}
+    calls = _count_character_arithmetic(monkeypatch)
     specs = list(_grassmannian_kind_specs((2, 3), 9))
-    assert {spec.kind for spec in specs} == set(reads_sdual)
+    assert {spec.kind for spec in specs} == set(fam._GRASS_KINDS)
     for spec in specs:
-        hooks.clear()
-        products.clear()
         tangent_character(spec, 3)
-        assert len(hooks) == reads_sdual[spec.kind], spec
-        if spec.kind in (fam.GRASS, fam.GRASS_HYP):
-            assert products == [], spec
+        assert not calls, (spec, Counter(calls))
     assert newton == []
 
 

@@ -9,23 +9,30 @@ from hypothesis import strategies as st
 
 from higherfano import cli, schubert
 from higherfano import families as fam
-from higherfano.bundles import CharacterVector, adams, chern_to_character, line_character
+from higherfano.bundles import (
+    CharacterVector,
+    adams,
+    chern_to_character,
+    line_character,
+    power_sum_character,
+    sym2_character,
+    wedge2_character,
+)
 from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
     border_strips,
     conjugate,
     dual_pairing,
     grassmannian_ring,
-    grassmannian_tangent,
     normalize_partition,
-    o1_character,
+    o1_power_sum,
     partition_label,
     partitions_in_box,
     pieri,
     pieri_shapes,
-    sdual_adams_product,
-    sdual_character,
+    square_power_sum,
     tautological_chern,
+    tangent_power_sum,
 )
 
 
@@ -135,7 +142,7 @@ def test_sdual_hook_rule_is_newton_on_its_chern_classes():
             ring = grassmannian_ring(k, n)
             cherns = tautological_chern(ring, "sub-dual")
             for cap in range(1, min(ring.dimension, 12) + 1):
-                hooks = sdual_character(ring, cap)
+                hooks = power_sum_character(ring, k, cap, lambda j: schubert._power_sum(ring, j))
                 assert hooks == chern_to_character(cherns, k, ring, cap), (k, n, cap)
             rings += 1
     assert rings == 91
@@ -150,9 +157,10 @@ def test_o1_hook_rule_is_the_powers_of_sigma_1():
             top = min(ring.dimension, 8)
             powers = line_character(ring.sigma((1,)), top)
             for cap in range(1, top + 1):
-                assert o1_character(ring, cap) == CharacterVector(ring, 1, powers.components[:cap]), (k, n, cap)
+                hooks = power_sum_character(ring, 1, cap, lambda j: o1_power_sum(ring, j))
+                assert hooks == CharacterVector(ring, 1, powers.components[:cap]), (k, n, cap)
             if ring.dimension <= 8:
-                assert o1_character(ring) == powers
+                assert power_sum_character(ring, 1, None, lambda j: o1_power_sum(ring, j)) == powers
             rings += 1
     assert rings == 66
 
@@ -186,7 +194,10 @@ def test_adams_square_table_is_the_ring_product():
             for t in (-1, 1):
                 for cap in range(1, min(ring.dimension, 9) + 1):
                     x = chern_to_character(cherns, k, ring, cap)
-                    assert sdual_adams_product(ring, t, cap) == x * adams(x, t), (k, n, t, cap)
+                    table = power_sum_character(
+                        ring, k * k, cap, lambda j: schubert._adams_square(j, t, k, min(k, j), min(n - k, j))
+                    )
+                    assert table == x * adams(x, t), (k, n, t, cap)
             rings += 1
     assert rings == 91
 
@@ -207,20 +218,35 @@ def test_border_strips_are_canonical_shapes_in_the_box():
     assert shapes > 0
 
 
-def test_integer_tangent_is_the_class_route_and_newton():
-    # ch(T_G) summed on integers against n*ch(S^dual) - ch(End S) as classes, and against the
-    # same combination of Newton's identities on c_i(S^dual) multiplied in the ring
+def test_integer_tangent_is_newton():
+    # ch(T_G) summed on integers against n*ch(S^dual) - ch(End S) from Newton's identities on
+    # c_i(S^dual), multiplied in the ring
     rings = 0
     for n in range(2, 15):
         for k in range(1, n):
             ring = grassmannian_ring(k, n)
             cherns = tautological_chern(ring, "sub-dual")
             for cap in range(1, min(ring.dimension, 9) + 1):
-                ch = grassmannian_tangent(ring, cap)
-                assert ch == sdual_character(ring, cap) * n - sdual_adams_product(ring, -1, cap), (k, n, cap)
+                ch = power_sum_character(ring, ring.dimension, cap, lambda j: tangent_power_sum(ring, j))
                 x = chern_to_character(cherns, k, ring, cap)
                 assert ch == x * n - x * adams(x, -1), (k, n, cap)
-                assert ch.rank == ring.dimension and ch.cap == cap
+            rings += 1
+    assert rings == 91
+
+
+def test_square_power_sums_are_sym2_and_wedge2_of_newton():
+    # Sym^2 and Lambda^2 of ch(S^dual) from Newton's identities, squared in the ring, are the
+    # reference for (the table's t = +1 entry +- 2^j p_j) / 2
+    rings = 0
+    for n in range(2, 15):
+        for k in range(1, n):
+            ring = grassmannian_ring(k, n)
+            cap = min(ring.dimension, 9)
+            x = chern_to_character(tautological_chern(ring, "sub-dual"), k, ring, cap)
+            for sign, reference in ((1, sym2_character), (-1, wedge2_character)):
+                rank = k * (k + sign) // 2
+                square = power_sum_character(ring, rank, cap, lambda j: square_power_sum(ring, j, sign))
+                assert square == reference(x), (k, n, sign)
             rings += 1
     assert rings == 91
 
