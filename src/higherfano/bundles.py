@@ -7,10 +7,10 @@ input has a genuine bundle rank.  Sym^2 and Lambda^2 are expressed through the
 Adams operation psi^t (which scales ch_k by t^k), so no Chern-root splitting
 is ever needed.
 
-power_sum_character turns integer power sums p_j = j! ch_j, one {label: int} per
-degree, into a character with one division by j! per label; every tangent character
-of the example families takes that route, and the class operations here are the
-tests' references for it.
+power_sum_class turns an integer power sum p_j = j! ch_j, a {label: int} of degree j, into
+ch_j with one division by j! per label, and power_sum_character does so up to a cap; every
+tangent character of the example families takes that route, a verdict only at the degrees
+it reads, and the class operations here are the tests' references for it.
 """
 
 from __future__ import annotations
@@ -126,20 +126,18 @@ def line_character(divisor: GradedClass, cap: int | None = None) -> CharacterVec
     return CharacterVector(ring, 1, [powers[k] * Fraction(1, factorial(k)) for k in range(1, cap + 1)])
 
 
-def power_sum_character(ring: RingModel, rank: Rational, cap: int | None, power_sum) -> CharacterVector:
-    """The character of the given rank with ch_j = p_j / j! for j <= cap, p_j = power_sum(j).
+def power_sum_class(ring: RingModel, j: int, p_j: dict[str, int]) -> GradedClass:
+    """ch_j from p_j = j! ch_j, the j-th power sum of the Chern roots as a {label: int}: no class arithmetic."""
+    # the degree is registered before the class reads its labels
+    ring.basis(j)
+    scale = factorial(j)
+    return GradedClass(ring, {label: Fraction(c, scale) for label, c in p_j.items() if c})
 
-    p_j, the j-th power sum of the Chern roots, is a {label: int} of degree j, so
-    each label is divided by j! once and no class is added or multiplied.
-    """
+
+def power_sum_character(ring: RingModel, rank: Rational, cap: int | None, power_sum) -> CharacterVector:
+    """The character of the given rank with ch_j = power_sum_class(ring, j, power_sum(j)) for j <= cap."""
     cap = ring.dimension if cap is None else cap
-    comps = []
-    for j in range(1, cap + 1):
-        # the degree is registered before the class reads its labels
-        ring.basis(j)
-        scale = factorial(j)
-        comps.append(GradedClass(ring, {label: Fraction(c, scale) for label, c in power_sum(j).items() if c}))
-    return CharacterVector(ring, rank, comps)
+    return CharacterVector(ring, rank, [power_sum_class(ring, j, power_sum(j)) for j in range(1, cap + 1)])
 
 
 def euler_character(h: GradedClass, n: int, cap: int | None = None) -> CharacterVector:

@@ -26,7 +26,7 @@ from . import minimalfamily as mf
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "twist", "agree")
 
-# the most specs a CI census lists before it is refused; the largest census in the tests
+# the most specs a census lists before it is refused; the largest census in the tests
 # has 10,613 rows, while P^60 alone holds 831,820 degree tuples at --max-c 59
 MAX_CENSUS_SPECS = 10**5
 
@@ -74,6 +74,12 @@ def compute_row(spec: fam.FamilySpec, k: int) -> dict:
     }
 
 
+def _list_spec(specs: list[fam.FamilySpec], spec: fam.FamilySpec, narrow: str) -> None:
+    if len(specs) == MAX_CENSUS_SPECS:
+        raise UsageError(f"census lists more than {MAX_CENSUS_SPECS} specs; narrow {narrow}")
+    specs.append(spec)
+
+
 def _census_specs(ns) -> list[fam.FamilySpec]:
     kind = ns.kind
     specs: list[fam.FamilySpec] = []
@@ -108,11 +114,7 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
                 continue
             fam.check_ambient_bound(fam.ci(n, ()))
             for degrees in fam.enumerate_fano_ci(n, max_c):
-                if len(specs) == MAX_CENSUS_SPECS:
-                    raise UsageError(
-                        f"census lists more than {MAX_CENSUS_SPECS} specs; narrow --n-range or --max-c"
-                    )
-                specs.append(fam.ci(n, degrees))
+                _list_spec(specs, fam.ci(n, degrees), "--n-range or --max-c")
     else:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")
@@ -120,14 +122,17 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
         for k in _parse_range(ns.k_range):
             for n in _parse_range(ns.n_range):
                 try:
-                    specs.append(maker(k, n))
+                    spec = maker(k, n)
                 except fam.InvalidFamilyError:
                     continue
-    # ch_k vanishes above dim X, so those specs are skipped like invalid (k, n)
+                # ch_k vanishes above dim X, so those specs are skipped like invalid (k, n);
+                # one over-bound ambient ring fails the whole census, so it is refused as soon
+                # as it is listed, not after the rest of the ranges
+                if fam.dim_x(spec) >= ns.k:
+                    fam.check_ambient_bound(spec)
+                    _list_spec(specs, spec, "--k-range or --n-range")
+    # ch_k vanishes above dim X: a CI spec of dimension below --k is listed, and dropped here
     specs = [s for s in specs if fam.dim_x(s) >= ns.k]
-    # one over-bound ambient ring fails the whole census: refuse it before any row
-    for s in specs:
-        fam.check_ambient_bound(s)
     specs.sort(key=lambda s: (s.kind, s.k, s.n, s.degrees))
     return specs
 

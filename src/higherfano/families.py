@@ -29,7 +29,8 @@ from typing import NamedTuple, Sequence
 
 from . import catalog as cat
 from . import schubert
-from .bundles import CharacterVector, dual, euler_character, line_character, power_sum_character, trivial_character
+from .bundles import (CharacterVector, dual, euler_character, line_character, power_sum_character, power_sum_class,
+                      trivial_character)
 from .catalog import PolarizedPair
 from .rings import RingModel, check_basis_size, product_ring, projective_space_ring
 from .schubert import GrassmannianRing, grassmannian_ring, partition_label
@@ -215,11 +216,8 @@ def ambient_ring(spec: FamilySpec) -> RingModel:
     raise InvalidFamilyError(f"{spec.kind} has no ring model")
 
 
-def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVector:
-    """ch(T_X), expressed in the distinguished ambient ring.
-
-    Every kind gives p(j) = j! ch_j(T_X) as one {label: int} per degree and divides
-    it by j! once (bundles.power_sum_character), with no class arithmetic:
+def _power_sums(spec: FamilySpec):
+    """(ring, p): the ambient ring and p(j) = j! ch_j(T_X) on ints, so a caller reads only the degrees it needs.
 
     - CI of degrees d_1..d_c in P^n: ch(T_X) = (n+1) e^h - 1 - sum_i e^(d_i h), so
       p(j) = (n+1 - sum_i d_i^j) h^j;
@@ -232,7 +230,6 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
       ZERO_LOCI (schubert.o1_power_sum, schubert.square_power_sum).
     """
     ring = ambient_ring(spec)
-    cap = ring.dimension if cap is None else min(cap, ring.dimension)
     if spec.kind == CI:
         n, degrees = spec.n, spec.degrees
 
@@ -252,6 +249,13 @@ def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVect
                 for label, c in summand(ring, j).items():
                     acc[label] = acc.get(label, 0) - c
             return acc
+    return ring, p
+
+
+def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVector:
+    """ch(T_X) up to cap in the distinguished ambient ring: each p(j) of _power_sums divided by j! once."""
+    ring, p = _power_sums(spec)
+    cap = ring.dimension if cap is None else min(cap, ring.dimension)
     return power_sum_character(ring, dim_x(spec), cap, p)
 
 
@@ -259,31 +263,28 @@ def anticanonical_line_degree(spec: FamilySpec) -> int:
     """-K_X paired with a minimal curve: the c_1 coefficient on the degree-1 basis."""
     if spec.kind == PRODUCT_PN:
         raise InvalidFamilyError("products have no distinguished minimal curve here")
-    return _line_degree(spec, None if spec.kind == G2P else tangent_character(spec, cap=1))
+    return _line_degree(spec)
 
 
-def _line_degree(spec: FamilySpec, ch: CharacterVector | None) -> int:
-    """anticanonical_line_degree with c_1 read from ch = ch(T_X) at any cap >= 1."""
+def _line_degree(spec: FamilySpec) -> int:
+    """anticanonical_line_degree with no products check: c_1 = p(1), as 1! = 1, on the one degree-1 label."""
     if spec.kind == G2P:
         return 3
-    (label,) = ch.ring.basis(1)
-    v = ch.component(1).coefficient(label)
-    if v.denominator != 1:
+    ring, p = _power_sums(spec)
+    (label,) = ring.basis(1)
+    v = p(1).get(label, 0)
+    if not isinstance(v, int):
         raise InvalidFamilyError("anticanonical degree is not integral")
-    return int(v)
+    return v
 
 
-class Verdict(namedtuple("Verdict", "k status witnesses note")):
-    """Tri-state positivity outcome with its witnessing pairings.
+class Verdict(NamedTuple):
+    """Tri-state positivity outcome with its witnessing pairings."""
 
-    `character`, ch(T_X) up to degree k (None for a fact record), is no field: ==, hash and repr skip it.
-    """
-
-    def __new__(cls, k: int, status: str, witnesses: tuple[tuple[str, Fraction], ...], note: str = "",
-                character: CharacterVector | None = None):
-        self = super().__new__(cls, k, status, witnesses, note)
-        self.character = character
-        return self
+    k: int
+    status: str
+    witnesses: tuple[tuple[str, Fraction], ...]
+    note: str = ""
 
 
 def check_verdict_index(k: int) -> None:
@@ -293,7 +294,7 @@ def check_verdict_index(k: int) -> None:
 
 
 def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
-    """Positivity of ch_k decided by pairing against the dual basis.
+    """Positivity of ch_k, built from p(k) of _power_sums alone, decided by pairing against the dual basis.
 
     For the zero-locus families the pairings are the ambient Schubert
     coefficients (modeling note recorded on the verdict); for the Lagrangian
@@ -307,8 +308,8 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
         return Verdict(2, POSITIVE, (), note="fact record: second character positive, b_4 = 1")
     if k > dim_x(spec):
         raise InvalidFamilyError(f"ch_{k} exceeds dim X = {dim_x(spec)}")
-    ch = tangent_character(spec, cap=k)
-    cls = ch.component(k)
+    ring, p = _power_sums(spec)
+    cls = power_sum_class(ring, k, p(k))
     note = ""
     if spec.kind == SG and spec.n == 2 * spec.k and k == 2:
         a = cls.coefficient(partition_label((2,)))
@@ -316,11 +317,11 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
         witnesses = ((f"{partition_label((2,))}+{partition_label((1, 1))}", a + b),)
         note = "Lagrangian boundary: b_4 = 1, both ambient duals restrict to one class"
     else:
-        witnesses = tuple((label, cls.coefficient(label)) for label in ch.ring.basis(k))
+        witnesses = tuple((label, cls.coefficient(label)) for label in ring.basis(k))
         if spec.kind in ZERO_LOCI and ZERO_LOCI[spec.kind][0]:
             note = "ambient Schubert coefficients; zero-locus modeling assumption"
     status = TWIST_TO_VERDICT[cat.tri_state([v for _, v in witnesses])]
-    return Verdict(k, status, witnesses, note=note, character=ch)
+    return Verdict(k, status, witnesses, note)
 
 
 def threshold_oracle(spec: FamilySpec, k: int) -> str:
@@ -428,7 +429,7 @@ class ConsistencyReport(NamedTuple):
 def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
     """Up to three independent verdicts on ch_k (ring, closed form, cone twist) plus dim H.
 
-    Each path runs once; dim H reads c_1 from the verdict's own character.
+    Each path runs once; dim H reads c_1 as the integer p(1) of _power_sums, not a character.
     """
     verdict = chk_verdict(spec, k)
     try:
@@ -443,7 +444,7 @@ def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
             pass
         else:
             twist, label, pair_dim = cat.positivity_of_twist(pair), pair.label, pair.dim
-            expected = _line_degree(spec, verdict.character) - 2
+            expected = _line_degree(spec) - 2
     return ConsistencyReport(spec, verdict, oracle, twist, label, pair_dim, expected)
 
 

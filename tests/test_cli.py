@@ -261,6 +261,8 @@ def test_deep_zero_locus_census_golden_csv(capsys, argv, digest):
 def test_compute_row_runs_each_path_once(monkeypatch):
     names = ("tangent_character", "chk_verdict", "threshold_oracle")
     calls = dict.fromkeys(names, 0)
+    # the degree of each p(j) = j! ch_j(T_X) read, and of each class ch_j built from one
+    read, built = [], []
 
     def counting(name):
         fn = getattr(fam, name)
@@ -271,15 +273,37 @@ def test_compute_row_runs_each_path_once(monkeypatch):
 
         return wrapper
 
+    power_sums, power_sum_class = fam._power_sums, fam.power_sum_class
+
+    def recording_sums(spec):
+        ring, p = power_sums(spec)
+
+        def recorded(j):
+            read.append(j)
+            return p(j)
+
+        return ring, recorded
+
+    def recording_class(ring, j, p_j):
+        built.append(j)
+        return power_sum_class(ring, j, p_j)
+
     for name in names:
         monkeypatch.setattr(fam, name, counting(name))
-    # (spec, k, characters built): the G2P verdict is a fact record with no ring
-    for spec_text, k, characters in [("CI[9;3]", 2, 1), ("G[2,5]", 2, 1), ("CI[9;3]", 3, 1),
-                                      ("PP[2,3]", 2, 1), ("G2P", 2, 0)]:
+    monkeypatch.setattr(fam, "_power_sums", recording_sums)
+    monkeypatch.setattr(fam, "power_sum_class", recording_class)
+    # (spec, k, degrees read): the verdict reads p(k) alone and builds ch_k alone, no
+    # character; a row with a cone twist reads c_1 = p(1) for dim H too; the G2P verdict is a
+    # fact record with no ring
+    for spec_text, k, degrees in [("CI[9;3]", 2, [2, 1]), ("G[2,5]", 2, [2, 1]), ("CI[9;3]", 3, [3]),
+                                  ("G[3,9]", 7, [7]), ("CI[4;2,2]", 2, [2]), ("PP[2,3]", 2, [2]),
+                                  ("G2P", 2, [])]:
         calls.update(dict.fromkeys(names, 0))
+        read.clear()
+        built.clear()
         assert compute_row(fam.parse_spec(spec_text), k)["agree"] is True, spec_text
-        expected = {"tangent_character": characters, "chk_verdict": 1, "threshold_oracle": 1}
-        assert calls == expected, (spec_text, k)
+        assert calls == {"tangent_character": 0, "chk_verdict": 1, "threshold_oracle": 1}, (spec_text, k)
+        assert read == degrees and built == degrees[:1], (spec_text, k)
 
 
 def test_empty_inputs_are_usage_errors(capsys):
@@ -453,6 +477,53 @@ def test_ci_census_past_the_row_bound_stops_listing(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == "error: census lists more than 100000 specs; narrow --n-range or --max-c\n"
     assert len(listed) == cli.MAX_CENSUS_SPECS + 1
+
+
+def _record_grassmannian_makers(monkeypatch) -> list[tuple[int, int]]:
+    """A list that records the (k, n) of each G spec a census makes."""
+    made = []
+    maker = fam.KIND_MAKERS[fam.GRASS]
+
+    def recording(k, n):
+        made.append((k, n))
+        return maker(k, n)
+
+    monkeypatch.setitem(fam.KIND_MAKERS, fam.GRASS, recording)
+    return made
+
+
+def test_grassmannian_census_past_the_ambient_bound_stops_listing(capsys, monkeypatch):
+    made = _record_grassmannian_makers(monkeypatch)
+    # every (k, n) of the ranges, 599,994 of them, used to be listed (1.94 s, 88 MB) before
+    # the first over-bound ring was refused; listing stops at that ring, C(1415, 2) > 10^6
+    assert main(["census", "G", "--k-range", "2..3", "--n-range", "4..300000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: G(2,1415) has a basis of C(1415,2) = 1000405 Schubert classes, "
+        "more than the 1000000 this tool builds\n"
+    )
+    assert made == [(2, n) for n in range(4, 1416)]
+    # a spec whose dimension is below --k gives no row, so its ring is not checked
+    made.clear()
+    argv = ["census", "G", "--k", "10000", "--k-range", "2", "--n-range", "4..2000", "--format", "csv"]
+    assert run_cli(capsys, *argv) == (0, ",".join(cli.CSV_COLUMNS) + "\n")
+    assert len(made) == 1997
+
+
+def test_grassmannian_census_past_the_row_bound_stops_listing(capsys, monkeypatch):
+    made = _record_grassmannian_makers(monkeypatch)
+    monkeypatch.setattr(cli, "MAX_CENSUS_SPECS", 5)
+    argv = ["census", "G", "--k-range", "2..3", "--n-range", "4..40", "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: census lists more than 5 specs; narrow --k-range or --n-range\n"
+    assert made == [(2, n) for n in range(4, 10)]
+    # specs whose dimension is below --k are not listed, so they count for nothing: of
+    # G(2,4)..G(2,40) only the four from n = 37 on reach dimension 70
+    code, out = run_cli(capsys, "census", "G", "--k", "70", "--k-range", "2", "--n-range", "4..40", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 4
 
 
 def test_grassmannian_past_the_bound_in_n_is_refused_without_its_count(capsys, monkeypatch):

@@ -59,18 +59,21 @@ def test_family_specs_are_validating_tuples():
 
 
 def test_verdicts_hash_and_compare_without_their_character():
+    # a verdict is a plain named tuple of its four fields: it carries no character
     spec = fam.FamilySpec(fam.GRASS, k=2, n=5)
     verdict = chk_verdict(spec, 2)
     assert isinstance(hash(verdict), int) and isinstance(hash(consistency_check(spec)), int)
-    twin = fam.Verdict(2, verdict.status, verdict.witnesses, verdict.note, tangent_character(spec, cap=2))
-    assert twin.character is not verdict.character and twin.character == verdict.character
-    assert twin == verdict and hash(twin) == hash(verdict)
+    assert fam.Verdict._fields == ("k", "status", "witnesses", "note") and not hasattr(verdict, "character")
+    twin = fam.Verdict(2, verdict.status, verdict.witnesses)
+    assert twin.note == "" and twin == verdict and hash(twin) == hash(verdict)
+    assert twin == (2, "POSITIVE", (("σ[1,1]", Fraction(1, 2)), ("σ[2]", Fraction(3, 2))), "")
     assert repr(verdict) == (
         "Verdict(k=2, status='POSITIVE', witnesses=(('σ[1,1]', Fraction(1, 2)), ('σ[2]', Fraction(3, 2))), note='')"
     )
-    # the character travels with a pickled verdict, on a copy of its ring
     back = pickle.loads(pickle.dumps(verdict))
-    assert back == verdict and repr(back.character) == repr(verdict.character)
+    assert back == verdict and type(back) is fam.Verdict
+    with pytest.raises(AttributeError):
+        verdict.character = tangent_character(spec, cap=2)
 
 
 def test_gh_rows_multiply_no_schubert_class(monkeypatch):
@@ -323,13 +326,24 @@ def test_consistency_report_agreement():
     assert ci3.oracle_status == ci3.verdict.status == NEITHER and ci3.twist_status == "" and ci3.agree
 
 
-def test_dim_h_reads_c1_from_the_verdict_character():
-    for spec in (fam.FamilySpec(fam.GRASS, k=2, n=5), fam.FamilySpec(fam.OG, k=2, n=8),
-                 fam.FamilySpec(fam.SG, k=3, n=8), fam.FamilySpec(fam.GRASS_HYP, k=2, n=6),
-                 fam.ci(9, (3,))):
+def test_dim_h_reads_c1_from_the_degree_one_power_sum(monkeypatch):
+    # c_1 = 1! ch_1(T_X) is the integer p(1) on the one degree-1 label, read with no class
+    built = []
+    power_sum_class = fam.power_sum_class
+
+    def recording(ring, j, p_j):
+        built.append(j)
+        return power_sum_class(ring, j, p_j)
+
+    monkeypatch.setattr(fam, "power_sum_class", recording)
+    for spec, c1 in ((fam.FamilySpec(fam.GRASS, k=2, n=5), 5), (fam.FamilySpec(fam.OG, k=2, n=8), 5),
+                     (fam.FamilySpec(fam.SG, k=3, n=8), 6), (fam.FamilySpec(fam.GRASS_HYP, k=2, n=6), 5),
+                     (fam.ci(9, (3,)), 7)):
+        built.clear()
         rep = consistency_check(spec)
-        assert rep.verdict.character.cap == 2
-        assert rep.expected_dim == fam.anticanonical_line_degree(spec) - 2, spec.text()
+        assert built == [2], spec.text()
+        assert rep.expected_dim == c1 - 2 == fam.anticanonical_line_degree(spec) - 2, spec.text()
+        assert type(fam._line_degree(spec)) is int
 
 
 def test_enumerate_fano_ci_rejects_negative_codimension():
@@ -408,16 +422,18 @@ def test_product_character_is_the_sum_of_two_euler_sequences():
 
 def test_cached_ambient_characters_stay_equal_to_a_fresh_computation():
     # many rows on the same P^n share the cached ring and its basis classes; no row's
-    # character may leak into another's
+    # witnesses may leak into another's
     held = []
     for n in range(2, 13):
         for degrees in enumerate_fano_ci(n, 3):
             spec = fam.ci(n, degrees)
             for k in range(2, min(dim_x(spec), 4) + 1):
-                held.append((n, degrees, k, consistency_check(spec, k).verdict.character))
+                held.append((n, degrees, k, consistency_check(spec, k).verdict.witnesses))
     assert fam._pn_ring.cache_info().currsize
-    for n, degrees, k, ch in held:
-        assert ch == _euler_sequence_character(n, degrees, k), (n, degrees, k)
+    for n, degrees, k, witnesses in held:
+        (label,) = fam._pn_ring(n).basis(k)
+        ch_k = _euler_sequence_character(n, degrees, k).component(k)
+        assert witnesses == ((label, ch_k.coefficient(label)),), (n, degrees, k)
         assert tangent_character(fam.ci(n, ()), k) == _euler_sequence_character(n, (), k)
         assert fam.ambient_ring(fam.ci(n, degrees)) is fam._pn_ring(n)
 
@@ -539,9 +555,65 @@ def test_grassmannian_row_builds_only_the_degrees_it_reads(monkeypatch):
     monkeypatch.setattr(fam, "_grass_ring", grassmannian_ring)
     rep = consistency_check(fam.FamilySpec(fam.GRASS, k=8, n=18), 2)
     assert rep.agree
-    # ch(S^dual) up to the cap reads the hooks of degrees 1 and 2, and the
-    # verdict reads degree 2; nothing else of the 1 + 80 degrees is built
+    # dim H reads the one label of degree 1 and the verdict reads degree 2;
+    # nothing else of the 1 + 80 degrees is built
     assert sizes and max(sizes) <= 2, sorted(set(sizes))
+
+
+def _oracle_specs():
+    """Every spec of the five Grassmannian kinds with n <= 12, every CI with n <= 12 and at
+    most three degrees, and PP[a,b] for a, b <= 4."""
+    yield from _grassmannian_kind_specs(range(2, 7), 12)
+    for n in range(1, 13):
+        for degrees in enumerate_fano_ci(n, 3):
+            yield fam.ci(n, degrees)
+    for a in range(1, 5):
+        for b in range(1, 5):
+            yield fam.product_pn(a, b)
+
+
+def test_verdicts_read_ch_k_of_the_full_tangent_character():
+    # a verdict builds ch_k alone, from p(k); the character at every degree up to k,
+    # summed on the full route, must give the same witnesses on each label
+    specs = list(_oracle_specs())
+    assert {s.kind for s in specs} == {*fam._GRASS_KINDS, fam.CI, fam.PRODUCT_PN} and len(specs) == 281
+    for spec in specs:
+        for k in range(2, dim_x(spec) + 1):
+            ch_k = tangent_character(spec, k).component(k)
+            verdict = chk_verdict(spec, k)
+            if spec.kind == fam.SG and spec.n == 2 * spec.k and k == 2:
+                # the Lagrangian boundary collapses the two degree-2 duals into one witness
+                assert verdict.witnesses == (
+                    ("σ[2]+σ[1,1]", ch_k.coefficient("σ[2]") + ch_k.coefficient("σ[1,1]")),), spec
+                continue
+            assert verdict.witnesses == tuple((label, ch_k.coefficient(label)) for label in ch_k.ring.basis(k)), \
+                (spec, k)
+        # dim H reads c_1 as an integer; the character at cap 1 is its reference
+        expected = consistency_check(spec, 2).expected_dim if dim_x(spec) >= 2 else None
+        if expected is not None:
+            (label,) = fam.ambient_ring(spec).basis(1)
+            assert expected == tangent_character(spec, cap=1).component(1).coefficient(label) - 2, spec
+
+
+def test_deep_grassmannian_verdict_builds_no_lower_degree(monkeypatch):
+    # G(4,12) at k = 10: the verdict reads p(10) alone, so neither the ring's degrees 2..9
+    # nor a power-sum table entry with 1 < j < 10 is built
+    fam._grass_ring.cache_clear()
+    schubert._adams_square.cache_clear()
+    entries = []
+    adams_square = schubert._adams_square
+
+    def recording(j, *rest):
+        entries.append(j)
+        return adams_square(j, *rest)
+
+    monkeypatch.setattr(schubert, "_adams_square", recording)
+    spec = fam.FamilySpec(fam.GRASS, k=4, n=12)
+    assert consistency_check(spec, 10).agree
+    ring = fam._grass_ring(4, 12)
+    assert [d for d in range(2, 10) if ring._basis[d]] == []
+    assert len(ring._basis[10]) == len(partitions_in_box(4, 8, 10))
+    assert entries == [10] and adams_square.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("text, message", [
