@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
-from functools import partial
 
 from . import __version__
 from . import catalog as cat
@@ -33,14 +31,6 @@ MAX_CENSUS_SPECS = 10**5
 
 class UsageError(Exception):
     pass
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported here: it pulls in
-    multiprocessing, which only a parallel census needs."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _parse_range(text: str) -> range:
@@ -119,8 +109,14 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")
         maker = fam.KIND_MAKERS[kind]
-        for k in _parse_range(ns.k_range):
-            for n in _parse_range(ns.n_range):
+        k_values = _parse_range(ns.k_range)
+        n_values = _parse_range(ns.n_range)
+        # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only
+        # from n = k + ceil(--k / k) on, so no (k, n) outside those bounds is visited
+        for k in range(max(k_values.start, 2), k_values.stop):
+            if 2 * k > n_values[-1]:
+                break
+            for n in range(max(n_values.start, 2 * k, k - (-ns.k // k)), n_values.stop):
                 try:
                     spec = maker(k, n)
                 except fam.InvalidFamilyError:
@@ -247,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--n", type=int, default=None, help="single n (CI census)")
     p_census.add_argument("--max-c", dest="max_c", type=int, default=None,
                           help="max codimension (CI census, default 2)")
-    p_census.add_argument("--jobs", type=int, default=1, help="parallel workers for the rows")
     common(p_census)
 
     p_pair = sub.add_parser("minimal-family", help="look up the polarized minimal pair")
@@ -272,17 +267,7 @@ def main(argv: list[str] | None = None) -> int:
             items = [compute_row(fam.parse_spec(ns.spec), ns.k)]
             passed = bool(items[0]["agree"])
         elif ns.cmd == "census":
-            if ns.jobs < 1:
-                raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
-            specs = _census_specs(ns)
-            row = partial(compute_row, k=ns.k)
-            # more workers than cores or rows only cost processes
-            jobs = min(ns.jobs, os.cpu_count() or 1, len(specs))
-            if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    items = list(pool.map(row, specs))
-            else:
-                items = list(map(row, specs))
+            items = [compute_row(spec, ns.k) for spec in _census_specs(ns)]
             passed = all(item["agree"] for item in items)
         elif ns.cmd == "minimal-family":
             pair = fam.minimal_pair(fam.parse_spec(ns.spec))

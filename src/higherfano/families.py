@@ -84,7 +84,7 @@ class NoPairError(ValueError):
 
 
 class FamilySpec(namedtuple("FamilySpec", "kind k n degrees")):
-    """A parametric family, validated whenever built or unpickled; `k`/`n` hold (a, b) for PP."""
+    """A parametric family, validated whenever built; `k`/`n` hold (a, b) for PP."""
 
     __slots__ = ()
 

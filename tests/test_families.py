@@ -48,7 +48,7 @@ def test_family_specs_are_validating_tuples():
     assert repr(spec) == "FamilySpec(kind='G', k=2, n=5, degrees=())" and str(spec) == "G[2,5]"
     with pytest.raises(InvalidFamilyError):
         fam.FamilySpec(fam.GRASS, k=2, n=3)
-    # a census worker receives its specs pickled: each comes back equal, as a FamilySpec
+    # a pickled spec comes back equal, as a FamilySpec
     for spec in (spec, fam.ci(9, (3, 2)), fam.g2_fivefold(), fam.product_pn(2, 3)):
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec and type(back) is fam.FamilySpec and hash(back) == hash(spec)
