@@ -91,15 +91,22 @@ def test_census_ci(capsys):
     assert run_cli(capsys, "census", "CI", "--n", "10", "--k", "2")[1] == out.replace("--max-c 2 ", "")
 
 
+def test_import_leaves_out_the_process_pool():
+    # a census runs its rows in this process, so nothing imports concurrent.futures or the
+    # multiprocessing it pulls in
+    code = "import sys, higherfano.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_import_loads_no_dataclasses_inspect_json_or_csv():
-    # every CLI run pays for what the import loads: the records are tuples, json and
-    # csv are imported where a report is rendered, and a census runs its rows in this
-    # process, with no pool.  Only the modules the import adds are compared, so modules
-    # that the environment loads at start-up do not count
+    # every CLI run pays for what the import loads: the records are tuples, and json
+    # and csv are imported where a report is rendered.  Only the modules the import
+    # adds are compared, so modules that the environment loads at start-up do not count
     code = (
         "import sys; before = set(sys.modules); import higherfano.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json', 'csv', 'concurrent.futures', 'multiprocessing'}"
-        " & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} & (set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -743,13 +750,16 @@ def test_verify_suite_golden_json(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_census_refuses_jobs(capsys):
-    # a census runs its rows in one process: --jobs, which once set a process pool, is gone
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_refuses_jobs_below_one(capsys, jobs):
+    # a census runs its rows in one process: --jobs, which once set a process pool, is gone,
+    # so any value of it is an argparse error
+    argv = ["census", "G", "--k-range", "2", "--n-range", "4..5", "--jobs", jobs, "--format", "csv"]
     with pytest.raises(SystemExit) as exc:
-        main(["census", "G", "--k-range", "2", "--n-range", "4..5", "--jobs", "2", "--format", "csv"])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "error: unrecognized arguments: --jobs 2\n" in captured.err
+    assert captured.out == "" and "error: unrecognized arguments: --jobs" in captured.err
 
 
 @pytest.mark.parametrize("spec, message", [
