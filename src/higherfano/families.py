@@ -32,7 +32,7 @@ from . import schubert
 from .bundles import (CharacterVector, dual, euler_character, line_character, power_sum_character, power_sum_class,
                       trivial_character)
 from .catalog import PolarizedPair
-from .rings import RingModel, check_basis_size, product_ring, projective_space_ring
+from .rings import RingModel, basis_size_error, product_ring, projective_space_ring
 from .schubert import GrassmannianRing, grassmannian_ring, partition_label
 
 POSITIVE = "POSITIVE"
@@ -196,11 +196,13 @@ def check_ambient_bound(spec: FamilySpec) -> None:
 
     It builds no label, so a census can check every spec before its first row.
     """
-    k, n = spec.k, spec.n
+    k, n, bound = spec.k, spec.n, schubert.MAX_BASIS_LABELS
     if spec.kind == CI:
-        check_basis_size(f"P^{n}", f"{n}+1", n + 1, schubert.MAX_BASIS_LABELS)
+        if n + 1 > bound:
+            raise basis_size_error(f"P^{n}", f"{n}+1", n + 1, bound)
     elif spec.kind == PRODUCT_PN:
-        check_basis_size(f"P^{k} x P^{n}", f"({k}+1)({n}+1)", (k + 1) * (n + 1), schubert.MAX_BASIS_LABELS)
+        if (k + 1) * (n + 1) > bound:
+            raise basis_size_error(f"P^{k} x P^{n}", f"({k}+1)({n}+1)", (k + 1) * (n + 1), bound)
     elif spec.kind in _GRASS_KINDS:
         schubert.check_basis_bound(k, n)
 

@@ -23,10 +23,16 @@ monomials l^a, l^a*e_j and l^a*s, so degree m holds m + 2 labels (1 in
 degree 0).  A monomial carries at most one symbol: the derivation never
 multiplies two, and such a product raises.  The ring depends on the truncation
 alone and is shared; the ambient dimension n enters through tangent_pullback.
-What reads no n is built once per ring: the powers of s, l and c_1(T_pi),
-the n-free factors of z_class and w_class, and the identities (iv)-(viii) of
-verify_claim31.  Its checks on Z, which read n but not d, are built once per
-n on each ring.
+
+What reads no n is built once per ring: the powers of s, l and c_1(T_pi);
+ch(T_pi), ch(O(-s)) and td(T_pi); the summand (sum_j e_j - ch(T_pi)) * ch(O(-s))
+of the character cycle Z, so that z_class(n) only adds n * ch(O(-s)) to it;
+the n-free parts e_k - l^k/k!, s*l^k/k! and t_k of the closed forms that
+verify_claim31 compares Z with; and its identities (iv)-(viii).  Its checks on
+Z read n but not d, and are built once per n, multiplying only by the scalars
+that read n: (n+1)(-1)^k/k!, (n+1)/k! and n/k!.  A claim31 report holds these
+shared checks and puts its (n, d) at the head of their params only when it is
+read.
 
 Pushforward down the bundle lands in FamilyModel, whose labels are l^a and
 l^a*t_j with t_j of degree j-1 (such as "l^2*t_3"): pure powers of l push to
@@ -39,6 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import factorial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -150,7 +157,13 @@ class UniversalModel(_MonomialModel):
         return out
 
     def z_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
-        """(ev^* ch(T_X) - ch(T_pi)) * ch(O(-s))."""
+        """(ev^* ch(T_X) - ch(T_pi)) * ch(O(-s)).
+
+        Without a substitution this is n * ch(O(-s)) plus the n-free summand
+        _z_n_free, built once per ring.
+        """
+        if e1_substitution is None:
+            return n * self._ch_o_minus_s + self._z_n_free
         return (self.tangent_pullback(n, e1_substitution) - self._ch_tpi) * self._ch_o_minus_s
 
     def w_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
@@ -158,8 +171,8 @@ class UniversalModel(_MonomialModel):
         return self.z_class(n, e1_substitution) * self._todd_tpi
 
     # -- built once per ring ----------------------------------------------
-    # the factors of z_class and w_class that read no n, the generators'
-    # powers, and the identities of verify_claim31 that read neither n nor d
+    # the factors and summand of z_class and w_class that read no n, the
+    # generators' powers, and what verify_claim31 compares that reads no n
 
     @cached_property
     def _ch_tpi(self) -> GradedClass:
@@ -172,6 +185,11 @@ class UniversalModel(_MonomialModel):
     @cached_property
     def _todd_tpi(self) -> GradedClass:
         return todd_line(self.c1_relative_tangent())
+
+    @cached_property
+    def _z_n_free(self) -> GradedClass:
+        """(sum_j e_j - ch(T_pi)) * ch(O(-s)): z_class(n) less n * ch(O(-s))."""
+        return (self.tangent_pullback(0) - self._ch_tpi) * self._ch_o_minus_s
 
     @cached_property
     def powers(self) -> PowerTable:
@@ -215,27 +233,32 @@ class UniversalModel(_MonomialModel):
         hit = self._claim31_by_n.get(n)
         if hit is not None:
             return hit
-        fam = self.family
-        S, L, _, LH = self.powers
+        S, _, _, LH = self.powers
         sig = S[1]
         z = self.z_class(n)
         checks = [Check.compare("Z_0 = n-1", (0,), z.degree_part(0), self.scalar(n - 1))]
-        for k in range(1, self.dimension):
+        for k, (e_less_l, sl, t) in enumerate(self._claim31_n_free_forms, start=1):
             zk = z.degree_part(k)
+            zks = zk * sig
             co = Fraction((n + 1) * (-1) ** k, factorial(k))
-            rhs = self.e(k) + co * S[k] - L[k] * Fraction(1, factorial(k))
-            checks.append(Check.compare("Z_k", (k,), zk, rhs))
-
-            rhs_zs = co * S[k + 1] - (sig * L[k]) * Fraction(1, factorial(k))
-            checks.append(Check.compare("Z_k*s", (k,), zk * sig, rhs_zs))
-
-            rhs_push = fam.t(k) - LH[k - 1] * Fraction(n + 1, factorial(k))
-            checks.append(Check.compare("push(Z_k)", (k,), push_pi(zk), rhs_push))
-
-            rhs_push_zs = LH[k] * Fraction(n, factorial(k))
-            checks.append(Check.compare("push(Z_k*s)", (k,), push_pi(zk * sig), rhs_push_zs))
+            checks += (
+                Check.compare("Z_k", (k,), zk, co * S[k] + e_less_l),
+                Check.compare("Z_k*s", (k,), zks, co * S[k + 1] - sl),
+                Check.compare("push(Z_k)", (k,), push_pi(zk), t - LH[k - 1] * Fraction(n + 1, factorial(k))),
+                Check.compare("push(Z_k*s)", (k,), push_pi(zks), LH[k] * Fraction(n, factorial(k))),
+            )
         self._claim31_by_n[n] = hit = tuple(checks)
         return hit
+
+    @cached_property
+    def _claim31_n_free_forms(self) -> tuple[tuple[GradedClass, GradedClass, GradedClass], ...]:
+        """For k = 1 .. k_max, (e_k - l^k/k!, s*l^k/k!, t_k): the n-free parts of claim31_z_checks' closed forms."""
+        S, L, _, _ = self.powers
+        forms = []
+        for k in range(1, self.dimension):
+            inv = Fraction(1, factorial(k))
+            forms.append((self.e(k) - L[k] * inv, (S[1] * L[k]) * inv, self.family.t(k)))
+        return tuple(forms)
 
 
 @lru_cache(maxsize=None)
@@ -290,22 +313,35 @@ class Check(NamedTuple):
 
 
 class VerificationReport:
-    def __init__(self, label: str, checks: list[Check] | None = None):
+    """Checks under one label, with `prefix` put at the head of each check's params when read.
+
+    The prefix lets many reports hold the same checks: a claim31 report holds
+    its ring's checks for n and its ring's identities, and adds (n, d) to the
+    params of the checks it hands out.
+    """
+
+    def __init__(self, label: str, checks: Sequence[Check] | None = None, prefix: tuple = ()):
         self.label = label
-        self.checks = [] if checks is None else checks
+        self._checks = [] if checks is None else list(checks)
+        self._prefix = prefix
 
     def record(self, name: str, params: tuple, lhs, rhs) -> None:
-        self.checks.append(Check.compare(name, params, lhs, rhs))
+        self._checks.append(Check.compare(name, params, lhs, rhs))
+
+    @property
+    def checks(self) -> list[Check]:
+        """Every check, with the prefix at the head of its params, as a new list."""
+        return [c._replace(params=self._prefix + c.params) for c in self._checks]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(c.ok for c in self._checks)
 
     def item(self) -> dict:
         """The report as one {check, ok, detail} item; detail shows the first three failures."""
-        fails = [c for c in self.checks if not c.ok][:3]
-        detail = "; ".join(f"{c.name}{c.params}: {c.lhs} != {c.rhs}" for c in fails)
-        return {"check": self.label, "ok": self.ok, "detail": detail}
+        fails = list(islice((c for c in self._checks if not c.ok), 3))
+        detail = "; ".join(f"{c.name}{self._prefix + c.params}: {c.lhs} != {c.rhs}" for c in fails)
+        return {"check": self.label, "ok": not fails, "detail": detail}
 
 
 def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
@@ -314,15 +350,12 @@ def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
     Exercises, for all k <= k_max: the normal form of Z_k, Z_k*s, their
     pushforwards, Z_0 = n-1, and the auxiliary product and pushforward
     identities used along the way.  The ring computes each check once per n
-    (the Z checks) or once (the identities); d enters only the params.
+    (the Z checks) or once (the identities); d enters only the params, which
+    the report heads with (n, d) when it is read.
     """
     u = model_ring(n, d, k_max)
-    report = VerificationReport(f"claim31(n={n}, d={d}, k_max={k_max})")
-    report.checks.extend(
-        Check(c.name, (n, d) + c.params, c.ok, c.lhs, c.rhs)
-        for c in u.claim31_z_checks(n) + u.claim31_identities
-    )
-    return report
+    checks = u.claim31_z_checks(n) + u.claim31_identities
+    return VerificationReport(f"claim31(n={n}, d={d}, k_max={k_max})", checks, prefix=(n, d))
 
 
 def _character_formula(ell: GradedClass, t: Callable[[int], GradedClass], k: int) -> GradedClass:

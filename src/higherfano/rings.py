@@ -457,15 +457,15 @@ def check_graded(
     return tuple(classes)
 
 
-def check_basis_size(space: str, formula: str, count: int | None, bound: int, classes: str = "classes") -> None:
-    """ValueError if a basis of `count` labels (`formula` in the ring's parameters) exceeds bound.
+def basis_size_error(space: str, formula: str, count: int | None, bound: int, classes: str = "classes") -> ValueError:
+    """The refusal of a basis of `count` labels (`formula` in the ring's parameters), past bound.
 
     A count of None is one known to exceed bound, left unevaluated: the message names only
-    its formula.  It builds no label, so a caller can check a ring before building it.
+    its formula.  A caller compares the count with the bound before building a ring, and
+    formats the names only for the refusal it raises.
     """
-    if count is None or count > bound:
-        size = formula if count is None else f"{formula} = {count}"
-        raise ValueError(f"{space} has a basis of {size} {classes}, more than the {bound} this tool builds")
+    size = formula if count is None else f"{formula} = {count}"
+    return ValueError(f"{space} has a basis of {size} {classes}, more than the {bound} this tool builds")
 
 
 def projective_space_ring(n: int, gen: str = "h") -> ProjectiveSpaceRing:

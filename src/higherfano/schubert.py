@@ -32,7 +32,7 @@ from itertools import permutations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
-from .rings import DegreeError, GradedClass, RingModel, check_basis_size
+from .rings import DegreeError, GradedClass, RingModel, basis_size_error
 
 Partition = tuple[int, ...]
 
@@ -184,7 +184,8 @@ def check_basis_bound(k: int, n: int) -> None:
     """
     huge = n > MAX_BASIS_LABELS or min(k, n - k) >= MAX_BASIS_LABELS.bit_length()
     count = None if huge else comb(n, k)
-    check_basis_size(f"G({k},{n})", f"C({n},{k})", count, MAX_BASIS_LABELS, "Schubert classes")
+    if count is None or count > MAX_BASIS_LABELS:
+        raise basis_size_error(f"G({k},{n})", f"C({n},{k})", count, MAX_BASIS_LABELS, "Schubert classes")
 
 
 class GrassmannianRing(RingModel):

@@ -6,6 +6,7 @@ import pytest
 from higherfano import minimalfamily
 from higherfano.families import enumerate_fano_ci
 from higherfano.minimalfamily import (
+    Check,
     FamilyModel,
     MinimalFamilyInput,
     MissingTransferError,
@@ -192,6 +193,17 @@ def test_power_tables_match_repeated_products():
     assert u.powers is u.powers  # built once per ring
 
 
+def test_z_class_n_free_summand_is_exact():
+    # z_class(n) is n * ch(O(-s)) plus a summand cached on the ring; compare it
+    # with the product taken directly, on every truncation the tests use
+    for k_max in range(1, 9):
+        for n in range(1, 13):
+            u = model_ring(n, 0, k_max)
+            direct = (u.tangent_pullback(n) - u._ch_tpi) * u._ch_o_minus_s
+            assert u.z_class(n) == direct
+            assert u.w_class(n) == direct * u._todd_tpi
+
+
 class _WrongSquare(UniversalModel):
     """s^2 = +s*l instead of -s*l."""
 
@@ -215,6 +227,14 @@ def test_ring_identities_are_checked_in_every_claim31_report(monkeypatch):
         assert all(c.params[:2] == (n, d) for c in rep.checks)
         detail = VerificationReport("identities", identities).item()["detail"]
         assert detail.count(f"({n}, {d}, ") == 3
+        # the (n, d) prefix is applied on read: the report lists and shows what
+        # copying every shared check with the prefix at the head of its params would
+        eager = [
+            Check(c.name, (n, d) + c.params, c.ok, c.lhs, c.rhs)
+            for c in broken.claim31_z_checks(n) + broken.claim31_identities
+        ]
+        assert rep.checks == eager and not rep.ok
+        assert rep.item() == VerificationReport(rep.label, eager).item()  # detail byte for byte
     first, second = reports.values()
     assert first.checks is not second.checks
     monkeypatch.undo()
