@@ -26,20 +26,8 @@ from .schubert import (
     grassmannian_ring,
     partition_label,
     pieri,
-    tautological_chern,
 )
-from .bundles import (
-    CharacterVector,
-    adams,
-    character_to_chern,
-    chern_to_character,
-    dual,
-    line_character,
-    sym2_character,
-    todd_line,
-    trivial_character,
-    wedge2_character,
-)
+from .bundles import todd_line
 from .minimalfamily import (
     MinimalFamilyInput,
     T_power,
@@ -69,6 +57,5 @@ from .families import (
     minimal_pair,
     parse_spec,
     product_nonexample,
-    tangent_character,
     threshold_oracle,
 )

@@ -29,10 +29,9 @@ from typing import NamedTuple, Sequence
 
 from . import catalog as cat
 from . import schubert
-from .bundles import (CharacterVector, dual, euler_character, line_character, power_sum_character, power_sum_class,
-                      trivial_character)
+from .bundles import power_sum_class
 from .catalog import PolarizedPair
-from .rings import RingModel, basis_size_error, product_ring, projective_space_ring
+from .rings import RingModel, basis_size_error, product_ring, projbundle_ring, projective_space_ring
 from .schubert import GrassmannianRing, grassmannian_ring, partition_label
 
 POSITIVE = "POSITIVE"
@@ -254,13 +253,6 @@ def _power_sums(spec: FamilySpec):
     return ring, p
 
 
-def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVector:
-    """ch(T_X) up to cap in the distinguished ambient ring: each p(j) of _power_sums divided by j! once."""
-    ring, p = _power_sums(spec)
-    cap = ring.dimension if cap is None else min(cap, ring.dimension)
-    return power_sum_character(ring, dim_x(spec), cap, p)
-
-
 def anticanonical_line_degree(spec: FamilySpec) -> int:
     """-K_X paired with a minimal curve: the c_1 coefficient on the degree-1 basis."""
     if spec.kind == PRODUCT_PN:
@@ -452,9 +444,8 @@ def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
 
 def product_nonexample(a: int, b: int) -> Fraction:
     """ch_2(P^a x P^b) paired with the surface class of P^1 x P^1; always zero."""
-    spec = product_pn(a, b)
-    ring = ambient_ring(spec)
-    ch2 = tangent_character(spec, cap=2).component(2)
+    ring, p = _power_sums(product_pn(a, b))
+    ch2 = power_sum_class(ring, 2, p(2))
     h1, h2 = ring.monomial("h1"), ring.monomial("h2")
     surface = h1 ** (a - 1) * h2 ** (b - 1)
     return (ch2 * surface).integrate()
@@ -471,33 +462,29 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     """
     if m < 1:
         raise InvalidFamilyError("bundle diagnostics need m >= 1")
-    from .bundles import character_to_chern
-    from .rings import projbundle_ring
-
     base = projective_space_ring(m + 1)
     h = base.hyperplane()
-    rank = m + 1
+    # E as line bundles O(D) with multiplicities; T = (m+2) O(h) - O by the Euler sequence
     if case == "c":
-        ch_e = line_character(2 * h) + line_character(h) * m
+        lines = ((2 * h, 1), (h, m))
     elif case == "e":
-        ch_e = euler_character(h, m + 1)
+        lines = ((h, m + 2), (base.zero(), -1))
     else:
         raise InvalidFamilyError("diagnostic covers the bundle cases 'c' and 'e'")
-    # ch_e runs to the base's top degree, so it determines every c_i of E;
-    # the products below align to the tangent's cap 2
-    pb = projbundle_ring(base, character_to_chern(ch_e)[:rank], rank)
-    h_pb = pb.from_base(h)
-    edual = dual(ch_e)
-    edual_up = CharacterVector(
-        pb, edual.rank, [pb.from_base(edual.component(k)) for k in range(1, edual.cap + 1)]
-    )
-    # T of the base pulled back, plus the relative Euler sequence E^dual (x) O(1) - 1
-    tangent = (
-        euler_character(h_pb, m + 1, 2)
-        + edual_up * line_character(pb.xi(), cap=2)
-        - trivial_character(pb, 1, cap=2)
-    )
-    ch2 = tangent.component(2)
+    # c(E) = prod (1 + D)^mult, to which a trivial summand (D = 0) contributes 1
+    chern = base.unit()
+    for d, mult in lines:
+        if not d.is_zero():
+            chern = chern * (1 + d) ** mult
+    rank = m + 1
+    pb = projbundle_ring(base, [chern.degree_part(i) for i in range(1, rank + 1)], rank)
+    xi = pb.xi()
+    # T_P(E) = T of the base pulled back + E^dual (x) O(1) - 1, whose power sum p_2 is
+    # (m+2) h^2 + sum mult (xi - D)^2
+    p2 = (m + 2) * pb.from_base(h) ** 2
+    for d, mult in lines:
+        p2 = p2 + mult * (xi - pb.from_base(d)) ** 2
+    ch2 = p2 * Fraction(1, 2)
     out = []
     for label in pb.basis(pb.dimension - 2):
         out.append((label, (ch2 * pb.monomial(label)).integrate()))

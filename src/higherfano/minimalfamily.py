@@ -49,7 +49,7 @@ from itertools import islice
 from math import factorial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .bundles import line_character, todd_line
+from .bundles import exp_line, todd_line
 from .families import enumerate_fano_ci
 from .numeric import Rational, power_sum, todd_coeff
 from .rings import DegreeError, GradedClass, RingModel, _pow_label, projective_space_ring
@@ -176,11 +176,11 @@ class UniversalModel(_MonomialModel):
 
     @cached_property
     def _ch_tpi(self) -> GradedClass:
-        return line_character(self.c1_relative_tangent()).total()
+        return exp_line(self.c1_relative_tangent())
 
     @cached_property
     def _ch_o_minus_s(self) -> GradedClass:
-        return line_character(-self.sigma()).total()
+        return exp_line(-self.sigma())
 
     @cached_property
     def _todd_tpi(self) -> GradedClass:

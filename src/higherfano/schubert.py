@@ -265,19 +265,6 @@ def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:
     return GradedClass(ring, {ring._basis_label(mu): 1 for mu in _pieri_step(lam, i, ring.k, ring.cols)})
 
 
-def tautological_chern(ring: GrassmannianRing, which: str) -> tuple[GradedClass, ...]:
-    """Chern classes of the dual tautological subbundle or the quotient bundle.
-
-    "sub-dual": c_i(S^dual) = sigma_{1^i}, rank k.
-    "quotient": c_i(Q) = sigma_i, rank n-k.
-    """
-    if which == "quotient":
-        return tuple(ring.sigma((i,)) for i in range(1, ring.cols + 1))
-    if which == "sub-dual":
-        return tuple(ring.sigma((1,) * i) for i in range(1, ring.k + 1))
-    raise ValueError("which must be 'sub-dual' or 'quotient'")
-
-
 def _power_sum(ring: GrassmannianRing, j: int, times: int = 1) -> dict[str, int]:
     """times * p_j(S^dual) as {label: int}: the signed hooks of size j in the box.
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from higherfano.bundles import (
+from higherfano.bundles import exp_line, todd_line
+from higherfano.minimalfamily import UniversalModel
+from higherfano.rings import DegreeError, GradedClass, product_ring, projective_space_ring
+from higherfano.schubert import grassmannian_ring
+
+from reference import (
     CharacterVector,
     adams,
     character_to_chern,
@@ -14,12 +19,10 @@ from higherfano.bundles import (
     euler_character,
     line_character,
     sym2_character,
-    todd_line,
+    tautological_chern,
     trivial_character,
     wedge2_character,
 )
-from higherfano.rings import GradedClass, product_ring, projective_space_ring
-from higherfano.schubert import grassmannian_ring, tautological_chern
 
 
 def tangent_chern_pn(ring):
@@ -166,6 +169,15 @@ def test_todd_line():
     assert td.coefficient("h^2") == Fraction(1, 12)
     assert td.coefficient("h^3") == 0
     assert td.coefficient("h^4") == Fraction(-1, 720)
+    # e^D summed in the ring against the total of the line character
+    for d in (p4.zero(), h, 2 * h, -h):
+        assert exp_line(d) == line_character(d).total(), d
+    for k in range(7):
+        s = UniversalModel(k).sigma()
+        assert exp_line(s) == line_character(s).total(), k
+    for series in (exp_line, todd_line):
+        with pytest.raises(DegreeError):
+            series(h**2)
 
 
 def test_dual_of_a_line_is_the_inverse_line():

