@@ -1,9 +1,11 @@
 """Chern characters as integer power sums, and the series of a line bundle.
 
 A character is read as its power sums p_j = j! ch_j, the j-th power sums of the
-Chern roots: power_sum_class turns a {label: int} of degree j into ch_j with one
-division by j! per label.  Every tangent character of the example families takes
-that route, a verdict only at the degrees it reads.
+Chern roots: power_sum_class turns a {label: int} of degree j into the class ch_j
+with one division by j! per label.  A verdict needs no class: it reads the signs
+of the integers p_k, which are those of ch_k as k! > 0, and divides once per
+witness it prints (families.chk_verdict), so power_sum_class serves the product
+non-example and the tests' oracles.
 
 exp_line (ch(O(D)) = e^D) and todd_line (td(O(D))) are the two series
 sum_j a_j D^j in a degree-1 class D, summed to the ring's dimension by one loop.

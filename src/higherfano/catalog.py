@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import NamedTuple, Sequence
 
 CATALOG_VERSION = "1"
@@ -53,14 +54,10 @@ class PolarizedPair(NamedTuple):
         return len(self.divisor_basis)
 
     def intersect(self, divisor: Sequence, curve: Sequence) -> int:
-        return sum(
-            divisor[i] * self.pairing[i][j] * curve[j]
-            for i in range(len(self.divisor_basis))
-            for j in range(len(self.curve_basis))
-        )
+        return sum(d * sum(map(mul, row, curve)) for d, row in zip(divisor, self.pairing))
 
     def degrees_on_mori(self, divisor: Sequence) -> tuple[int, ...]:
-        return tuple(self.intersect(divisor, r) for r in self.mori_generators)
+        return tuple([self.intersect(divisor, r) for r in self.mori_generators])
 
     @property
     def pseudoindex(self) -> int:
@@ -90,17 +87,18 @@ class PolarizedPair(NamedTuple):
 
 
 def tri_state(values: Sequence[Fraction]) -> str:
-    """AMPLE if every value is positive, NEF_ONLY if every value is nonnegative, else NEITHER."""
-    if all(v > 0 for v in values):
-        return AMPLE
-    if all(v >= 0 for v in values):
-        return NEF_ONLY
-    return NEITHER
+    """AMPLE if every value is positive, NEF_ONLY if every value is nonnegative, else NEITHER.
+
+    The least value decides; an empty list has no nonpositive value, so it is AMPLE.
+    """
+    least = min(values, default=1)
+    return AMPLE if least > 0 else NEF_ONLY if least == 0 else NEITHER
 
 
 def twist_class(pair: PolarizedPair) -> Vector:
     """-2K - dim * L in divisor coordinates."""
-    return tuple(-2 * k - pair.dim * l for k, l in zip(pair.K, pair.L))
+    d = pair.dim
+    return tuple([-2 * k - d * l for k, l in zip(pair.K, pair.L)])
 
 
 def positivity_of_twist(pair: PolarizedPair) -> str:
@@ -122,18 +120,8 @@ _RANK_ONE = ((1,),)
 
 def pair_picard_one(label: str, dim: int, index: int, degree: int, structure: str) -> PolarizedPair:
     """Picard rank one: Pic = Z*h, -K = index*h, L = degree*h, lines span the Mori cone."""
-    return PolarizedPair(
-        label=label,
-        dim=dim,
-        divisor_basis=("h",),
-        curve_basis=("l",),
-        pairing=_RANK_ONE,
-        K=(-index,),
-        L=(degree,),
-        nef_generators=_RANK_ONE,
-        mori_generators=_RANK_ONE,
-        structure=structure,
-    )
+    # positional, in field order: label, dim, bases, pairing, K, L, nef and Mori generators, structure
+    return PolarizedPair(label, dim, ("h",), ("l",), _RANK_ONE, (-index,), (degree,), _RANK_ONE, _RANK_ONE, structure)
 
 
 def pair_projective_space(d: int, polarization_degree: int = 1) -> PolarizedPair:

@@ -102,9 +102,10 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
             # reads n alone, so an over-bound n is refused before its tuples are listed
             if n < ns.k:
                 continue
-            fam.check_ambient_bound(fam.ci(n, ()))
+            fam.check_ambient_bound(fam.FamilySpec(fam.CI, 0, n, ()))
+            # the tuples are nonincreasing already, so each spec is built as ci() would sort it
             for degrees in fam.enumerate_fano_ci(n, max_c):
-                _list_spec(specs, fam.ci(n, degrees), "--n-range or --max-c")
+                _list_spec(specs, fam.FamilySpec(fam.CI, 0, n, degrees), "--n-range or --max-c")
     else:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")

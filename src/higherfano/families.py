@@ -25,6 +25,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import factorial
 from typing import NamedTuple, Sequence
 
 from . import catalog as cat
@@ -92,7 +93,7 @@ class FamilySpec(namedtuple("FamilySpec", "kind k n degrees")):
 
     def text(self) -> str:
         if self.kind == CI:
-            return f"CI[{self.n};{','.join(str(d) for d in self.degrees)}]"
+            return f"CI[{self.n};{','.join(map(str, self.degrees))}]"
         if self.kind == G2P:
             return "G2P"
         return f"{self.kind}[{self.k},{self.n}]"
@@ -257,14 +258,13 @@ def anticanonical_line_degree(spec: FamilySpec) -> int:
     """-K_X paired with a minimal curve: the c_1 coefficient on the degree-1 basis."""
     if spec.kind == PRODUCT_PN:
         raise InvalidFamilyError("products have no distinguished minimal curve here")
-    return _line_degree(spec)
-
-
-def _line_degree(spec: FamilySpec) -> int:
-    """anticanonical_line_degree with no products check: c_1 = p(1), as 1! = 1, on the one degree-1 label."""
     if spec.kind == G2P:
         return 3
-    ring, p = _power_sums(spec)
+    return _line_degree(*_power_sums(spec))
+
+
+def _line_degree(ring: RingModel, p) -> int:
+    """c_1 from the (ring, p) of _power_sums: p(1), as 1! = 1, on the one degree-1 label."""
     (label,) = ring.basis(1)
     v = p(1).get(label, 0)
     if not isinstance(v, int):
@@ -288,34 +288,49 @@ def check_verdict_index(k: int) -> None:
 
 
 def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
-    """Positivity of ch_k, built from p(k) of _power_sums alone, decided by pairing against the dual basis.
+    """Positivity of ch_k, decided by pairing against the dual basis.
 
-    For the zero-locus families the pairings are the ambient Schubert
-    coefficients (modeling note recorded on the verdict); for the Lagrangian
-    boundary SG[k,2k] the two ambient degree-2 duals restrict to a single
-    effective class (b_4 = 1), so the verdict uses the collapsed pairing.
+    The pairings are the coefficients of ch_k = p(k)/k!, p(k) from _power_sums:
+    the status reads the signs of the integers p(k), which are those of ch_k as
+    k! > 0, and each witness divides once.  For the zero-locus families the
+    pairings are the ambient Schubert coefficients (modeling note recorded on the
+    verdict); for the Lagrangian boundary SG[k,2k] the two ambient degree-2
+    duals restrict to a single effective class (b_4 = 1), so the verdict uses
+    the collapsed pairing.  ValueError if p(k) names a label outside degree k.
+    """
+    return _verdict_and_sums(spec, k)[0]
+
+
+def _verdict_and_sums(spec: FamilySpec, k: int) -> tuple[Verdict, tuple | None]:
+    """chk_verdict and the (ring, p) of _power_sums it read, None for the G2P fact record.
+
+    A census row reads dim H from the same (ring, p), so each row reads the power sums once.
     """
     check_verdict_index(k)
     if spec.kind == G2P:
         if k != 2:
             raise InvalidFamilyError("the G2 fivefold is a fact record for k = 2 only")
-        return Verdict(2, POSITIVE, (), note="fact record: second character positive, b_4 = 1")
+        return Verdict(2, POSITIVE, (), note="fact record: second character positive, b_4 = 1"), None
     if k > dim_x(spec):
         raise InvalidFamilyError(f"ch_{k} exceeds dim X = {dim_x(spec)}")
-    ring, p = _power_sums(spec)
-    cls = power_sum_class(ring, k, p(k))
+    sums = ring, p = _power_sums(spec)
+    p_k = p(k)
+    basis = ring.basis(k)
+    if not p_k.keys() <= set(basis):
+        raise ValueError(f"p({k}) names labels outside degree {k} of {ring.name}: {sorted(p_k.keys() - set(basis))}")
+    scale = factorial(k)
     note = ""
     if spec.kind == SG and spec.n == 2 * spec.k and k == 2:
-        a = cls.coefficient(partition_label((2,)))
-        b = cls.coefficient(partition_label((1, 1)))
-        witnesses = ((f"{partition_label((2,))}+{partition_label((1, 1))}", a + b),)
+        a, b = partition_label((2,)), partition_label((1, 1))
+        pairings = [(f"{a}+{b}", p_k.get(a, 0) + p_k.get(b, 0))]
         note = "Lagrangian boundary: b_4 = 1, both ambient duals restrict to one class"
     else:
-        witnesses = tuple((label, cls.coefficient(label)) for label in ring.basis(k))
+        pairings = [(label, p_k.get(label, 0)) for label in basis]
         if spec.kind in ZERO_LOCI and ZERO_LOCI[spec.kind][0]:
             note = "ambient Schubert coefficients; zero-locus modeling assumption"
-    status = TWIST_TO_VERDICT[cat.tri_state([v for _, v in witnesses])]
-    return Verdict(k, status, witnesses, note)
+    witnesses = tuple([(label, Fraction(v, scale)) for label, v in pairings])
+    status = TWIST_TO_VERDICT[cat.tri_state([v for _, v in pairings])]
+    return Verdict(k, status, witnesses, note), sums
 
 
 def threshold_oracle(spec: FamilySpec, k: int) -> str:
@@ -423,9 +438,10 @@ class ConsistencyReport(NamedTuple):
 def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
     """Up to three independent verdicts on ch_k (ring, closed form, cone twist) plus dim H.
 
-    Each path runs once; dim H reads c_1 as the integer p(1) of _power_sums, not a character.
+    Each path runs once, and the power sums are read once: the verdict reads p(k), and
+    dim H reads c_1 as the integer p(1) of the same (ring, p).
     """
-    verdict = chk_verdict(spec, k)
+    verdict, sums = _verdict_and_sums(spec, k)
     try:
         oracle = threshold_oracle(spec, k)
     except NoClosedFormError:
@@ -438,7 +454,7 @@ def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
             pass
         else:
             twist, label, pair_dim = cat.positivity_of_twist(pair), pair.label, pair.dim
-            expected = _line_degree(spec) - 2
+            expected = (anticanonical_line_degree(spec) if sums is None else _line_degree(*sums)) - 2
     return ConsistencyReport(spec, verdict, oracle, twist, label, pair_dim, expected)
 
 

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from higherfano.catalog import (
     AMPLE,
@@ -211,6 +213,33 @@ def test_tri_state():
     assert tri_state([Fraction(1, 2), 3]) == AMPLE
     assert tri_state([Fraction(1, 2), 0]) == NEF_ONLY
     assert tri_state([1, 0, Fraction(-1, 3)]) == NEITHER
+
+
+_values = st.one_of(st.integers(-3, 3), st.fractions(Fraction(-3), Fraction(3), max_denominator=7))
+
+
+@given(st.lists(_values, max_size=6))
+def test_tri_state_is_the_two_all_rule(values):
+    # the least value decides; on no value every value is positive, so the empty list is AMPLE
+    if all(v > 0 for v in values):
+        expected = AMPLE
+    elif all(v >= 0 for v in values):
+        expected = NEF_ONLY
+    else:
+        expected = NEITHER
+    assert tri_state(values) == expected
+    assert tri_state(tuple(values)) == expected
+
+
+def test_intersect_is_the_double_sum_over_the_bases():
+    # sum_ij D_i pairing_ij C_j, summed index by index over both bases
+    for pair in catalog_entries():
+        rho, nc = pair.picard_rank, len(pair.curve_basis)
+        for divisor in (*pair.nef_generators, pair.K, pair.L, twist_class(pair)):
+            for curve in pair.mori_generators:
+                expected = sum(divisor[i] * pair.pairing[i][j] * curve[j] for i in range(rho) for j in range(nc))
+                assert pair.intersect(divisor, curve) == expected, pair.label
+            assert pair.degrees_on_mori(divisor) == tuple(pair.intersect(divisor, r) for r in pair.mori_generators)
 
 
 def test_pair_picard_one_builds_the_rank_one_pairs():

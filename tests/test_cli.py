@@ -230,7 +230,8 @@ def test_deep_zero_locus_census_golden_csv(capsys, argv, digest):
 
 
 def test_compute_row_runs_each_path_once(monkeypatch):
-    names = ("chk_verdict", "threshold_oracle")
+    # the verdict is _verdict_and_sums, which hands the row its (ring, p) read for dim H
+    names = ("_verdict_and_sums", "threshold_oracle")
     calls = dict.fromkeys(names, 0)
     # the degree of each p(j) = j! ch_j(T_X) read, and of each class ch_j built from one
     read, built = [], []
@@ -263,9 +264,9 @@ def test_compute_row_runs_each_path_once(monkeypatch):
         monkeypatch.setattr(fam, name, counting(name))
     monkeypatch.setattr(fam, "_power_sums", recording_sums)
     monkeypatch.setattr(fam, "power_sum_class", recording_class)
-    # (spec, k, degrees read): the verdict reads p(k) alone and builds ch_k alone, no
-    # character; a row with a cone twist reads c_1 = p(1) for dim H too; the G2P verdict is a
-    # fact record with no ring
+    # (spec, k, degrees read): the verdict reads p(k) alone and builds no class, taking its
+    # status from the signs of the integers; a row with a cone twist reads c_1 = p(1) for
+    # dim H too, from the same read; the G2P verdict is a fact record with no ring
     for spec_text, k, degrees in [("CI[9;3]", 2, [2, 1]), ("G[2,5]", 2, [2, 1]), ("CI[9;3]", 3, [3]),
                                   ("G[3,9]", 7, [7]), ("CI[4;2,2]", 2, [2]), ("PP[2,3]", 2, [2]),
                                   ("G2P", 2, [])]:
@@ -273,8 +274,25 @@ def test_compute_row_runs_each_path_once(monkeypatch):
         read.clear()
         built.clear()
         assert compute_row(fam.parse_spec(spec_text), k)["agree"] is True, spec_text
-        assert calls == {"chk_verdict": 1, "threshold_oracle": 1}, (spec_text, k)
-        assert read == degrees and built == degrees[:1], (spec_text, k)
+        assert calls == {"_verdict_and_sums": 1, "threshold_oracle": 1}, (spec_text, k)
+        assert read == degrees and built == [], (spec_text, k)
+
+
+def test_ci_census_checks_the_ambient_bound_once_per_n_and_row(monkeypatch, capsys):
+    # the listing checks each P^n once, and each row once, through the one power-sum read
+    # its verdict and dim H share
+    calls = []
+    check = fam.check_ambient_bound
+
+    def counting(spec):
+        calls.append(spec)
+        return check(spec)
+
+    monkeypatch.setattr(fam, "check_ambient_bound", counting)
+    code, out = run_cli(capsys, "census", "CI", "--n-range", "2..22", "--max-c", "3", "--format", "csv")
+    rows = len(out.splitlines()) - 1
+    assert code == 0 and rows == 1731
+    assert 0 < len(calls) <= len(range(2, 23)) + rows
 
 
 def test_empty_inputs_are_usage_errors(capsys):

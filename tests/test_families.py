@@ -12,7 +12,8 @@ import pytest
 
 from higherfano import schubert
 from higherfano import families as fam
-from higherfano.catalog import AMPLE, NEF_ONLY
+from higherfano.bundles import power_sum_class
+from higherfano.catalog import AMPLE, NEF_ONLY, tri_state
 from higherfano.families import (
     NEITHER,
     POSITIVE,
@@ -336,23 +337,30 @@ def test_consistency_report_agreement():
 
 
 def test_dim_h_reads_c1_from_the_degree_one_power_sum(monkeypatch):
-    # c_1 = 1! ch_1(T_X) is the integer p(1) on the one degree-1 label, read with no class
-    built = []
-    power_sum_class = fam.power_sum_class
+    # c_1 = 1! ch_1(T_X) is the integer p(1) on the one degree-1 label, read with no class,
+    # from the (ring, p) the verdict read: a row reads the power sums once
+    built, reads = [], []
+    power_sum_class, power_sums = fam.power_sum_class, fam._power_sums
 
     def recording(ring, j, p_j):
         built.append(j)
         return power_sum_class(ring, j, p_j)
 
+    def reading(spec):
+        reads.append(spec)
+        return power_sums(spec)
+
     monkeypatch.setattr(fam, "power_sum_class", recording)
+    monkeypatch.setattr(fam, "_power_sums", reading)
     for spec, c1 in ((fam.FamilySpec(fam.GRASS, k=2, n=5), 5), (fam.FamilySpec(fam.OG, k=2, n=8), 5),
                      (fam.FamilySpec(fam.SG, k=3, n=8), 6), (fam.FamilySpec(fam.GRASS_HYP, k=2, n=6), 5),
                      (fam.ci(9, (3,)), 7)):
         built.clear()
+        reads.clear()
         rep = consistency_check(spec)
-        assert built == [2], spec.text()
+        assert built == [] and reads == [spec], spec.text()
         assert rep.expected_dim == c1 - 2 == fam.anticanonical_line_degree(spec) - 2, spec.text()
-        assert type(fam._line_degree(spec)) is int
+        assert type(fam._line_degree(*fam._power_sums(spec))) is int
 
 
 def test_enumerate_fano_ci_rejects_negative_codimension():
@@ -602,6 +610,56 @@ def test_verdicts_read_ch_k_of_the_full_tangent_character():
         if expected is not None:
             (label,) = fam.ambient_ring(spec).basis(1)
             assert expected == tangent_character(spec, cap=1).component(1).coefficient(label) - 2, spec
+
+
+def test_integer_verdict_matches_the_power_sum_class():
+    # the verdict takes its status from the signs of the integers p(k) and divides each
+    # witness once; the class ch_k = p(k)/k! must give the same Fractions, and tri_state of
+    # them the same status, on every kind (SG[k,2k] and SGdeg included) and k = 2..min(4, dim X)
+    specs = list(_oracle_specs())
+    assert any(s.kind == fam.SG and s.n == 2 * s.k for s in specs)
+    assert {s.kind for s in specs} == {*fam._GRASS_KINDS, fam.CI, fam.PRODUCT_PN}
+    for spec in specs:
+        ring, p = fam._power_sums(spec)
+        for k in range(2, min(4, dim_x(spec)) + 1):
+            cls = power_sum_class(ring, k, p(k))
+            verdict = chk_verdict(spec, k)
+            if spec.kind == fam.SG and spec.n == 2 * spec.k and k == 2:
+                expected = (("σ[2]+σ[1,1]", cls.coefficient("σ[2]") + cls.coefficient("σ[1,1]")),)
+            else:
+                expected = tuple((label, cls.coefficient(label)) for label in ring.basis(k))
+            assert verdict.witnesses == expected, (spec, k)
+            assert all(type(v) is Fraction for _, v in verdict.witnesses), (spec, k)
+            assert verdict.status == fam.TWIST_TO_VERDICT[tri_state([v for _, v in expected])], (spec, k)
+
+
+def test_verdict_refuses_a_power_sum_label_of_another_degree(monkeypatch):
+    # the label check the class made: p(k) may name only labels of degree k
+    power_sums = fam._power_sums
+
+    def stray(spec):
+        ring, p = power_sums(spec)
+        return ring, lambda j: {**p(j), ring.basis(j - 1)[0]: 1}
+
+    monkeypatch.setattr(fam, "_power_sums", stray)
+    for spec in (fam.ci(9, (3,)), fam.FamilySpec(fam.GRASS, k=2, n=5), fam.product_pn(2, 3)):
+        with pytest.raises(ValueError, match="outside degree 2"):
+            chk_verdict(spec, 2)
+        with pytest.raises(ValueError):
+            consistency_check(spec)
+
+
+def test_enumerate_fano_ci_lists_each_nonincreasing_tuple_once():
+    # the CI census builds FamilySpec(CI, 0, n, degrees) from these tuples directly, which
+    # is ci(n, degrees) because each one is sorted already
+    for n in range(1, 15):
+        for c in range(5):
+            tuples = list(enumerate_fano_ci(n, c))
+            assert len(set(tuples)) == len(tuples), (n, c)
+            for degrees in tuples:
+                assert len(degrees) <= c and all(d >= 2 for d in degrees) and sum(degrees) <= n - 1, (n, degrees)
+                assert list(degrees) == sorted(degrees, reverse=True), (n, degrees)
+                assert fam.FamilySpec(fam.CI, 0, n, degrees) == fam.ci(n, degrees), (n, degrees)
 
 
 def test_deep_grassmannian_verdict_builds_no_lower_degree(monkeypatch):
