@@ -1,10 +1,10 @@
 """Command-line front end: single checks, censuses, pair lookups, verification suites.
 
-Subcommands: check | census | minimal-family | verify.  Output is JSON by
-default (exact rationals serialized as strings, never floats) or CSV with the
-fixed columns kind,k,n,params,ch_coeffs,verdict,oracle,twist,agree.  Output
-is byte-identical across runs of the same command: no timestamps, canonical
-row order, exact arithmetic throughout.
+Subcommands: check | census | minimal-family | verify, each flag spelled in full.
+Output is JSON (exact rationals as strings, never floats); check and census also
+give CSV with the fixed columns kind,k,n,params,ch_coeffs,verdict,oracle,twist,agree.
+Output is byte-identical across runs of the same command: no timestamps,
+canonical row order, exact arithmetic throughout.
 
 Exit codes: 0 success/agreement, 1 verified disagreement or identity failure,
 2 usage error.
@@ -76,23 +76,17 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
     # every row fails below k = 2, so whether a census gets that far must not
     # depend on its ranges: refuse it before any spec is listed
     fam.check_verdict_index(ns.k)
-    # only a CI census reads --n (without --n-range) and --max-c, and only the
-    # other kinds read --k-range; anywhere else a flag would be dropped unread
-    if ns.n is not None and kind != fam.CI:
-        raise UsageError(f"--n is for census CI; census {kind} takes --n-range")
+    # only a CI census reads --max-c, and only the other kinds read --k-range;
+    # anywhere else a flag would be dropped unread
     if ns.max_c is not None and kind != fam.CI:
         raise UsageError(f"--max-c is for census CI; census {kind} takes no codimension bound")
     if ns.k_range is not None and kind == fam.CI:
         *kinds, last = fam.ZERO_LOCI
-        raise UsageError(
-            f"--k-range is for census {', '.join(kinds)} and {last}; census CI takes --n or --n-range"
-        )
-    if ns.n is not None and ns.n_range is not None:
-        raise UsageError("census CI takes --n or --n-range, not both")
+        raise UsageError(f"--k-range is for census {', '.join(kinds)} and {last}; census CI takes --n-range")
     if kind == fam.CI:
-        if ns.n is None and ns.n_range is None:
-            raise UsageError("census CI needs --n or --n-range")
-        n_values = _parse_range(ns.n_range) if ns.n_range else [ns.n]
+        if ns.n_range is None:
+            raise UsageError("census CI needs --n-range")
+        n_values = _parse_range(ns.n_range)
         max_c = 2 if ns.max_c is None else ns.max_c
         if max_c < 0:
             raise UsageError(f"max codimension must be >= 0, got {max_c}")
@@ -157,7 +151,7 @@ def _report(argv: list[str], items: list[dict], passed: bool) -> dict:
 
 
 def _emit(ns, payload: dict) -> None:
-    if ns.format == "csv":
+    if getattr(ns, "format", "json") == "csv":
         text = _render_csv(payload["items"])
     else:
         import json
@@ -220,37 +214,42 @@ def _verify_bounds(ns) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a flag is read only as spelled in full: as a prefix, `verify --k 3` ran as --k-max 3
     parser = argparse.ArgumentParser(
         prog="higherfano",
         description="Exact positivity checks for Chern characters of the example Fano families.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"higherfano {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(p, rows=False):
+        # only check and census rows have the CSV columns; the other commands print JSON
+        if rows:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
 
-    p_check = sub.add_parser("check", help="one family: verdict, oracle, pair twist, agreement")
+    p_check = sub.add_parser("check", help="one family: verdict, oracle, pair twist, agreement",
+                             allow_abbrev=False)
     p_check.add_argument("spec", help='family text form, e.g. "G[2,5]", "CI[9;3]", "G2P"')
     p_check.add_argument("--k", type=int, default=2, help="Chern character index (default 2)")
-    common(p_check)
+    common(p_check, rows=True)
 
-    p_census = sub.add_parser("census", help="sweep a parametric family kind")
+    p_census = sub.add_parser("census", help="sweep a parametric family kind", allow_abbrev=False)
     p_census.add_argument("kind", choices=(*fam.ZERO_LOCI, fam.CI))
     p_census.add_argument("--k", type=int, default=2, help="Chern character index (default 2)")
     p_census.add_argument("--k-range", dest="k_range", default=None, help="family k range, e.g. 2..4")
     p_census.add_argument("--n-range", dest="n_range", default=None, help="family n range, e.g. 4..12")
-    p_census.add_argument("--n", type=int, default=None, help="single n (CI census)")
     p_census.add_argument("--max-c", dest="max_c", type=int, default=None,
                           help="max codimension (CI census, default 2)")
-    common(p_census)
+    common(p_census, rows=True)
 
-    p_pair = sub.add_parser("minimal-family", help="look up the polarized minimal pair")
+    p_pair = sub.add_parser("minimal-family", help="look up the polarized minimal pair", allow_abbrev=False)
     p_pair.add_argument("spec")
     common(p_pair)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite of exact identities")
+    p_verify = sub.add_parser("verify", help="run a verification suite of exact identities",
+                              allow_abbrev=False)
     p_verify.add_argument("suite", choices=tuple(SUITES))
     for dest, (flag, default, _) in VERIFY_BOUNDS.items():
         p_verify.add_argument(flag, dest=dest, type=int, default=None,

@@ -145,26 +145,21 @@ class UniversalModel(_MonomialModel):
     def c1_relative_tangent(self) -> GradedClass:
         return 2 * self.sigma() + self.ell()
 
-    def tangent_pullback(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
-        """ev^* ch(T_X) = n + sum_j e_j, optionally with e_1 replaced."""
+    def tangent_pullback(self, n: int) -> GradedClass:
+        """ev^* ch(T_X) = n + sum_j e_j."""
         out = self.scalar(n)
-        start = 1
-        if e1_substitution is not None:
-            out = out + e1_substitution
-            start = 2
-        for j in range(start, self.dimension + 1):
+        for j in range(1, self.dimension + 1):
             out = out + self.e(j)
         return out
 
     def z_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
-        """(ev^* ch(T_X) - ch(T_pi)) * ch(O(-s)).
+        """(ev^* ch(T_X) - ch(T_pi)) * ch(O(-s)), optionally with e_1 replaced.
 
-        Without a substitution this is n * ch(O(-s)) plus the n-free summand
-        _z_n_free, built once per ring.
+        This is n * ch(O(-s)) plus the n-free summand _z_n_free, built once per
+        ring; replacing e_1 by a class x adds (x - e_1) * ch(O(-s)).
         """
-        if e1_substitution is None:
-            return n * self._ch_o_minus_s + self._z_n_free
-        return (self.tangent_pullback(n, e1_substitution) - self._ch_tpi) * self._ch_o_minus_s
+        shift = n if e1_substitution is None else n + e1_substitution - self.e(1)
+        return shift * self._ch_o_minus_s + self._z_n_free
 
     def w_class(self, n: int, e1_substitution: GradedClass | None = None) -> GradedClass:
         """z_class times the Todd class of the relative tangent bundle."""

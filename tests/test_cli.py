@@ -20,6 +20,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def argparse_error(capsys, argv) -> str:
+    """The stderr of an argv that argparse refuses: exit 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 def test_check_agreement_json(capsys):
     code, out = run_cli(capsys, "check", "G[2,5]", "--k", "2")
     assert code == 0
@@ -77,7 +87,7 @@ def test_census_csv(capsys):
 
 
 def test_census_ci(capsys):
-    code, out = run_cli(capsys, "census", "CI", "--n", "10", "--max-c", "2", "--k", "2")
+    code, out = run_cli(capsys, "census", "CI", "--n-range", "10", "--max-c", "2", "--k", "2")
     assert code == 0
     doc = json.loads(out)
     for item in doc["items"]:
@@ -88,7 +98,7 @@ def test_census_ci(capsys):
         assert item["verdict"] == expected, item["params"]
     assert doc["pass"] is True
     # an unset --max-c reads 2 (the option is unset by default so other kinds can refuse it)
-    assert run_cli(capsys, "census", "CI", "--n", "10", "--k", "2")[1] == out.replace("--max-c 2 ", "")
+    assert run_cli(capsys, "census", "CI", "--n-range", "10", "--k", "2")[1] == out.replace("--max-c 2 ", "")
 
 
 def test_import_leaves_out_the_process_pool():
@@ -301,22 +311,19 @@ def test_empty_inputs_are_usage_errors(capsys):
     assert "4 > 2" in capsys.readouterr().err
     assert main(["census", "OG", "--k-range", "2..3", "--n-range", "12..7"]) == 2
     # a negative --max-c used to act as no limit
-    assert main(["census", "CI", "--n", "10", "--max-c", "-1"]) == 2
+    assert main(["census", "CI", "--n-range", "10", "--max-c", "-1"]) == 2
     assert "max codimension" in capsys.readouterr().err
     assert main(["verify", "prop11-ci", "--n-max", "6", "--max-c", "-1"]) == 2
-    assert run_cli(capsys, "census", "CI", "--n", "10", "--max-c", "0")[0] == 0
+    assert run_cli(capsys, "census", "CI", "--n-range", "10", "--max-c", "0")[0] == 0
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("census", "CI", "--n", "5", "--n-range", "2..3"), "--n or --n-range, not both"),
-    (("census", "G", "--k-range", "2", "--n-range", "4..5", "--n", "3"), "--n is for census CI"),
-    (("census", "OG", "--k-range", "2", "--n-range", "7..9", "--n", "8"), "--n is for census CI"),
-    (("census", "CI", "--n", "5", "--k-range", "9..3", "--format", "csv"), "--k-range is for census G"),
+    (("census", "CI", "--n-range", "5", "--k-range", "9..3", "--format", "csv"), "--k-range is for census G"),
     (("census", "G", "--k-range", "2", "--n-range", "4..5", "--max-c", "0", "--format", "csv"),
      "--max-c is for census CI"),
-], ids=["CI-n-and-n-range", "G-n", "OG-n", "CI-k-range", "G-max-c"])
+], ids=["CI-k-range", "G-max-c"])
 def test_census_refuses_an_n_it_would_ignore(capsys, argv, message):
-    # these used to list rows and drop a flag (--n, --k-range, --max-c) without a word
+    # these used to list rows and drop a flag (--k-range, --max-c) without a word
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
@@ -773,11 +780,31 @@ def test_census_refuses_jobs_below_one(capsys, jobs):
     # a census runs its rows in one process: --jobs, which once set a process pool, is gone,
     # so any value of it is an argparse error
     argv = ["census", "G", "--k-range", "2", "--n-range", "4..5", "--jobs", jobs, "--format", "csv"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "error: unrecognized arguments: --jobs" in captured.err
+    assert "error: unrecognized arguments: --jobs" in argparse_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("census", "CI", "--n", "10"), "--n 10"),
+    (("verify", "todd-identity", "--k", "3"), "--k 3"),
+    (("census", "G", "--k-r", "2", "--n-range", "4..5"), "--k-r 2"),
+    (("check", "G[2,5]", "--fo", "csv"), "--fo csv"),
+    (("census", "CI", "--n", "5", "--n-range", "2..3"), "--n 5"),
+    (("census", "G", "--k-range", "2", "--n-range", "4..5", "--n", "3"), "--n 3"),
+    (("census", "OG", "--k-range", "2", "--n-range", "7..9", "--n", "8"), "--n 8"),
+], ids=["CI-n", "verify-k", "k-r", "fo", "CI-n-and-n-range", "G-n", "OG-n"])
+def test_flags_are_spelled_in_full(capsys, argv, flag):
+    # a prefix of a flag used to run as the flag (verify's --k as --k-max, --k-r as --k-range),
+    # and census --n was a second spelling of --n-range; each is now an argparse error
+    assert f"error: unrecognized arguments: {flag}" in argparse_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "catalog", "--format", "csv"),
+    ("minimal-family", "G[2,5]", "--format", "csv"),
+], ids=["verify", "minimal-family"])
+def test_format_is_only_for_check_and_census(capsys, argv):
+    # their items have none of the CSV columns: --format csv printed a header over empty rows
+    assert "error: unrecognized arguments: --format csv" in argparse_error(capsys, argv)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -807,8 +834,8 @@ def test_census_kinds_are_the_zero_locus_kinds_and_ci(capsys):
             assert spec.text() == text and fam.parse_spec(spec.text()) == spec
             round_trips.add(spec.kind)
     assert round_trips == set(fam.ZERO_LOCI)
-    assert main(["census", "CI", "--n", "5", "--k-range", "2"]) == 2
-    message = "--k-range is for census G, GH, OG, SG and SGdeg; census CI takes --n or --n-range"
+    assert main(["census", "CI", "--n-range", "5", "--k-range", "2"]) == 2
+    message = "--k-range is for census G, GH, OG, SG and SGdeg; census CI takes --n-range"
     assert capsys.readouterr().err == f"error: {message}\n"
     listed = message.split(";")[0].removeprefix("--k-range is for census ").replace(" and ", ", ")
     assert listed.split(", ") == list(fam.ZERO_LOCI)

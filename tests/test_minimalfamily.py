@@ -194,14 +194,21 @@ def test_power_tables_match_repeated_products():
 
 
 def test_z_class_n_free_summand_is_exact():
-    # z_class(n) is n * ch(O(-s)) plus a summand cached on the ring; compare it
-    # with the product taken directly, on every truncation the tests use
+    # z_class(n) is n * ch(O(-s)) plus a summand cached on the ring, and a substituted
+    # e_1 adds (x - e_1) * ch(O(-s)); compare both with the product taken directly, on
+    # every truncation the tests use, with prop11-sym's substitution (d + 2)(s + l)
     for k_max in range(1, 9):
         for n in range(1, 13):
             u = model_ring(n, 0, k_max)
             direct = (u.tangent_pullback(n) - u._ch_tpi) * u._ch_o_minus_s
             assert u.z_class(n) == direct
             assert u.w_class(n) == direct * u._todd_tpi
+            for d in range(n):
+                sub = (d + 2) * (u.sigma() + u.ell())
+                pullback = u.scalar(n) + sub + sum((u.e(j) for j in range(2, u.dimension + 1)), u.zero())
+                direct = (pullback - u._ch_tpi) * u._ch_o_minus_s
+                assert u.z_class(n, e1_substitution=sub) == direct
+                assert u.w_class(n, e1_substitution=sub) == direct * u._todd_tpi
 
 
 class _WrongSquare(UniversalModel):
