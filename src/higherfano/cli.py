@@ -90,20 +90,18 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
         max_c = 2 if ns.max_c is None else ns.max_c
         if max_c < 0:
             raise UsageError(f"max codimension must be >= 0, got {max_c}")
-        for n in n_values:
-            # every spec on P^n has dimension <= n, so an n below --k yields no row and its
-            # tuples are not listed; P^n itself is the largest spec on P^n and the bound
-            # reads n alone, so an over-bound n is refused before its tuples are listed
-            if n < ns.k:
-                continue
+        # c degrees on P^n cut out dimension n - c, so only n >= --k and c <= n - --k
+        # yield rows, and only those specs are listed and count toward the cap.  P^n
+        # itself is the largest spec on P^n and the bound reads n alone, so the
+        # pre-check, which builds no ring, refuses an over-bound n before its tuples
+        for n in range(max(n_values.start, ns.k), n_values.stop):
             fam.check_ambient_bound(fam.FamilySpec(fam.CI, 0, n, ()))
             # the tuples are nonincreasing already, so each spec is built as ci() would sort it
-            for degrees in fam.enumerate_fano_ci(n, max_c):
+            for degrees in fam.enumerate_fano_ci(n, min(max_c, n - ns.k)):
                 _list_spec(specs, fam.FamilySpec(fam.CI, 0, n, degrees), "--n-range or --max-c")
     else:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")
-        maker = fam.KIND_MAKERS[kind]
         k_values = _parse_range(ns.k_range)
         n_values = _parse_range(ns.n_range)
         # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only
@@ -113,17 +111,16 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
                 break
             for n in range(max(n_values.start, 2 * k, k - (-ns.k // k)), n_values.stop):
                 try:
-                    spec = maker(k, n)
+                    spec = fam.FamilySpec(kind, k, n)
                 except fam.InvalidFamilyError:
                     continue
                 # ch_k vanishes above dim X, so those specs are skipped like invalid (k, n);
-                # one over-bound ambient ring fails the whole census, so it is refused as soon
-                # as it is listed, not after the rest of the ranges
+                # one over-bound ambient ring fails the whole census, so the pre-check, which
+                # builds no ring, refuses it as soon as it is listed, not after the rest of
+                # the ranges
                 if fam.dim_x(spec) >= ns.k:
                     fam.check_ambient_bound(spec)
                     _list_spec(specs, spec, "--k-range or --n-range")
-    # ch_k vanishes above dim X: a CI spec of dimension below --k is listed, and dropped here
-    specs = [s for s in specs if fam.dim_x(s) >= ns.k]
     specs.sort(key=lambda s: (s.kind, s.k, s.n, s.degrees))
     return specs
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -60,7 +60,6 @@ ZERO_LOCI = {
     SG: (("Wedge2",), lambda k, n: n % 2 == 0 and 2 <= k and 2 * k <= n, "n even and 2 <= k <= n/2"),
     SG_DEGENERATE: (("Wedge2",), lambda k, n: n % 2 == 1 and 2 <= k and 2 * k < n, "n odd and 2 <= k < n/2"),
 }
-_GRASS_KINDS = tuple(ZERO_LOCI)
 
 # each normal summand on G(k,n): its rank, and j! ch_j of it on the ring as {label: int};
 # O(1) takes hook lengths, Sym^2 and Lambda^2 the power-sum table at t = +1
@@ -113,15 +112,12 @@ def product_pn(a: int, b: int) -> FamilySpec:
     return FamilySpec(PRODUCT_PN, k=a, n=b)
 
 
-# the two-parameter kinds: kind -> constructor
-KIND_MAKERS = {kind: partial(FamilySpec, kind) for kind in (*_GRASS_KINDS, PRODUCT_PN)}
-
 _SPEC_RE = re.compile(r"^(\w+)(?:\[([^\]]*)\])?$")
 
 
 def parse_spec(text: str) -> FamilySpec:
     m = _SPEC_RE.match(text.strip())
-    if not m or m.group(1) not in (CI, G2P, *KIND_MAKERS):
+    if not m or m.group(1) not in (CI, G2P, PRODUCT_PN, *ZERO_LOCI):
         raise InvalidFamilyError(f"cannot parse family spec {text!r}")
     kind, body = m.group(1), m.group(2)
     if kind == G2P:
@@ -140,7 +136,7 @@ def parse_spec(text: str) -> FamilySpec:
     nums = [int(x) for x in body.split(",")]
     if len(nums) != 2:
         raise InvalidFamilyError(f"{kind} takes two parameters")
-    return KIND_MAKERS[kind](*nums)
+    return FamilySpec(kind, *nums)
 
 
 def validate(spec: FamilySpec) -> FamilySpec:
@@ -203,23 +199,16 @@ def check_ambient_bound(spec: FamilySpec) -> None:
     elif spec.kind == PRODUCT_PN:
         if (k + 1) * (n + 1) > bound:
             raise basis_size_error(f"P^{k} x P^{n}", f"({k}+1)({n}+1)", (k + 1) * (n + 1), bound)
-    elif spec.kind in _GRASS_KINDS:
+    elif spec.kind in ZERO_LOCI:
         schubert.check_basis_bound(k, n)
-
-
-def ambient_ring(spec: FamilySpec) -> RingModel:
-    check_ambient_bound(spec)
-    if spec.kind == CI:
-        return _pn_ring(spec.n)
-    if spec.kind in _GRASS_KINDS:
-        return _grass_ring(spec.k, spec.n)
-    if spec.kind == PRODUCT_PN:
-        return _pp_ring(spec.k, spec.n)
-    raise InvalidFamilyError(f"{spec.kind} has no ring model")
 
 
 def _power_sums(spec: FamilySpec):
     """(ring, p): the ambient ring and p(j) = j! ch_j(T_X) on ints, so a caller reads only the degrees it needs.
+
+    The one place a spec becomes its ring: each kind's branch builds the cached ring
+    and its p together, after check_ambient_bound.  G2P has no ring; its callers
+    answer it from the fact record first.
 
     - CI of degrees d_1..d_c in P^n: ch(T_X) = (n+1) e^h - 1 - sum_i e^(d_i h), so
       p(j) = (n+1 - sum_i d_i^j) h^j;
@@ -231,18 +220,20 @@ def _power_sums(spec: FamilySpec):
       t = -1 entry, for ch(End S)) minus the entry of each summand of N named in
       ZERO_LOCI (schubert.o1_power_sum, schubert.square_power_sum).
     """
-    ring = ambient_ring(spec)
+    check_ambient_bound(spec)
     if spec.kind == CI:
-        n, degrees = spec.n, spec.degrees
+        ring, n, degrees = _pn_ring(spec.n), spec.n, spec.degrees
 
         def p(j: int) -> dict[str, int]:
             return {ring.basis(j)[0]: n + 1 - sum(d**j for d in degrees)}
     elif spec.kind == PRODUCT_PN:
+        ring = _pp_ring(spec.k, spec.n)
         factors = ((ring.left, spec.k), (ring.right, spec.n))
 
         def p(j: int) -> dict[str, int]:
             return {factor.basis(j)[0]: m + 1 for factor, m in factors if j <= m}
     else:
+        ring = _grass_ring(spec.k, spec.n)
         summands = [_SUMMANDS[s][1] for s in ZERO_LOCI[spec.kind][0]]
 
         def p(j: int) -> dict[str, int]:

@@ -475,16 +475,49 @@ def test_ci_census_past_the_row_bound_stops_listing(capsys, monkeypatch):
     assert len(listed) == cli.MAX_CENSUS_SPECS + 1
 
 
+def test_ci_census_cap_counts_only_its_rows(capsys):
+    # at --k 58 only the specs on P^60 with at most two degrees are rows; the census used
+    # to list the other 100,000+ tuples too and refuse itself at the cap
+    argv = ["census", "CI", "--n-range", "60", "--k", "58", "--format", "csv", "--max-c"]
+    code, out = run_cli(capsys, *argv, "59")
+    assert code == 0 and run_cli(capsys, *argv, "2") == (0, out)
+    assert len(out.splitlines()) == 872
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "27c5e88c3ed362e34f5da77bf06fd49ffff2b2a3aa11ab60896fb0df4eee3afe"
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "G", "--k", "3", "--k-range", "2..4", "--n-range", "4..12"],
+    ["census", "CI", "--k", "4", "--n-range", "2..12", "--max-c", "3"],
+], ids=["G", "CI"])
+def test_census_listing_builds_no_ring(monkeypatch, capsys, argv):
+    # the listing checks each spec's bound without a ring: a lazy G(k, n) registers its
+    # k(n-k)+1 degrees when built, so a listing that built rings refused
+    # `census G --k-range 2..3 --n-range 4..300000` 27 times slower
+    def no_ring(*args):
+        raise AssertionError("a census listing builds no ring")
+
+    ns = cli._build_parser().parse_args(argv)
+    with monkeypatch.context() as patch:
+        for ring in ("_grass_ring", "_pn_ring", "_pp_ring"):
+            patch.setattr(fam, ring, no_ring)
+        specs = cli._census_specs(ns)
+    # the listed specs are the rows the census prints, with the rings built
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and specs and [s.text() for s in specs] == [item["params"] for item in json.loads(out)["items"]]
+
+
 def _record_grassmannian_makers(monkeypatch) -> list[tuple[int, int]]:
     """A list that records the (k, n) of each G spec a census makes."""
     made = []
-    maker = fam.KIND_MAKERS[fam.GRASS]
+    validate = fam.validate
 
-    def recording(k, n):
-        made.append((k, n))
-        return maker(k, n)
+    def recording(spec):
+        if spec.kind == fam.GRASS:
+            made.append((spec.k, spec.n))
+        return validate(spec)
 
-    monkeypatch.setitem(fam.KIND_MAKERS, fam.GRASS, recording)
+    monkeypatch.setattr(fam, "validate", recording)
     return made
 
 
