@@ -6,6 +6,12 @@ give CSV with the fixed columns kind,k,n,params,ch_coeffs,verdict,oracle,twist,a
 Output is byte-identical across runs of the same command: no timestamps,
 canonical row order, exact arithmetic throughout.
 
+A report is written one item at a time, each census row before the next is
+computed, so a census holds one row in memory however many it has.  Every
+refusal comes before the first byte: a census lists and checks all its specs
+first, and no --out file is opened before the first item exists.  An error
+raised after that leaves the items already written and exits 2.
+
 Exit codes: 0 success/agreement, 1 verified disagreement or identity failure,
 2 usage error.
 """
@@ -13,8 +19,9 @@ Exit codes: 0 success/agreement, 1 verified disagreement or identity failure,
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__
 from . import catalog as cat
@@ -121,46 +128,70 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
                 if fam.dim_x(spec) >= ns.k:
                     fam.check_ambient_bound(spec)
                     _list_spec(specs, spec, "--k-range or --n-range")
-    specs.sort(key=lambda s: (s.kind, s.k, s.n, s.degrees))
+    specs.sort()
     return specs
 
 
-def _render_csv(items: list[dict]) -> str:
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for item in items:
-        writer.writerow([item.get(col, "") for col in CSV_COLUMNS])
-    return buf.getvalue()
-
-
-def _report(argv: list[str], items: list[dict], passed: bool) -> dict:
+def _report(argv: list[str], passed: bool) -> dict:
+    """The report's envelope; its items go between "command" and "pass" in key order."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "higherfano",
         "tool_version": __version__,
         "catalog_version": cat.CATALOG_VERSION,
         "command": " ".join(argv),
-        "items": items,
+        "items": [],
         "pass": passed,
     }
 
 
-def _emit(ns, payload: dict) -> None:
-    if getattr(ns, "format", "json") == "csv":
-        text = _render_csv(payload["items"])
-    else:
-        import json
-        text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    if ns.out:
-        try:
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {ns.out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+def _write(fh, fmt: str, argv: list[str], items: Iterator[dict], key: str | None) -> bool:
+    """Write the report to fh one item at a time; True when every item's `key` holds."""
+    passed = True
+    if fmt == "csv":
+        import csv
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for item in items:
+            writer.writerow([item.get(col, "") for col in CSV_COLUMNS])
+            passed = passed and (key is None or bool(item[key]))
+        return passed
+    import json
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False)
+    # the envelope sorts "items" after the keys before it and before "pass", which is
+    # known only at the end; each item is its own indent-2 text shifted to depth 2,
+    # which is its layout inside the whole report, as JSON strings hold no raw newline
+    def envelope(passed: bool) -> tuple[str, str, str]:
+        return encoder.encode(_report(argv, passed)).partition('"items": []')
+
+    fh.write(envelope(True)[0] + '"items": [')
+    sep, close = "\n", "]"  # no item: "items": []
+    for item in items:
+        fh.write(sep + "    " + encoder.encode(item).replace("\n", "\n    "))
+        sep, close = ",\n", "\n  ]"
+        passed = passed and (key is None or bool(item[key]))
+    fh.write(close + envelope(passed)[2] + "\n")
+    return passed
+
+
+def _emit(ns, argv: list[str], items: Iterable[dict], key: str | None) -> bool:
+    """Write the report of items, each before the next is computed; whether they all pass.
+
+    The first item is computed before any output is opened, so an error raised up to
+    then writes nothing; one raised later leaves the items already written.
+    """
+    items = iter(items)
+    first = next(items, None)
+    if first is not None:
+        items = itertools.chain((first,), items)
+    fmt = getattr(ns, "format", "json")
+    if not ns.out:
+        return _write(sys.stdout, fmt, argv, items, key)
+    try:
+        with open(ns.out, "w", encoding="utf-8") as fh:
+            return _write(fh, fmt, argv, items, key)
+    except OSError as exc:
+        raise UsageError(f"cannot write {ns.out}: {exc.strerror}") from exc
 
 
 # each `verify` suite: the bounds it reads and its call with them, in `verify --help` order
@@ -255,31 +286,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _items(ns) -> tuple[Iterable[dict], str | None]:
+    """The items of ns's report, and the key of each item that the report's pass reads."""
+    if ns.cmd == "check":
+        return [compute_row(fam.parse_spec(ns.spec), ns.k)], "agree"
+    if ns.cmd == "census":
+        # the generator lists the specs, and so makes every listing refusal, when it is made;
+        # each row is computed only once the one before it is written
+        return (compute_row(spec, ns.k) for spec in _census_specs(ns)), "agree"
+    if ns.cmd == "minimal-family":
+        pair = fam.minimal_pair(fam.parse_spec(ns.spec))
+        item = pair.to_dict()
+        item["twist"] = cat.positivity_of_twist(pair)
+        item["twist_class"] = [str(x) for x in cat.twist_class(pair)]
+        return [item], None
+    if ns.cmd == "verify":
+        _verify_bounds(ns)
+        return SUITES[ns.suite][1](ns), "ok"
+    raise UsageError(f"unknown command {ns.cmd!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.cmd == "check":
-            items = [compute_row(fam.parse_spec(ns.spec), ns.k)]
-            passed = bool(items[0]["agree"])
-        elif ns.cmd == "census":
-            items = [compute_row(spec, ns.k) for spec in _census_specs(ns)]
-            passed = all(item["agree"] for item in items)
-        elif ns.cmd == "minimal-family":
-            pair = fam.minimal_pair(fam.parse_spec(ns.spec))
-            item = pair.to_dict()
-            item["twist"] = cat.positivity_of_twist(pair)
-            item["twist_class"] = [str(x) for x in cat.twist_class(pair)]
-            items, passed = [item], True
-        elif ns.cmd == "verify":
-            _verify_bounds(ns)
-            run = SUITES[ns.suite][1]
-            items = run(ns)
-            passed = all(item["ok"] for item in items)
-        else:
-            raise UsageError(f"unknown command {ns.cmd!r}")
-        _emit(ns, _report(argv, items, passed))
+        passed = _emit(ns, argv, *_items(ns))
     except (UsageError, ValueError) as exc:  # the family errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

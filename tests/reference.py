@@ -16,15 +16,22 @@ tangent_character is ch(T_X) of a family up to a cap, each power sum of
 families._power_sums divided once; bundle_nonexample_diagnostic is
 families.bundle_nonexample_diagnostic built with characters on P(E): E's Chern
 classes by inverse Newton, E^dual pulled back and multiplied by e^xi.
+
+render_report renders a whole CLI report at once, from the list of its items;
+the CLI writes each item as it is computed and must match it byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
 from higherfano.bundles import power_sum_class
+from higherfano.cli import CSV_COLUMNS
 from higherfano.families import FamilySpec, InvalidFamilyError, _power_sums, dim_x
 from higherfano.numeric import Rational
 from higherfano.rings import (DegreeError, GradedClass, RingMismatchError, RingModel, check_graded,
@@ -275,3 +282,15 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     for label in pb.basis(pb.dimension - 2):
         out.append((label, (ch2 * pb.monomial(label)).integrate()))
     return tuple(out)
+
+
+def render_report(report: dict, fmt: str) -> str:
+    """The whole report at once: its rows as CSV, or the report as indent-2 JSON."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for item in report["items"]:
+            writer.writerow([item.get(col, "") for col in CSV_COLUMNS])
+        return buf.getvalue()
+    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from higherfano import cli, schubert
 from higherfano import families as fam
 from higherfano.cli import CSV_COLUMNS, compute_row, main
@@ -779,6 +780,101 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert main(["check", "G[2,5]", "--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"cannot write {target}" in captured.err
+    assert not target.exists()
+
+
+def whole_report(argv) -> tuple[int, str]:
+    """The exit code and report of argv, its items listed first and rendered at once."""
+    ns = cli._build_parser().parse_args(list(argv))
+    items, key = cli._items(ns)
+    report = cli._report(list(argv), True)
+    report["items"] = list(items)
+    report["pass"] = all(key is None or item[key] for item in report["items"])
+    return 0 if report["pass"] else 1, reference.render_report(report, getattr(ns, "format", "json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "G[2,5]"),
+    ("check", "OG[2,8]", "--k", "3", "--format", "csv"),
+    ("census", "CI", "--n-range", "2..9", "--max-c", "3"),
+    ("census", "CI", "--n-range", "2..9", "--max-c", "3", "--format", "csv"),
+    ("census", "G", "--k-range", "2..3", "--n-range", "4..9"),
+    ("census", "G", "--k-range", "2..3", "--n-range", "4..9", "--format", "csv"),
+    ("census", "G", "--k-range", "5..9", "--n-range", "4..9"),
+    ("census", "G", "--k-range", "5..9", "--n-range", "4..9", "--format", "csv"),
+    ("verify", "claim31", "--n-max", "5", "--k-max", "3"),
+    ("verify", "catalog"),
+    ("minimal-family", "OG[3,12]"),
+    ("minimal-family", "GH[2,6]"),
+], ids=["check", "check-csv", "census-CI", "census-CI-csv", "census-G", "census-G-csv", "census-empty",
+        "census-empty-csv", "verify-claim31", "verify-catalog", "minimal-family-OG", "minimal-family-GH"])
+def test_report_written_item_by_item_matches_the_whole_report(capsys, argv):
+    assert run_cli(capsys, *argv) == whole_report(argv)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_disagreeing_census_row_fails_the_streamed_report(capsys, monkeypatch, fmt):
+    def disagreeing(spec, k):
+        row = compute_row(spec, k)
+        return {**row, "agree": False} if spec.text() == "G[2,6]" else row
+
+    monkeypatch.setattr(cli, "compute_row", disagreeing)
+    argv = ("census", "G", "--k-range", "2..3", "--n-range", "4..9", "--format", fmt)
+    code, out = run_cli(capsys, *argv)
+    assert (code, out) == whole_report(argv)
+    assert code == 1
+    if fmt == "json":
+        assert '\n  "pass": false,\n' in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_census_writes_each_row_before_computing_the_next(capsys, monkeypatch, fmt):
+    computed = []
+
+    def streamed(spec, k):
+        if computed:
+            assert computed[-1].text() in sys.stdout.getvalue()
+        computed.append(spec)
+        return compute_row(spec, k)
+
+    monkeypatch.setattr(cli, "compute_row", streamed)
+    code, out = run_cli(capsys, "census", "G", "--k-range", "2..3", "--n-range", "4..8", "--format", fmt)
+    assert code == 0
+    assert [spec.text() for spec in computed] == ["G[2,4]", "G[2,5]", "G[2,6]", "G[2,7]", "G[2,8]", "G[3,6]",
+                                                  "G[3,7]", "G[3,8]"]
+
+
+def test_an_error_after_the_first_row_leaves_the_rows_written(capsys, monkeypatch):
+    # the listing makes every user-facing refusal before the first row, so only an internal
+    # invariant can fail a later row: the rows before it stay written, and the run exits 2
+    argv = ["census", "G", "--k-range", "2", "--n-range", "4..8", "--format", "csv"]
+    complete = run_cli(capsys, *argv)[1]
+
+    def failing(spec, k):
+        if spec.text() == "G[2,6]":
+            raise ValueError("an invariant failed")
+        return compute_row(spec, k)
+
+    monkeypatch.setattr(cli, "compute_row", failing)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "".join(complete.splitlines(keepends=True)[:3])  # the header, G[2,4], G[2,5]
+    assert captured.err == "error: an invariant failed\n"
+
+
+def test_a_refused_first_item_opens_no_out_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.json"
+    monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 10)
+    assert main(["check", "CI[10;3]", "--out", str(target)]) == 2
+    assert "P^10 has a basis of 10+1 = 11 classes" in capsys.readouterr().err
+    assert not target.exists()
+    monkeypatch.undo()
+
+    def failing(spec, k):
+        raise ValueError("an invariant failed")
+
+    monkeypatch.setattr(cli, "compute_row", failing)
+    assert main(["census", "G", "--k-range", "2", "--n-range", "4..8", "--out", str(target)]) == 2
     assert not target.exists()
 
 
