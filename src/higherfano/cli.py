@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 from . import __version__
 from . import catalog as cat
 from . import families as fam
-from . import minimalfamily as mf
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "twist", "agree")
@@ -40,9 +39,12 @@ class UsageError(Exception):
     pass
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(flag: str, text: str) -> range:
     lo, sep, hi = text.partition("..")
-    lo, hi = int(lo), int(hi if sep else lo)
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise UsageError(f"cannot read {flag} {text!r}: give N or LO..HI in integers") from None
     if lo > hi:
         raise UsageError(f"empty range {text!r}: {lo} > {hi}")
     return range(lo, hi + 1)
@@ -93,7 +95,7 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
     if kind == fam.CI:
         if ns.n_range is None:
             raise UsageError("census CI needs --n-range")
-        n_values = _parse_range(ns.n_range)
+        n_values = _parse_range("--n-range", ns.n_range)
         max_c = 2 if ns.max_c is None else ns.max_c
         if max_c < 0:
             raise UsageError(f"max codimension must be >= 0, got {max_c}")
@@ -109,8 +111,8 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
     else:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")
-        k_values = _parse_range(ns.k_range)
-        n_values = _parse_range(ns.n_range)
+        k_values = _parse_range("--k-range", ns.k_range)
+        n_values = _parse_range("--n-range", ns.n_range)
         # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only
         # from n = k + ceil(--k / k) on, so no (k, n) outside those bounds is visited
         for k in range(max(k_values.start, 2), k_values.stop):
@@ -194,15 +196,22 @@ def _emit(ns, argv: list[str], items: Iterable[dict], key: str | None) -> bool:
         raise UsageError(f"cannot write {ns.out}: {exc.strerror}") from exc
 
 
+def _mf():
+    """minimalfamily, imported by the verify suites that read it, so no other command loads it."""
+    from . import minimalfamily
+
+    return minimalfamily
+
+
 # each `verify` suite: the bounds it reads and its call with them, in `verify --help` order
 SUITES = {
     "claim31": (("n_max", "d_max", "k_max"),
-                lambda ns: mf.symbolic_suite(mf.verify_claim31, ns.n_max, ns.d_max, ns.k_max)),
+                lambda ns: _mf().symbolic_suite(_mf().verify_claim31, ns.n_max, ns.d_max, ns.k_max)),
     "prop11-sym": (("n_max", "d_max", "k_max"),
-                   lambda ns: mf.symbolic_suite(mf.verify_prop11_symbolic, ns.n_max, ns.d_max, ns.k_max)),
-    "prop11-ci": (("n_max", "max_c", "k_max"), lambda ns: mf.prop11_ci_suite(ns.n_max, ns.max_c, ns.k_max)),
+                   lambda ns: _mf().symbolic_suite(_mf().verify_prop11_symbolic, ns.n_max, ns.d_max, ns.k_max)),
+    "prop11-ci": (("n_max", "max_c", "k_max"), lambda ns: _mf().prop11_ci_suite(ns.n_max, ns.max_c, ns.k_max)),
     "catalog": (("m_max",), lambda ns: cat.verify_catalog(ns.m_max)),
-    "todd-identity": (("k_max",), lambda ns: mf.todd_identity_suite(ns.k_max)),
+    "todd-identity": (("k_max",), lambda ns: _mf().todd_identity_suite(ns.k_max)),
 }
 
 # the `verify` bounds: dest -> (flag, default, floor).  The parser leaves a bound unset, so a

@@ -112,11 +112,15 @@ def product_pn(a: int, b: int) -> FamilySpec:
     return FamilySpec(PRODUCT_PN, k=a, n=b)
 
 
-_SPEC_RE = re.compile(r"^(\w+)(?:\[([^\]]*)\])?$")
+def _int(text: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidFamilyError(f"cannot read {text!r} as an integer in family spec {spec!r}") from None
 
 
 def parse_spec(text: str) -> FamilySpec:
-    m = _SPEC_RE.match(text.strip())
+    m = re.match(r"^(\w+)(?:\[([^\]]*)\])?$", text.strip())
     if not m or m.group(1) not in (CI, G2P, PRODUCT_PN, *ZERO_LOCI):
         raise InvalidFamilyError(f"cannot parse family spec {text!r}")
     kind, body = m.group(1), m.group(2)
@@ -130,10 +134,10 @@ def parse_spec(text: str) -> FamilySpec:
         parts = body.split(";")
         if len(parts) != 2:
             raise InvalidFamilyError("CI spec looks like CI[n;d1,d2,...] (degrees may be empty)")
-        n = int(parts[0])
-        degrees = tuple(int(x) for x in parts[1].split(",") if x.strip() != "")
-        return ci(n, degrees)
-    nums = [int(x) for x in body.split(",")]
+        # "CI[n;]" is P^n itself; otherwise every comma-separated entry is a degree
+        degrees = parts[1].split(",") if parts[1].strip() else ()
+        return ci(_int(parts[0], text), [_int(d, text) for d in degrees])
+    nums = [_int(x, text) for x in body.split(",")]
     if len(nums) != 2:
         raise InvalidFamilyError(f"{kind} takes two parameters")
     return FamilySpec(kind, *nums)

@@ -217,13 +217,14 @@ class RingModel:
         self.name = name
         self.dimension = dimension
         # each label's key is what _mul_labels reads it as (an exponent, a pair of
-        # factor labels, a partition, ...); a degree given no (label, key) pairs is
-        # built by _build_degree the first time it is read
+        # factor labels, a partition, ...); a degree given no (label, key) pairs stays
+        # () until _build_degree builds it, the first time it is read
         self._basis: list[tuple[str, ...]] = [()] * (dimension + 1)
         self._key: dict[str, object] = {}
         self._degree: dict[str, int] = {}
         for degree, pairs in enumerate(pairs_by_degree):
-            self._register(degree, pairs)
+            if pairs:
+                self._register(degree, pairs)
         self.point_label = point_label
         self._mul_cache: dict[tuple[str, str], dict[str, int | Fraction]] = {}
         if point_label is not None and self._degree.get(point_label) != dimension:

@@ -1,14 +1,17 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import higherfano
 import reference
 from higherfano import cli, schubert
 from higherfano import families as fam
@@ -122,6 +125,61 @@ def test_import_loads_no_dataclasses_inspect_json_or_csv():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def imported_submodules(*args) -> set[str]:
+    """The higherfano.* modules a fresh `python -X importtime ARGS` imports, read from its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True,
+                         check=True)
+    return set(re.findall(r"^import time:.*\|\s*(higherfano\.\w+)$", run.stderr, re.M))
+
+
+# what a check or census row reads; `-m` runs cli itself as __main__, which is not an import
+ROW_MODULES = {"families", "catalog", "schubert", "rings", "bundles", "numeric"}
+
+
+@pytest.mark.parametrize("args, expected", [
+    (("-c", "import higherfano"), set()),
+    (("-c", "import higherfano.cli"), {"cli", *ROW_MODULES}),
+    (("-m", "higherfano.cli", "--version"), ROW_MODULES),
+    (("-m", "higherfano.cli", "census", "G", "--k-range", "2", "--n-range", "4..5"), ROW_MODULES),
+    (("-m", "higherfano.cli", "verify", "claim31", "--n-max", "2", "--d-max", "1", "--k-max", "2"),
+     {"minimalfamily", *ROW_MODULES}),
+], ids=["package", "cli", "version", "census", "verify"])
+def test_a_command_imports_only_the_modules_it_reads(args, expected):
+    # the package imports a submodule when one of its names is first read, and the CLI
+    # imports minimalfamily only in the verify suites that read it
+    assert imported_submodules(*args) == {f"higherfano.{m}" for m in expected}
+
+
+# the names `from higherfano import *` bound before they were loaded on first use,
+# less the seven submodule names it also bound then
+PACKAGE_NAMES = {
+    "numeric": ("Rational", "bernoulli", "bernoulli_values", "power_sum", "todd_coeff"),
+    "rings": ("GradedClass", "RingModel", "integrate", "product_ring", "projbundle_ring", "projective_space_ring"),
+    "schubert": ("GrassmannianRing", "dual_pairing", "grassmannian_ring", "partition_label", "pieri"),
+    "bundles": ("todd_line",),
+    "minimalfamily": ("MinimalFamilyInput", "T_power", "ch_Hx", "ci_T_images", "ci_family_character_direct",
+                      "model_ring", "push_pi", "verify_claim31", "verify_prop11_ci", "verify_prop11_symbolic"),
+    "catalog": ("PolarizedPair", "catalog_entries", "catalog_to_json", "classify_pair", "extremal_L_degrees",
+                "positivity_of_twist", "twist_class"),
+    "families": ("FamilySpec", "Verdict", "chk_verdict", "consistency_check", "minimal_pair", "parse_spec",
+                 "product_nonexample", "threshold_oracle"),
+}
+
+
+def test_star_import_binds_the_package_names_from_their_submodules():
+    namespace = {}
+    exec("from higherfano import *", namespace)
+    del namespace["__builtins__"]
+    expected = {name: module for module, names in PACKAGE_NAMES.items() for name in names}
+    assert len(expected) == 42 and namespace.keys() == expected.keys()
+    for name, module in expected.items():
+        assert namespace[name] is getattr(importlib.import_module(f"higherfano.{module}"), name), name
+    assert higherfano.GradedClass is namespace["GradedClass"]
+    with pytest.raises(AttributeError, match="module 'higherfano' has no attribute 'nope'"):
+        higherfano.nope
 
 
 def test_census_grass_deep_golden_csv(capsys):
@@ -945,6 +1003,26 @@ def test_check_prints_the_refused_spec_message(capsys, spec, message):
     assert main(["check", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "CI", "--n-range", "..5"), "cannot read --n-range '..5': give N or LO..HI in integers"),
+    (("census", "CI", "--n-range", "5..x"), "cannot read --n-range '5..x': give N or LO..HI in integers"),
+    (("census", "G", "--k-range", "2..", "--n-range", "4..8"),
+     "cannot read --k-range '2..': give N or LO..HI in integers"),
+    (("check", "G[2,x]"), "cannot read 'x' as an integer in family spec 'G[2,x]'"),
+    (("check", "CI[x;2]"), "cannot read 'x' as an integer in family spec 'CI[x;2]'"),
+    (("check", "G[,]"), "cannot read '' as an integer in family spec 'G[,]'"),
+    (("check", "CI[5;2,,3]"), "cannot read '' as an integer in family spec 'CI[5;2,,3]'"),
+], ids=["range-lo", "range-hi", "k-range", "G", "CI-n", "G-empty", "CI-empty-degree"])
+def test_malformed_integers_are_refused_with_the_text_they_quote(capsys, argv, message):
+    # each exited 2 with Python's "invalid literal for int() with base 10", naming neither
+    # the flag nor the spec, but CI[5;2,,3], which dropped its empty entry and ran as CI[5;3,2]
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    # no degree at all is P^n itself
+    assert fam.parse_spec("CI[5;]") == fam.parse_spec("CI[5; ]") == fam.ci(5, ())
 
 
 def test_census_kinds_are_the_zero_locus_kinds_and_ci(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -397,6 +398,27 @@ def test_labels_met_before_their_degree_is_built():
     assert backwards.mul_basis("σ[2,1]", "σ[2,2]") == built.mul_basis("σ[2,1]", "σ[2,2]")
 
 
+def test_a_ring_registers_only_the_degrees_it_is_given(monkeypatch):
+    register, registered = schubert.GrassmannianRing._register, []
+
+    def recording(ring, degree, pairs):
+        registered.append(degree)
+        register(ring, degree, pairs)
+
+    monkeypatch.setattr(schubert.GrassmannianRing, "_register", recording)
+    ring = schubert.GrassmannianRing(5, 15)
+    # the 49 degrees between 0 and the point are built when first read, not registered empty
+    assert registered == [0, 50]
+    assert [d for d, labels in enumerate(ring._basis) if labels] == [0, 50]
+    for n in range(2, 11):
+        for k in range(1, min(4, n - 1) + 1):
+            ring = grassmannian_ring(k, n)
+            boxes = [partitions_in_box(k, n - k, d) for d in range(ring.dimension + 1)]
+            assert [ring.basis(d) for d in range(len(boxes))] == [tuple(map(partition_label, b)) for b in boxes], (k, n)
+            assert ring._key == {partition_label(p): p for b in boxes for p in b}, (k, n)
+            assert ring._degree == {partition_label(p): d for d, b in enumerate(boxes) for p in b}, (k, n)
+
+
 def test_unknown_labels_build_at_most_their_own_degree():
     for bad in ("σ[x]", "σ[2, 1]", "σ[1,2]", "σ[0]", "σ[99999999]", "σ[]"):
         ring = grassmannian_ring(10, 21)
@@ -493,8 +515,15 @@ def test_census_grass_deep_makes_no_schubert_product(monkeypatch, capsys):
         products.append(args)
         return mul_labels(ring, *args)
 
+    register, registered = Ring._register, []
+
+    def recording(ring, degree, pairs):
+        registered.append("dim" if degree == ring.dimension else degree)
+        register(ring, degree, pairs)
+
     monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
     monkeypatch.setattr(Ring, "_mul_labels", counting)
+    monkeypatch.setattr(Ring, "_register", recording)
     for memo in (schubert._product, schubert._pieri_step, schubert._adams_square):
         memo.cache_clear()
     argv = ["census", "G", "--k", "10", "--k-range", "3..5", "--n-range", "9..15", "--format", "csv"]
@@ -510,3 +539,7 @@ def test_census_grass_deep_makes_no_schubert_product(monkeypatch, capsys):
         info = memo.cache_info()
         assert info.hits + info.misses == 0, memo
     assert schubert._adams_square.cache_info().hits > 0
+    # each of the 20 rings registers degree 0 and its point when it is built, and
+    # degree 10 when its row reads it: 678 registrations when a ring registered
+    # every degree at construction, each lazy one as ()
+    assert Counter(registered) == {0: 20, "dim": 20, 10: 20}
