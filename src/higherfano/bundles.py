@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .numeric import Rational, todd_coeff
+from .numeric import todd_coeff
 from .rings import DegreeError, GradedClass, RingModel
 
 
@@ -32,7 +32,7 @@ def power_sum_class(ring: RingModel, j: int, p_j: dict[str, int]) -> GradedClass
     return GradedClass(ring, {label: Fraction(c, scale) for label, c in p_j.items() if c})
 
 
-def _line_series(divisor: GradedClass, coeff: Callable[[int], Rational]) -> GradedClass:
+def _line_series(divisor: GradedClass, coeff: Callable[[int], Fraction]) -> GradedClass:
     """1 + sum_{j>=1} coeff(j) D^j to the ring's dimension; DegreeError unless D has degree 1."""
     if not divisor.is_homogeneous(1):
         raise DegreeError("a line bundle's class must have degree 1")

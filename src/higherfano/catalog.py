@@ -106,11 +106,6 @@ def positivity_of_twist(pair: PolarizedPair) -> str:
     return tri_state(pair.degrees_on_mori(twist_class(pair)))
 
 
-def extremal_L_degrees(pair: PolarizedPair) -> tuple[int, ...]:
-    """The polarization paired with each Mori generator."""
-    return pair.degrees_on_mori(pair.L)
-
-
 # -- constructors --------------------------------------------------------------
 
 
@@ -378,7 +373,7 @@ def verify_catalog(m_max: int) -> list[dict]:
     for pair in catalog_entries():
         if pair.picard_rank == 1 and pair.L[0] > 1:
             continue  # the stated exceptions (P^d, O(2)) and (P^1, O(3))
-        degs = extremal_L_degrees(pair)
+        degs = pair.degrees_on_mori(pair.L)
         add(f"L.R = 1 ({pair.label})", all(v == 1 for v in degs), f"degrees={_shown(degs)}")
     p1o3 = pair_projective_space(1, 3)
     add("twist of (P1, O3) = 1", twist_class(p1o3) == (1,), _shown(twist_class(p1o3)))

@@ -13,13 +13,15 @@ first, and no --out file is opened before the first item exists.  An error
 raised after that leaves the items already written and exits 2.
 
 Exit codes: 0 success/agreement, 1 verified disagreement or identity failure,
-2 usage error.
+2 usage error or a report that cannot be written (an --out path, or a stdout
+whose reader has closed it).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -187,13 +189,19 @@ def _emit(ns, argv: list[str], items: Iterable[dict], key: str | None) -> bool:
     if first is not None:
         items = itertools.chain((first,), items)
     fmt = getattr(ns, "format", "json")
-    if not ns.out:
-        return _write(sys.stdout, fmt, argv, items, key)
     try:
+        if not ns.out:
+            passed = _write(sys.stdout, fmt, argv, items, key)
+            sys.stdout.flush()
+            return passed
         with open(ns.out, "w", encoding="utf-8") as fh:
             return _write(fh, fmt, argv, items, key)
     except OSError as exc:
-        raise UsageError(f"cannot write {ns.out}: {exc.strerror}") from exc
+        if not ns.out:
+            # the reader is gone: what stdout still buffers goes to devnull, so the
+            # flush at interpreter exit raises nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {ns.out or 'stdout'}: {exc.strerror}") from exc
 
 
 def _mf():

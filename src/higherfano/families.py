@@ -32,8 +32,8 @@ from . import catalog as cat
 from . import schubert
 from .bundles import power_sum_class
 from .catalog import PolarizedPair
-from .rings import RingModel, basis_size_error, product_ring, projbundle_ring, projective_space_ring
-from .schubert import GrassmannianRing, grassmannian_ring, partition_label
+from .rings import ProductRing, ProjBundleRing, ProjectiveSpaceRing, RingModel, basis_size_error
+from .schubert import GrassmannianRing, partition_label
 
 POSITIVE = "POSITIVE"
 NEF_ONLY = "NEF_ONLY"
@@ -104,14 +104,6 @@ def ci(n: int, degrees: Sequence[int]) -> FamilySpec:
     return FamilySpec(CI, n=n, degrees=tuple(sorted((int(d) for d in degrees), reverse=True)))
 
 
-def g2_fivefold() -> FamilySpec:
-    return FamilySpec(G2P)
-
-
-def product_pn(a: int, b: int) -> FamilySpec:
-    return FamilySpec(PRODUCT_PN, k=a, n=b)
-
-
 def _int(text: str, spec: str) -> int:
     try:
         return int(text)
@@ -127,7 +119,7 @@ def parse_spec(text: str) -> FamilySpec:
     if kind == G2P:
         if body not in (None, ""):
             raise InvalidFamilyError("G2P takes no parameters")
-        return g2_fivefold()
+        return FamilySpec(G2P)
     if body is None:
         raise InvalidFamilyError(f"{kind} needs parameters, e.g. {kind}[2,5]")
     if kind == CI:
@@ -178,17 +170,17 @@ def dim_x(spec: FamilySpec) -> int:
 
 @lru_cache(maxsize=None)
 def _pn_ring(n: int) -> RingModel:
-    return projective_space_ring(n)
+    return ProjectiveSpaceRing(n)
 
 
 @lru_cache(maxsize=None)
 def _grass_ring(k: int, n: int) -> GrassmannianRing:
-    return grassmannian_ring(k, n)
+    return GrassmannianRing(k, n)
 
 
 @lru_cache(maxsize=None)
 def _pp_ring(a: int, b: int) -> RingModel:
-    return product_ring(projective_space_ring(a, gen="h1"), projective_space_ring(b, gen="h2"))
+    return ProductRing(ProjectiveSpaceRing(a, gen="h1"), ProjectiveSpaceRing(b, gen="h2"))
 
 
 def check_ambient_bound(spec: FamilySpec) -> None:
@@ -455,7 +447,7 @@ def consistency_check(spec: FamilySpec, k: int = 2) -> ConsistencyReport:
 
 def product_nonexample(a: int, b: int) -> Fraction:
     """ch_2(P^a x P^b) paired with the surface class of P^1 x P^1; always zero."""
-    ring, p = _power_sums(product_pn(a, b))
+    ring, p = _power_sums(FamilySpec(PRODUCT_PN, a, b))
     ch2 = power_sum_class(ring, 2, p(2))
     h1, h2 = ring.monomial("h1"), ring.monomial("h2")
     surface = h1 ** (a - 1) * h2 ** (b - 1)
@@ -473,7 +465,7 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     """
     if m < 1:
         raise InvalidFamilyError("bundle diagnostics need m >= 1")
-    base = projective_space_ring(m + 1)
+    base = ProjectiveSpaceRing(m + 1)
     h = base.hyperplane()
     # E as line bundles O(D) with multiplicities; T = (m+2) O(h) - O by the Euler sequence
     if case == "c":
@@ -488,7 +480,7 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
         if not d.is_zero():
             chern = chern * (1 + d) ** mult
     rank = m + 1
-    pb = projbundle_ring(base, [chern.degree_part(i) for i in range(1, rank + 1)], rank)
+    pb = ProjBundleRing(base, [chern.degree_part(i) for i in range(1, rank + 1)], rank)
     xi = pb.xi()
     # T_P(E) = T of the base pulled back + E^dual (x) O(1) - 1, whose power sum p_2 is
     # (m+2) h^2 + sum mult (xi - D)^2

@@ -50,9 +50,9 @@ from math import factorial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .bundles import exp_line, todd_line
-from .families import enumerate_fano_ci
-from .numeric import Rational, power_sum, todd_coeff
-from .rings import DegreeError, GradedClass, RingModel, _pow_label, projective_space_ring
+from .families import ci, enumerate_fano_ci, minimal_pair
+from .numeric import power_sum, todd_coeff
+from .rings import DegreeError, GradedClass, ProjectiveSpaceRing, RingModel, _pow_label
 
 # -- symbolic universal-family model -----------------------------------------
 
@@ -410,7 +410,7 @@ def verify_prop11_symbolic(n: int, d: int, k_max: int) -> VerificationReport:
 # -- concrete evaluation -------------------------------------------------------
 
 
-def T_power(a: Rational, k: int, ell: GradedClass) -> GradedClass:
+def T_power(a: Fraction, k: int, ell: GradedClass) -> GradedClass:
     """Transfer of the k-th power of a divisor with fiber degree a: a^k * l^(k-1)."""
     if k < 1:
         raise ValueError("the transfer acts on powers k >= 1")
@@ -457,14 +457,6 @@ def ch_Hx(inp: MinimalFamilyInput, k: int) -> GradedClass:
     return _character_formula(inp.ell, t, k)
 
 
-def ci_dimension_of_family(n: int, degrees: Sequence[int]) -> int:
-    """dim H for lines on a complete intersection of the given type in P^n."""
-    d = n - 1 - sum(degrees)
-    if d < 0:
-        raise ValueError(f"no lines through a general point: dim H = {d} < 0")
-    return d
-
-
 def ci_T_images(n: int, degrees: Sequence[int], k_max: int) -> MinimalFamilyInput:
     """Transferred ambient characters for lines on a complete intersection.
 
@@ -476,9 +468,8 @@ def ci_T_images(n: int, degrees: Sequence[int], k_max: int) -> MinimalFamilyInpu
         raise ValueError("hypersurface degrees must be >= 1")
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
-    d = ci_dimension_of_family(n, degrees)
-    ring = projective_space_ring(d, gen="l")
-    ell = ring.hyperplane()
+    d = minimal_pair(ci(n, degrees)).dim
+    ell = ProjectiveSpaceRing(d, gen="l").hyperplane()
     t: dict[int, GradedClass] = {}
     for j in range(1, k_max + 2):
         coeff = Fraction((n + 1) - sum(x**j for x in degrees), factorial(j))
@@ -497,9 +488,9 @@ def ci_family_character_direct(
     Pass `ell` to express the result against an existing polarization class.
     """
     degrees = tuple(int(x) for x in degrees)
-    d = ci_dimension_of_family(n, degrees)
+    pair = minimal_pair(ci(n, degrees))  # NoPairError unless lines cover the family
     if ell is None:
-        ell = projective_space_ring(d, gen="l").hyperplane()
+        ell = ProjectiveSpaceRing(pair.dim, gen="l").hyperplane()
     coeff = Fraction(n) - sum(power_sum(x, k) for x in degrees)
     return coeff * Fraction(1, factorial(k)) * ell**k
 

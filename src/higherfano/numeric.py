@@ -14,8 +14,6 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
-Rational = Fraction
-
 _bernoulli_table: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _bernoulli_lock = threading.Lock()
 
@@ -35,12 +33,6 @@ def bernoulli(j: int) -> Fraction:
                 acc = sum(comb(m + 1, l) * _bernoulli_table[l] for l in range(m))
                 _bernoulli_table.append(Fraction(-acc, m + 1))
     return _bernoulli_table[j]
-
-
-def bernoulli_values(j_max: int) -> tuple[Fraction, ...]:
-    """The table B_0..B_j_max."""
-    bernoulli(j_max)
-    return tuple(_bernoulli_table[: j_max + 1])
 
 
 def todd_coeff(j: int) -> Fraction:

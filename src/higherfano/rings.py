@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .numeric import Rational
-
 
 class RingMismatchError(ValueError):
     """Raised when combining classes from different ring models."""
@@ -59,7 +57,7 @@ class GradedClass:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: "RingModel", terms: Mapping[str, Rational]):
+    def __init__(self, ring: "RingModel", terms: Mapping[str, Fraction]):
         self.ring = ring
         clean: dict[str, Fraction] = {}
         for label, c in terms.items():
@@ -186,9 +184,6 @@ class GradedClass:
             return NotImplemented
         return self.ring is other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((id(self.ring), tuple(sorted(self.terms.items()))))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -208,7 +203,9 @@ class RingModel:
     """Base class: a graded basis with a multiplication rule, truncated at `dimension`.
 
     `point_label` is None for truncated models with no fundamental class;
-    integration on those raises.
+    integration on those raises.  A subclass defines `_mul_labels(a, b)`: a*b
+    as {label: nonzero constant}, with integral constants as ints, which
+    callers do not mutate.
     """
 
     def __init__(
@@ -217,8 +214,7 @@ class RingModel:
         self.name = name
         self.dimension = dimension
         # each label's key is what _mul_labels reads it as (an exponent, a pair of
-        # factor labels, a partition, ...); a degree given no (label, key) pairs stays
-        # () until _build_degree builds it, the first time it is read
+        # factor labels, a partition, ...); a degree given no (label, key) pairs stays ()
         self._basis: list[tuple[str, ...]] = [()] * (dimension + 1)
         self._key: dict[str, object] = {}
         self._degree: dict[str, int] = {}
@@ -239,17 +235,11 @@ class RingModel:
         self._degree.update(dict.fromkeys(labels, degree))
         self._basis[degree] = labels
 
-    def _build_degree(self, degree: int) -> Sequence[tuple[str, object]]:
-        """The (label, key) pairs of a degree that was given none."""
-        return ()
-
     def basis(self, degree: int | None = None) -> tuple[str, ...]:
         if degree is None:
             return tuple(l for d in range(self.dimension + 1) for l in self.basis(d))
         if degree < 0 or degree > self.dimension:
             return ()
-        if not self._basis[degree]:
-            self._register(degree, self._build_degree(degree))
         return self._basis[degree]
 
     def _has_label(self, label: str) -> bool:
@@ -261,7 +251,7 @@ class RingModel:
 
     # -- element constructors ---------------------------------------------
 
-    def monomial(self, label: str, coeff: Rational = 1) -> GradedClass:
+    def monomial(self, label: str, coeff: Fraction = 1) -> GradedClass:
         return GradedClass(self, {label: Fraction(coeff)})
 
     def unit(self) -> GradedClass:
@@ -270,7 +260,7 @@ class RingModel:
     def zero(self) -> GradedClass:
         return GradedClass(self, {})
 
-    def scalar(self, c: Rational) -> GradedClass:
+    def scalar(self, c: Fraction) -> GradedClass:
         return GradedClass(self, {"1": Fraction(c)})
 
     # -- multiplication ----------------------------------------------------
@@ -282,13 +272,6 @@ class RingModel:
         if hit is None:
             hit = self._mul_cache[key] = self._mul_labels(*key)
         return hit
-
-    def _mul_labels(self, a: str, b: str) -> Mapping[str, int | Fraction]:
-        """a*b as {label: nonzero constant}, with integral constants as ints; callers do not mutate it."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.name}, dim {self.dimension}>"
 
 
 class ProjectiveSpaceRing(RingModel):
@@ -357,7 +340,9 @@ class ProjBundleRing(RingModel):
     to minus itself times c_1(L).
     """
 
-    def __init__(self, base: RingModel, chern_of_e: Sequence[GradedClass], rank: int, gen: str = "xi"):
+    gen = "xi"  # the tautological class's label
+
+    def __init__(self, base: RingModel, chern_of_e: Sequence[GradedClass], rank: int):
         if rank < 2:
             raise ValueError("projective bundle needs rank >= 2")
         cherns = list(chern_of_e)
@@ -368,18 +353,17 @@ class ProjBundleRing(RingModel):
             cherns.append(base.zero())
         self.base = base
         self.rank = rank
-        self.gen = gen
         self.cherns = tuple(cherns)
         dim = base.dimension + rank - 1
         pairs: list[list[tuple[str, tuple[str, int]]]] = [[] for _ in range(dim + 1)]
         for t in range(rank):
-            xp = _pow_label(gen, t)
+            xp = _pow_label(self.gen, t)
             for d in range(base.dimension + 1):
                 for bl in base.basis(d):
                     pairs[d + t].append((_join_labels(bl, xp), (bl, t)))
         self._xi_normal: dict[int, tuple[GradedClass, ...]] = {}
-        point = _join_labels(base.point_label, _pow_label(gen, rank - 1))
-        super().__init__(f"P({base.name};r={rank})<{gen}>", dim, pairs, point)
+        point = _join_labels(base.point_label, _pow_label(self.gen, rank - 1))
+        super().__init__(f"P({base.name};r={rank})<{self.gen}>", dim, pairs, point)
 
     def from_base(self, x: GradedClass) -> GradedClass:
         if x.ring is not self.base:
@@ -440,7 +424,7 @@ class ProjBundleRing(RingModel):
         return {l: c for l, c in out.items() if c}
 
 
-# -- public constructors and operations -------------------------------------
+# -- checks shared by the rings ----------------------------------------------
 
 
 def check_graded(
@@ -468,20 +452,3 @@ def basis_size_error(space: str, formula: str, count: int | None, bound: int, cl
     size = formula if count is None else f"{formula} = {count}"
     return ValueError(f"{space} has a basis of {size} {classes}, more than the {bound} this tool builds")
 
-
-def projective_space_ring(n: int, gen: str = "h") -> ProjectiveSpaceRing:
-    """The Chow ring model of P^n (n = 0 gives the point ring)."""
-    return ProjectiveSpaceRing(n, gen)
-
-
-def product_ring(a: RingModel, b: RingModel) -> ProductRing:
-    return ProductRing(a, b)
-
-
-def projbundle_ring(base: RingModel, chern_of_e: Sequence[GradedClass], rank: int, gen: str = "xi") -> ProjBundleRing:
-    return ProjBundleRing(base, chern_of_e, rank, gen)
-
-
-def integrate(x: GradedClass) -> Fraction:
-    """Coefficient of the point class (0 if absent)."""
-    return x.integrate()

@@ -92,7 +92,7 @@ def partitions_in_box(rows: int, cols: int, size: int) -> list[Partition]:
 
 
 def _horizontal_strips(lam: Partition, i: int, rows: int, cols: int) -> Iterator[Partition]:
-    """pieri_shapes for a canonical lam: each result is canonical too."""
+    """The shapes of a canonical lam plus i boxes, no two in a column, in the box; each canonical too."""
     ell = len(lam)
     last = min(ell, rows - 1)  # the lowest row that can take boxes
     acc: list[int] = []
@@ -112,11 +112,6 @@ def _horizontal_strips(lam: Partition, i: int, rows: int, cols: int) -> Iterator
             acc.pop()
 
     return rec(0, i)
-
-
-def pieri_shapes(lam: Partition, i: int, rows: int, cols: int) -> Iterator[Partition]:
-    """Partitions obtained from lam by adding i boxes, no two in a column, inside the box."""
-    yield from _horizontal_strips(normalize_partition(lam), i, rows, cols)
 
 
 @lru_cache(maxsize=None)
@@ -199,13 +194,15 @@ class GrassmannianRing(RingModel):
         self.n = n
         self.cols = n - k
         dim = k * self.cols
-        # degrees 0 and dim hold one label each; _build_degree fills the rest when read
+        # degrees 0 and dim hold one label each; basis() builds each other degree when it is first read
         point = (self.cols,) * k
         pairs = [[("1", ())]] + [()] * (dim - 1) + [[(_label(point), point)]]
         super().__init__(f"G({k},{n})", dim, pairs, _label(point))
 
-    def _build_degree(self, degree: int) -> list[tuple[str, Partition]]:
-        return [(_label(p), p) for p in partitions_in_box(self.k, self.cols, degree)]
+    def basis(self, degree: int | None = None) -> tuple[str, ...]:
+        if degree is not None and 0 <= degree <= self.dimension and not self._basis[degree]:
+            self._register(degree, [(_label(p), p) for p in partitions_in_box(self.k, self.cols, degree)])
+        return super().basis(degree)
 
     def _has_label(self, label: str) -> bool:
         """True for a basis label; builds at most the one degree that the parts of "σ[...]" add up to.
@@ -251,10 +248,6 @@ class GrassmannianRing(RingModel):
         """The basis label of a shape in the box: bisection in its degree, which is sorted."""
         labels = self.basis(sum(mu))
         return labels[bisect_left(labels, mu, key=self._key.__getitem__)]
-
-
-def grassmannian_ring(k: int, n: int) -> GrassmannianRing:
-    return GrassmannianRing(k, n)
 
 
 def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:

@@ -33,9 +33,8 @@ from typing import Sequence
 from higherfano.bundles import power_sum_class
 from higherfano.cli import CSV_COLUMNS
 from higherfano.families import FamilySpec, InvalidFamilyError, _power_sums, dim_x
-from higherfano.numeric import Rational
-from higherfano.rings import (DegreeError, GradedClass, RingMismatchError, RingModel, check_graded,
-                              projbundle_ring, projective_space_ring)
+from higherfano.rings import (DegreeError, GradedClass, ProjBundleRing, ProjectiveSpaceRing, RingMismatchError,
+                              RingModel, check_graded)
 from higherfano.schubert import GrassmannianRing
 
 
@@ -44,7 +43,7 @@ class CharacterVector:
 
     __slots__ = ("ring", "rank", "components")
 
-    def __init__(self, ring: RingModel, rank: Rational, components: Sequence[GradedClass]):
+    def __init__(self, ring: RingModel, rank: Fraction, components: Sequence[GradedClass]):
         self.ring = ring
         self.rank = Fraction(rank)
         self.components = check_graded(components, ring, "ch")
@@ -127,7 +126,7 @@ class CharacterVector:
 # -- constructors ------------------------------------------------------------
 
 
-def trivial_character(ring: RingModel, rank: Rational, cap: int | None = None) -> CharacterVector:
+def trivial_character(ring: RingModel, rank: Fraction, cap: int | None = None) -> CharacterVector:
     cap = ring.dimension if cap is None else cap
     return CharacterVector(ring, rank, [ring.zero()] * cap)
 
@@ -142,7 +141,7 @@ def line_character(divisor: GradedClass, cap: int | None = None) -> CharacterVec
     return CharacterVector(ring, 1, [powers[k] * Fraction(1, factorial(k)) for k in range(1, cap + 1)])
 
 
-def power_sum_character(ring: RingModel, rank: Rational, cap: int | None, power_sum) -> CharacterVector:
+def power_sum_character(ring: RingModel, rank: Fraction, cap: int | None, power_sum) -> CharacterVector:
     """The character of the given rank with ch_j = power_sum_class(ring, j, power_sum(j)) for j <= cap."""
     cap = ring.dimension if cap is None else cap
     return CharacterVector(ring, rank, [power_sum_class(ring, j, power_sum(j)) for j in range(1, cap + 1)])
@@ -154,7 +153,7 @@ def euler_character(h: GradedClass, n: int, cap: int | None = None) -> Character
 
 
 def chern_to_character(
-    cherns: Sequence[GradedClass], rank: Rational, ring: RingModel, cap: int | None = None
+    cherns: Sequence[GradedClass], rank: Fraction, ring: RingModel, cap: int | None = None
 ) -> CharacterVector:
     """Character from Chern classes via Newton's identities on the Chern roots.
 
@@ -254,7 +253,7 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
     if m < 1:
         raise InvalidFamilyError("bundle diagnostics need m >= 1")
 
-    base = projective_space_ring(m + 1)
+    base = ProjectiveSpaceRing(m + 1)
     h = base.hyperplane()
     rank = m + 1
     if case == "c":
@@ -265,7 +264,7 @@ def bundle_nonexample_diagnostic(case: str, m: int) -> tuple[tuple[str, Fraction
         raise InvalidFamilyError("diagnostic covers the bundle cases 'c' and 'e'")
     # ch_e runs to the base's top degree, so it determines every c_i of E;
     # the products below align to the tangent's cap 2
-    pb = projbundle_ring(base, character_to_chern(ch_e)[:rank], rank)
+    pb = ProjBundleRing(base, character_to_chern(ch_e)[:rank], rank)
     h_pb = pb.from_base(h)
     edual = dual(ch_e)
     edual_up = CharacterVector(

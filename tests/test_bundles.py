@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from higherfano.bundles import exp_line, todd_line
 from higherfano.minimalfamily import UniversalModel
-from higherfano.rings import DegreeError, GradedClass, product_ring, projective_space_ring
-from higherfano.schubert import grassmannian_ring
+from higherfano.rings import DegreeError, GradedClass, ProductRing, ProjectiveSpaceRing
+from higherfano.schubert import GrassmannianRing
 
 from reference import (
     CharacterVector,
@@ -33,7 +33,7 @@ def tangent_chern_pn(ring):
 
 
 def test_line_bundle_character_on_p3():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     ch = line_character(h)
     assert ch.rank == 1
@@ -44,7 +44,7 @@ def test_line_bundle_character_on_p3():
 
 def test_tangent_character_of_projective_space():
     for n in range(1, 9):
-        ring = projective_space_ring(n)
+        ring = ProjectiveSpaceRing(n)
         h = ring.hyperplane()
         ch = chern_to_character(tangent_chern_pn(ring), n, ring)
         for k in range(1, n + 1):
@@ -54,7 +54,7 @@ def test_tangent_character_of_projective_space():
 def test_newton_round_trip():
     # pseudo-random integral Chern classes on P^n, n <= 6
     for n in range(1, 7):
-        ring = projective_space_ring(n)
+        ring = ProjectiveSpaceRing(n)
         h = ring.hyperplane()
         for seed in range(3):
             cherns = [((seed + 2) * i * i - 7 * seed + i) * h**i for i in range(1, n + 1)]
@@ -64,14 +64,14 @@ def test_newton_round_trip():
 
 
 def test_quotient_bundle_character_on_g24():
-    g24 = grassmannian_ring(2, 4)
+    g24 = GrassmannianRing(2, 4)
     q = chern_to_character(tautological_chern(g24, "quotient"), 2, g24)
     assert q.component(1) == g24.sigma((1,))
     assert q.component(2) == (g24.sigma((1, 1)) - g24.sigma((2,))) / 2
 
 
 def test_tangent_of_g24():
-    g24 = grassmannian_ring(2, 4)
+    g24 = GrassmannianRing(2, 4)
     sdual = chern_to_character(tautological_chern(g24, "sub-dual"), 2, g24)
     quot = chern_to_character(tautological_chern(g24, "quotient"), 2, g24)
     t = sdual * quot
@@ -83,7 +83,7 @@ def test_tangent_of_g24():
 def test_grassmannian_ch2_formula():
     for n in range(4, 13):
         for k in range(2, n // 2 + 1):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             sdual = chern_to_character(tautological_chern(ring, "sub-dual"), k, ring, cap=2)
             quot = chern_to_character(tautological_chern(ring, "quotient"), n - k, ring, cap=2)
             ch2 = (sdual * quot).component(2)
@@ -94,7 +94,7 @@ def test_grassmannian_ch2_formula():
 
 
 def test_adams():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     x = line_character(h)
     assert adams(x, 1) == x
@@ -105,7 +105,7 @@ def test_adams():
 
 
 def test_dual_involution_and_zero():
-    p4 = projective_space_ring(4)
+    p4 = ProjectiveSpaceRing(4)
     x = line_character(p4.hyperplane()) + trivial_character(p4, 2)
     assert dual(dual(x)) == x
     zero = trivial_character(p4, 0)
@@ -114,7 +114,7 @@ def test_dual_involution_and_zero():
 
 
 def test_sym2_wedge2_line():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     x = line_character(h)
     assert sym2_character(x) == line_character(2 * h)
@@ -124,7 +124,7 @@ def test_sym2_wedge2_line():
 
 
 def test_sym2_wedge2_ranks_and_sum():
-    p2 = projective_space_ring(2)
+    p2 = ProjectiveSpaceRing(2)
     x = trivial_character(p2, 2)
     assert sym2_character(x).rank == 3
     assert wedge2_character(x).rank == 1
@@ -135,7 +135,7 @@ def test_sym2_wedge2_ranks_and_sum():
 
 
 def test_wedge2_of_subdual_on_g25():
-    g25 = grassmannian_ring(2, 5)
+    g25 = GrassmannianRing(2, 5)
     sdual = chern_to_character(tautological_chern(g25, "sub-dual"), 2, g25)
     w = wedge2_character(sdual)
     assert w.rank == 1
@@ -145,7 +145,7 @@ def test_wedge2_of_subdual_on_g25():
 
 
 def test_plethysm_rejects_virtual_rank():
-    p2 = projective_space_ring(2)
+    p2 = ProjectiveSpaceRing(2)
     x = trivial_character(p2, Fraction(1, 2))
     with pytest.raises(ValueError):
         sym2_character(x)
@@ -153,7 +153,7 @@ def test_plethysm_rejects_virtual_rank():
 
 def test_tensor_line():
     # twisting by O(D) multiplies by e^D at the character's own cap
-    p4 = projective_space_ring(4)
+    p4 = ProjectiveSpaceRing(4)
     h = p4.hyperplane()
     x = line_character(h)
     assert x * line_character(2 * h, cap=x.cap) == line_character(3 * h)
@@ -162,7 +162,7 @@ def test_tensor_line():
 
 
 def test_todd_line():
-    p4 = projective_space_ring(4)
+    p4 = ProjectiveSpaceRing(4)
     h = p4.hyperplane()
     assert todd_line(p4.zero()) == p4.unit()
     td = todd_line(h)
@@ -181,7 +181,7 @@ def test_todd_line():
 
 
 def test_dual_of_a_line_is_the_inverse_line():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     assert dual(line_character(h)) == line_character(-h)
     one = trivial_character(p3, 1)
@@ -190,8 +190,8 @@ def test_dual_of_a_line_is_the_inverse_line():
 
 def test_euler_character_is_newton_on_the_total_chern_class():
     # ch(T_{P^n}) = (n+1)e^h - 1 against Newton's identities on c(T) = (1+h)^(n+1)
-    p2xp3 = product_ring(projective_space_ring(2, "h1"), projective_space_ring(3, "h2"))
-    cases = [(projective_space_ring(n).hyperplane(), n) for n in range(1, 9)]
+    p2xp3 = ProductRing(ProjectiveSpaceRing(2, "h1"), ProjectiveSpaceRing(3, "h2"))
+    cases = [(ProjectiveSpaceRing(n).hyperplane(), n) for n in range(1, 9)]
     cases += [(p2xp3.monomial("h1"), 2), (p2xp3.monomial("h2"), 3)]
     for h, n in cases:
         ring = h.ring
@@ -201,7 +201,7 @@ def test_euler_character_is_newton_on_the_total_chern_class():
         assert euler_character(h, n) == chern_to_character(cherns, n, ring)
 
 
-_CHAR_RINGS = (projective_space_ring(4), grassmannian_ring(2, 5))
+_CHAR_RINGS = (ProjectiveSpaceRing(4), GrassmannianRing(2, 5))
 _RANKS = (0, 1, -2, Fraction(1, 2), 3)
 
 

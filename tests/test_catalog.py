@@ -17,7 +17,6 @@ from higherfano.catalog import (
     catalog_entries,
     catalog_to_json,
     classify_pair,
-    extremal_L_degrees,
     pair_case,
     pair_divisor_11,
     pair_linear_blowup,
@@ -81,12 +80,12 @@ def test_every_pair_lattice_is_ints():
 
 def test_extremal_degrees():
     for m in range(1, 7):
-        assert extremal_L_degrees(pair_case("c", m)) == (Fraction(1), Fraction(1))
-        assert extremal_L_degrees(pair_case("d", m)) == (Fraction(1),) * len(
-            pair_case("d", m).mori_generators
-        )
-    assert extremal_L_degrees(pair_projective_space(4, 2)) == (Fraction(2),)
-    assert extremal_L_degrees(pair_projective_space(1, 3)) == (Fraction(3),)
+        c, d = pair_case("c", m), pair_case("d", m)
+        assert c.degrees_on_mori(c.L) == (Fraction(1), Fraction(1))
+        assert d.degrees_on_mori(d.L) == (Fraction(1),) * len(d.mori_generators)
+    p4, p1 = pair_projective_space(4, 2), pair_projective_space(1, 3)
+    assert p4.degrees_on_mori(p4.L) == (Fraction(2),)
+    assert p1.degrees_on_mori(p1.L) == (Fraction(3),)
 
 
 def test_classification():
@@ -170,7 +169,7 @@ def test_polarization_has_degree_one_on_extremal_curves():
     for pair in catalog_entries():
         if pair.picard_rank == 1 and pair.L[0] > 1:
             continue  # (P^d, O(2)) and (P^1, O(3)) are the stated exceptions
-        assert all(v == 1 for v in extremal_L_degrees(pair)), pair.label
+        assert all(v == 1 for v in pair.degrees_on_mori(pair.L)), pair.label
 
 
 def test_unsupported_parameters():

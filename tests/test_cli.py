@@ -153,17 +153,17 @@ def test_a_command_imports_only_the_modules_it_reads(args, expected):
     assert imported_submodules(*args) == {f"higherfano.{m}" for m in expected}
 
 
-# the names `from higherfano import *` bound before they were loaded on first use,
-# less the seven submodule names it also bound then
+# the names `from higherfano import *` binds, by the submodule that defines each; it
+# binds no submodule name
 PACKAGE_NAMES = {
-    "numeric": ("Rational", "bernoulli", "bernoulli_values", "power_sum", "todd_coeff"),
-    "rings": ("GradedClass", "RingModel", "integrate", "product_ring", "projbundle_ring", "projective_space_ring"),
-    "schubert": ("GrassmannianRing", "dual_pairing", "grassmannian_ring", "partition_label", "pieri"),
+    "numeric": ("bernoulli", "power_sum", "todd_coeff"),
+    "rings": ("GradedClass", "ProductRing", "ProjBundleRing", "ProjectiveSpaceRing", "RingModel"),
+    "schubert": ("GrassmannianRing", "dual_pairing", "partition_label", "pieri"),
     "bundles": ("todd_line",),
     "minimalfamily": ("MinimalFamilyInput", "T_power", "ch_Hx", "ci_T_images", "ci_family_character_direct",
                       "model_ring", "push_pi", "verify_claim31", "verify_prop11_ci", "verify_prop11_symbolic"),
-    "catalog": ("PolarizedPair", "catalog_entries", "catalog_to_json", "classify_pair", "extremal_L_degrees",
-                "positivity_of_twist", "twist_class"),
+    "catalog": ("PolarizedPair", "catalog_entries", "catalog_to_json", "classify_pair", "positivity_of_twist",
+                "twist_class"),
     "families": ("FamilySpec", "Verdict", "chk_verdict", "consistency_check", "minimal_pair", "parse_spec",
                  "product_nonexample", "threshold_oracle"),
 }
@@ -174,7 +174,7 @@ def test_star_import_binds_the_package_names_from_their_submodules():
     exec("from higherfano import *", namespace)
     del namespace["__builtins__"]
     expected = {name: module for module, names in PACKAGE_NAMES.items() for name in names}
-    assert len(expected) == 42 and namespace.keys() == expected.keys()
+    assert len(expected) == 37 and namespace.keys() == expected.keys()
     for name, module in expected.items():
         assert namespace[name] is getattr(importlib.import_module(f"higherfano.{module}"), name), name
     assert higherfano.GradedClass is namespace["GradedClass"]
@@ -402,7 +402,7 @@ def test_huge_grassmannian_is_refused_before_any_basis_is_built(capsys, monkeypa
 def test_census_reaching_an_over_bound_spec_exits_2(capsys, monkeypatch):
     argv = ["census", "G", "--k-range", "2", "--n-range", "4..7", "--format", "csv"]
     # uncached rings, so rings built by earlier tests cannot hide the guard
-    monkeypatch.setattr(fam, "_grass_ring", schubert.grassmannian_ring)
+    monkeypatch.setattr(fam, "_grass_ring", schubert.GrassmannianRing)
     assert run_cli(capsys, *argv)[0] == 0
     # C(7, 2) = 21 is the only basis above the lowered bound: the census
     # fails as a whole and never drops the G[2,7] row
@@ -730,7 +730,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_compute_row_product_kind():
-    row = compute_row(fam.product_pn(2, 3), 2)
+    row = compute_row(fam.FamilySpec(fam.PRODUCT_PN, 2, 3), 2)
     assert row["verdict"] == "NEF_ONLY"
     assert row["oracle"] == "" and row["twist"] == ""
     assert row["agree"] is True
@@ -839,6 +839,41 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and f"cannot write {target}" in captured.err
     assert not target.exists()
+
+
+def _closed_stdout_run(argv, read_first_line):
+    """Exit code and stderr of a fresh CLI run whose stdout reader closes the pipe.
+
+    The reader reads the first line and then closes, or closes before the run starts,
+    so the run's first write already finds no reader.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-m", "higherfano.cli", *argv]
+    if read_first_line:
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(), err
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(cmd, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    return run.returncode, run.stderr
+
+
+@pytest.mark.parametrize("argv, read_first_line", [
+    (("census", "CI", "--n-range", "2..40", "--max-c", "4", "--format", "csv"), True),
+    (("check", "G[2,5]"), False),
+], ids=["census-reads-one-line", "check-reads-nothing"])
+def test_a_closed_stdout_is_a_usage_error(argv, read_first_line):
+    # a reader that goes away is no verified disagreement (exit 1): the run exits 2
+    # with one line and no traceback, none at interpreter exit either
+    code, err = _closed_stdout_run(argv, read_first_line)
+    assert (code, err) == (2, "error: cannot write stdout: Broken pipe\n")
 
 
 def whole_report(argv) -> tuple[int, str]:

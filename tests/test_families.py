@@ -30,7 +30,7 @@ from higherfano.families import (
     threshold_oracle,
 )
 from higherfano.rings import DegreeError, GradedClass
-from higherfano.schubert import grassmannian_ring, partitions_in_box
+from higherfano.schubert import GrassmannianRing, partitions_in_box
 
 import reference
 from reference import (
@@ -53,7 +53,7 @@ def test_family_specs_are_validating_tuples():
     with pytest.raises(InvalidFamilyError):
         fam.FamilySpec(fam.GRASS, k=2, n=3)
     # a pickled spec comes back equal, as a FamilySpec
-    for spec in (spec, fam.ci(9, (3, 2)), fam.g2_fivefold(), fam.product_pn(2, 3)):
+    for spec in (spec, fam.ci(9, (3, 2)), fam.FamilySpec(fam.G2P), fam.FamilySpec(fam.PRODUCT_PN, 2, 3)):
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec and type(back) is fam.FamilySpec and hash(back) == hash(spec)
     # and unpickling runs the validation: a spec that skipped it is refused on load
@@ -89,7 +89,7 @@ def test_gh_rows_multiply_no_schubert_class(monkeypatch):
         return mul_labels(ring, *args)
 
     # fresh rings, so no product is already in a ring's cache
-    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
+    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(GrassmannianRing))
     monkeypatch.setattr(Ring, "_mul_labels", counting)
     for n in (8, 9, 10):
         tangent_character(fam.FamilySpec(fam.GRASS_HYP, k=3, n=n), cap=6)
@@ -122,7 +122,7 @@ def test_dimensions():
     # Grassmannian ring dimension realizes the formula
     for n in range(4, 10):
         for k in range(2, n // 2 + 1):
-            assert grassmannian_ring(k, n).dimension == dim_x(fam.FamilySpec(fam.GRASS, k=k, n=n))
+            assert GrassmannianRing(k, n).dimension == dim_x(fam.FamilySpec(fam.GRASS, k=k, n=n))
 
 
 def test_component_above_the_cap_is_refused():
@@ -185,18 +185,18 @@ def test_verdict_rejects_bad_k():
     with pytest.raises(InvalidFamilyError):
         chk_verdict(fam.ci(4, (2,)), 4)  # dim X = 3
     with pytest.raises(InvalidFamilyError):
-        chk_verdict(fam.g2_fivefold(), 3)
+        chk_verdict(fam.FamilySpec(fam.G2P), 3)
 
 
 def test_threshold_oracle():
     assert threshold_oracle(fam.FamilySpec(fam.OG, k=3, n=11), 2) == POSITIVE
     assert threshold_oracle(fam.FamilySpec(fam.SG, k=4, n=8), 2) == POSITIVE
     assert threshold_oracle(fam.ci(10, (2, 2)), 3) == NEITHER  # 16 > 11
-    assert threshold_oracle(fam.g2_fivefold(), 2) == POSITIVE
+    assert threshold_oracle(fam.FamilySpec(fam.G2P), 2) == POSITIVE
     with pytest.raises(NoClosedFormError):
         threshold_oracle(fam.FamilySpec(fam.GRASS, k=2, n=5), 3)
     with pytest.raises(NoClosedFormError):
-        threshold_oracle(fam.product_pn(2, 3), 2)
+        threshold_oracle(fam.FamilySpec(fam.PRODUCT_PN, 2, 3), 2)
 
 
 def test_ch3_verdict_computed_for_grassmannian():
@@ -208,7 +208,7 @@ def test_ch3_verdict_computed_for_grassmannian():
 def test_minimal_pairs():
     assert minimal_pair(fam.FamilySpec(fam.GRASS, k=3, n=7)).label == "P2xP3(1,1)"
     assert minimal_pair(fam.FamilySpec(fam.SG, k=3, n=12)).label == "P_P2(O2+O1^6)(OP1)"
-    assert minimal_pair(fam.g2_fivefold()).label == "P1(O3)"
+    assert minimal_pair(fam.FamilySpec(fam.G2P)).label == "P1(O3)"
     assert minimal_pair(fam.FamilySpec(fam.OG, k=2, n=8)).label == "P1xQ2(1,1,1)"
     # Lagrangian boundary: the bundle degenerates to (P^(k-1), O(2))
     p = minimal_pair(fam.FamilySpec(fam.SG, k=4, n=8))
@@ -217,7 +217,7 @@ def test_minimal_pairs():
     conic = minimal_pair(fam.FamilySpec(fam.GRASS_HYP, k=2, n=4))
     assert conic.dim == 1 and conic.L == (Fraction(2),)
     with pytest.raises(NoPairError):
-        minimal_pair(fam.product_pn(2, 2))
+        minimal_pair(fam.FamilySpec(fam.PRODUCT_PN, 2, 2))
     with pytest.raises(NoPairError):
         minimal_pair(fam.ci(4, (2, 2)))  # dim H < 0
 
@@ -245,7 +245,7 @@ def test_consistency_sweep():
     for n in range(2, 13):
         for degrees in fam.enumerate_fano_ci(n, 2):
             specs.append(fam.ci(n, degrees))
-    specs.append(fam.g2_fivefold())
+    specs.append(fam.FamilySpec(fam.G2P))
     for spec in specs:
         rep = consistency_check(spec)
         assert rep.agree, (spec.text(), rep)
@@ -255,7 +255,7 @@ def test_lagrangian_collapse_is_justified():
     # on G(k, 2k), both degree-2 classes multiply equally into the zero-locus
     # Euler class e(N) = c_top(wedge^2 of the dual subbundle)
     for k in (2, 3, 4):
-        ring = grassmannian_ring(k, 2 * k)
+        ring = GrassmannianRing(k, 2 * k)
         rank = k * (k - 1) // 2
         if rank == 0:
             continue
@@ -276,7 +276,7 @@ def test_product_nonexample():
         for b in range(1, 7):
             assert product_nonexample(a, b) == 0
     # contrast: pairing with a plane inside the first factor is positive
-    spec = fam.product_pn(3, 4)
+    spec = fam.FamilySpec(fam.PRODUCT_PN, 3, 4)
     ring = fam._power_sums(spec)[0]
     ch2 = tangent_character(spec, cap=2).component(2)
     plane = ring.monomial("h1") * ring.monomial("h2") ** 4
@@ -284,7 +284,7 @@ def test_product_nonexample():
 
 
 def test_product_verdict_is_nef_only():
-    assert chk_verdict(fam.product_pn(2, 3), 2).status == NEF_ONLY
+    assert chk_verdict(fam.FamilySpec(fam.PRODUCT_PN, 2, 3), 2).status == NEF_ONLY
 
 
 def test_bundle_nonexample_diagnostic():
@@ -314,7 +314,7 @@ def test_anticanonical_degrees():
     assert fam.anticanonical_line_degree(fam.FamilySpec(fam.SG, k=3, n=8)) == 6
     assert fam.anticanonical_line_degree(fam.FamilySpec(fam.GRASS_HYP, k=2, n=6)) == 5
     assert fam.anticanonical_line_degree(fam.ci(9, (3,))) == 7
-    assert fam.anticanonical_line_degree(fam.g2_fivefold()) == 3
+    assert fam.anticanonical_line_degree(fam.FamilySpec(fam.G2P)) == 3
 
 
 def test_consistency_report_agreement():
@@ -328,7 +328,7 @@ def test_consistency_report_agreement():
     assert deep.oracle_status == "" and deep.twist_status == "" and deep.pair_label == ""
     assert deep.pair_dim is None and deep.expected_dim is None and deep.agree
     # products report instead of raising: no oracle, no minimal pair
-    prod = consistency_check(fam.product_pn(2, 3))
+    prod = consistency_check(fam.FamilySpec(fam.PRODUCT_PN, 2, 3))
     assert prod.verdict.status == NEF_ONLY and prod.oracle_status == "" and prod.twist_status == ""
     assert prod.agree
     # CI at k = 3: ring and threshold, no twist
@@ -370,9 +370,9 @@ def test_enumerate_fano_ci_rejects_negative_codimension():
 
 
 def test_g2_fact_record():
-    v = chk_verdict(fam.g2_fivefold(), 2)
+    v = chk_verdict(fam.FamilySpec(fam.G2P), 2)
     assert v.status == POSITIVE and v.witnesses == ()
-    rep = consistency_check(fam.g2_fivefold())
+    rep = consistency_check(fam.FamilySpec(fam.G2P))
     assert rep.agree and rep.pair_dim == 1
 
 
@@ -427,7 +427,7 @@ def test_product_character_is_the_sum_of_two_euler_sequences():
     # added as characters, is the reference
     for a in range(1, 7):
         for b in range(1, 7):
-            spec = fam.product_pn(a, b)
+            spec = fam.FamilySpec(fam.PRODUCT_PN, a, b)
             ring = fam._power_sums(spec)[0]
             h1, h2 = ring.monomial("h1"), ring.monomial("h2")
             for cap in range(1, a + b + 1):
@@ -568,7 +568,7 @@ def test_grassmannian_row_builds_only_the_degrees_it_reads(monkeypatch):
         return partitions_in_box(rows, cols, size)
 
     monkeypatch.setattr(schubert, "partitions_in_box", recorded)
-    monkeypatch.setattr(fam, "_grass_ring", grassmannian_ring)
+    monkeypatch.setattr(fam, "_grass_ring", GrassmannianRing)
     rep = consistency_check(fam.FamilySpec(fam.GRASS, k=8, n=18), 2)
     assert rep.agree
     # dim H reads the one label of degree 1 and the verdict reads degree 2;
@@ -585,7 +585,7 @@ def _oracle_specs():
             yield fam.ci(n, degrees)
     for a in range(1, 5):
         for b in range(1, 5):
-            yield fam.product_pn(a, b)
+            yield fam.FamilySpec(fam.PRODUCT_PN, a, b)
 
 
 def test_verdicts_read_ch_k_of_the_full_tangent_character():
@@ -641,7 +641,7 @@ def test_verdict_refuses_a_power_sum_label_of_another_degree(monkeypatch):
         return ring, lambda j: {**p(j), ring.basis(j - 1)[0]: 1}
 
     monkeypatch.setattr(fam, "_power_sums", stray)
-    for spec in (fam.ci(9, (3,)), fam.FamilySpec(fam.GRASS, k=2, n=5), fam.product_pn(2, 3)):
+    for spec in (fam.ci(9, (3,)), fam.FamilySpec(fam.GRASS, k=2, n=5), fam.FamilySpec(fam.PRODUCT_PN, 2, 3)):
         with pytest.raises(ValueError, match="outside degree 2"):
             chk_verdict(spec, 2)
         with pytest.raises(ValueError):

@@ -25,11 +25,11 @@ from higherfano.minimalfamily import (
     verify_prop11_ci,
     verify_prop11_symbolic,
 )
-from higherfano.rings import DegreeError, RingMismatchError, projective_space_ring
+from higherfano.rings import DegreeError, ProjectiveSpaceRing, RingMismatchError
 
 
 def test_T_power():
-    ring = projective_space_ring(4, gen="l")
+    ring = ProjectiveSpaceRing(4, gen="l")
     ell = ring.hyperplane()
     assert T_power(1, 1, ell) == ring.unit()
     assert T_power(2, 3, ell) == 8 * ell**2
@@ -76,7 +76,7 @@ def test_ch2_formula_shape():
 
 
 def test_direct_oracle_values():
-    ring = projective_space_ring(7, gen="l")
+    ring = ProjectiveSpaceRing(7, gen="l")
     ell = ring.hyperplane()
     assert ci_family_character_direct(9, (3,), 1, ell=ell) == 3 * ell
     assert ci_family_character_direct(7, (2, 2), 2, ell=ell) == Fraction(-3, 2) * ell**2
@@ -88,7 +88,7 @@ def test_direct_oracle_values():
 
 
 def test_missing_transfer_rejected():
-    ring = projective_space_ring(3, gen="l")
+    ring = ProjectiveSpaceRing(3, gen="l")
     ell = ring.hyperplane()
     inp = MinimalFamilyInput(d=3, ell=ell, t={1: ring.scalar(5)})
     with pytest.raises(MissingTransferError):
@@ -96,21 +96,21 @@ def test_missing_transfer_rejected():
 
 
 def test_input_degree_validation():
-    ring = projective_space_ring(3, gen="l")
+    ring = ProjectiveSpaceRing(3, gen="l")
     ell = ring.hyperplane()
     with pytest.raises(ValueError):
         MinimalFamilyInput(d=3, ell=ell, t={2: ell**2})
 
 
 def test_input_is_validated_when_built():
-    ring = projective_space_ring(3, gen="l")
+    ring = ProjectiveSpaceRing(3, gen="l")
     ell = ring.hyperplane()
     with pytest.raises(DegreeError):
         MinimalFamilyInput(3, ell**2, {})
     with pytest.raises(DegreeError):
         MinimalFamilyInput(d=3, ell=ell, t={1: ring.scalar(5), 3: ell})
     with pytest.raises(ValueError, match="share the polarization's ring"):
-        MinimalFamilyInput(d=3, ell=ell, t={1: projective_space_ring(3).scalar(5)})
+        MinimalFamilyInput(d=3, ell=ell, t={1: ProjectiveSpaceRing(3).scalar(5)})
 
 
 def test_reports_start_with_their_own_empty_check_list():

@@ -22,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # beyond the README's CLI block: a census of each kind, each verify suite at small
@@ -55,27 +57,24 @@ COMMANDS = {
 }
 
 # unreached function -> its one consumer: a test ("tests/<file>::<test>"), a line of the
-# README quick tour ("README: <code>"), or the ROADMAP item that will call it.  Item 21
-# holds the functions that nothing calls, not even a test
+# README quick tour ("README: <code>"), or the ROADMAP item that will call it.  A function
+# that nothing calls, not even a test, has no consumer and is deleted
 UNREACHED = {
     "bundles.power_sum_class": "tests/test_families.py::test_integer_verdict_matches_the_power_sum_class",
     "catalog.catalog_to_json": "tests/test_catalog.py::test_catalog_json_golden_digest",
     "families.bundle_nonexample_diagnostic": "ROADMAP item 19",
     "families.chk_verdict": "README: chk_verdict(spec, 2).witnesses",
     "families.product_nonexample": "tests/test_acceptance.py::test_criterion_7_product_nonexample",
-    "families.product_pn": "tests/test_acceptance.py::test_criterion_7_product_nonexample",
     "minimalfamily.VerificationReport.checks":
         "tests/test_minimalfamily.py::test_ring_identities_are_checked_in_every_claim31_report",
     "minimalfamily.VerificationReport.ok": "README: verify_claim31(7, 4, 5).ok",
-    "numeric.bernoulli_values": "tests/test_numeric.py::test_table_accessor",
-    "rings.GradedClass.__hash__": "ROADMAP item 21",
     "rings.GradedClass.__repr__":
         "tests/test_minimalfamily.py::test_ring_identities_are_checked_in_every_claim31_report",
     "rings.GradedClass.__rsub__": "tests/test_rings.py::test_subtraction_edge_cases",
     "rings.GradedClass.__truediv__": "tests/test_bundles.py::test_line_bundle_character_on_p3",
     "rings.GradedClass.degrees": "tests/test_rings.py::test_graded_class_api",
     "rings.GradedClass.homogeneous_degree": "tests/test_rings.py::test_graded_class_api",
-    "rings.GradedClass.integrate": "README: integrate(s1 ** 6)",
+    "rings.GradedClass.integrate": "README: (s1 ** 6).integrate()",
     "rings.GradedClass.is_zero": "tests/test_bundles.py::test_dual_involution_and_zero",
     "rings.ProductRing._mul_labels": "tests/test_acceptance.py::test_criterion_7_product_nonexample",
     "rings.ProjBundleRing.__init__": "ROADMAP item 19",
@@ -84,13 +83,8 @@ UNREACHED = {
     "rings.ProjBundleRing.push_to_base": "ROADMAP item 19",
     "rings.ProjBundleRing.xi": "ROADMAP item 19",
     "rings.ProjBundleRing.xi_power_normal": "ROADMAP item 19",
-    "rings.RingModel.__repr__": "ROADMAP item 21",
-    "rings.RingModel._build_degree": "ROADMAP item 21",
     "rings.RingModel._has_label": "tests/test_rings.py::test_unknown_label_rejected",
-    "rings.RingModel._mul_labels": "ROADMAP item 21",
     "rings.check_graded": "ROADMAP item 19",
-    "rings.integrate": "README: integrate(s1 ** 6)",
-    "rings.projbundle_ring": "ROADMAP item 19",
     "schubert.GrassmannianRing._basis_label": "README: s1 = g.sigma((1,))",
     "schubert.GrassmannianRing._has_label": "ROADMAP item 16",
     "schubert.GrassmannianRing._mul_labels": "ROADMAP item 16",
@@ -105,7 +99,6 @@ UNREACHED = {
     "schubert._product": "ROADMAP item 16",
     "schubert.dual_pairing": "tests/test_schubert.py::test_duality",
     "schubert.pieri": "README: pieri(g, (2, 2), 1)",
-    "schubert.pieri_shapes": "tests/test_schubert.py::test_pieri_steps_are_stable_and_match_pieri_shapes",
 }
 
 
@@ -168,12 +161,50 @@ def test_every_function_no_command_reaches_is_allowlisted_with_its_consumer():
     )
     tour = _readme_block("Library quick tour", "python")
     for name, consumer in UNREACHED.items():
-        m = re.fullmatch(r"(tests/\w+\.py)::(\w+)|README: (.+)|ROADMAP item (10|13|16|19|21)", consumer)
+        m = re.fullmatch(r"(tests/\w+\.py)::(\w+)|README: (.+)|ROADMAP item (10|13|16|19)", consumer)
         assert m, (name, consumer)
         if m[1]:
             assert f"\ndef {m[2]}(" in (ROOT / m[1]).read_text(encoding="utf-8"), (name, consumer)
         elif m[3]:
             assert m[3] in tour, (name, consumer)
+
+
+def _renames(fn: ast.FunctionDef) -> bool:
+    """True when fn's body, past its docstring, is one `return f(p1, ...)` or `return p1.method(p2, ...)`.
+
+    The call passes fn's own parameters, in order, and nothing else.
+    """
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+    if not isinstance(call, ast.Call) or call.keywords or not all(isinstance(a, ast.Name) for a in call.args):
+        return False
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    passed = [a.id for a in call.args]
+    receiver = call.func.value if isinstance(call.func, ast.Attribute) else None
+    return passed == params or (isinstance(receiver, ast.Name) and [receiver.id, *passed] == params)
+
+
+def test_no_src_function_only_renames_another():
+    # a second name for a constructor or a method is one more name to keep in step:
+    # callers call the class or the method itself
+    wrappers = []
+    for path in sorted((ROOT / "src" / "higherfano").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.decorator_list:
+                if _renames(node):
+                    wrappers.append(f"{path.stem}.{node.name}")
+    assert wrappers == []
+
+
+def test_each_package_name_is_its_own_object():
+    import higherfano
+
+    owners = {}
+    for name in higherfano.__all__:
+        owners.setdefault(id(getattr(higherfano, name)), []).append(name)
+    assert [names for names in owners.values() if len(names) > 1] == []
+    with pytest.raises(AttributeError, match="module 'higherfano' has no attribute 'integrate'"):
+        higherfano.integrate
 
 
 if __name__ == "__main__":

@@ -8,13 +8,12 @@ from higherfano.rings import (
     DegreeError,
     GradedClass,
     RingMismatchError,
+    ProductRing,
+    ProjBundleRing,
+    ProjectiveSpaceRing,
     check_graded,
-    integrate,
-    product_ring,
-    projbundle_ring,
-    projective_space_ring,
 )
-from higherfano.schubert import grassmannian_ring
+from higherfano.schubert import GrassmannianRing
 
 from reference import CharacterVector, chern_to_character
 
@@ -42,39 +41,39 @@ def exact_det(matrix):
 
 
 def test_projective_space_basics():
-    p1 = projective_space_ring(1)
+    p1 = ProjectiveSpaceRing(1)
     assert p1.basis() == ("1", "h")
     assert (p1.hyperplane() ** 2).is_zero()
 
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     assert h * h**2 == p3.monomial("h^3")
-    assert integrate(h**3) == 1
-    assert integrate(h**2) == 0
+    assert (h**3).integrate() == 1
+    assert (h**2).integrate() == 0
 
-    p4 = projective_space_ring(4)
+    p4 = ProjectiveSpaceRing(4)
     h = p4.hyperplane()
     assert (h**3 * h**2).is_zero()
 
 
 def test_point_ring():
-    p0 = projective_space_ring(0)
+    p0 = ProjectiveSpaceRing(0)
     assert p0.dimension == 0
-    assert integrate(p0.unit()) == 1
+    assert p0.unit().integrate() == 1
     assert p0.hyperplane().is_zero()
 
 
 def test_product_ring():
-    pp = product_ring(projective_space_ring(1, "h1"), projective_space_ring(1, "h2"))
+    pp = ProductRing(ProjectiveSpaceRing(1, "h1"), ProjectiveSpaceRing(1, "h2"))
     h1, h2 = pp.monomial("h1"), pp.monomial("h2")
-    assert integrate(h1 * h2) == 1
+    assert (h1 * h2).integrate() == 1
     assert (h1 * h1).is_zero()
 
-    p21 = product_ring(projective_space_ring(2, "h1"), projective_space_ring(1, "h2"))
+    p21 = ProductRing(ProjectiveSpaceRing(2, "h1"), ProjectiveSpaceRing(1, "h2"))
     assert p21.point_label == "h1^2*h2"
-    assert integrate(p21.monomial("h1^2") * p21.monomial("h2")) == 1
+    assert (p21.monomial("h1^2") * p21.monomial("h2")).integrate() == 1
 
-    p22 = product_ring(projective_space_ring(2, "h1"), projective_space_ring(2, "h2"))
+    p22 = ProductRing(ProjectiveSpaceRing(2, "h1"), ProjectiveSpaceRing(2, "h2"))
     a = 2 * p22.monomial("h1") + p22.monomial("h2")
     sq = a * a
     assert sq == (
@@ -84,27 +83,27 @@ def test_product_ring():
 
 def test_product_requires_distinct_generators():
     with pytest.raises(ValueError):
-        product_ring(projective_space_ring(1), projective_space_ring(1))
+        ProductRing(ProjectiveSpaceRing(1), ProjectiveSpaceRing(1))
 
 
 def test_projbundle_known_relations():
     # P(O + O(-1)) over P^2: c(E) = 1 - h, so xi^2 = -xi*h
-    base = projective_space_ring(2)
+    base = ProjectiveSpaceRing(2)
     h = base.hyperplane()
-    pb = projbundle_ring(base, [-h], 2)
+    pb = ProjBundleRing(base, [-h], 2)
     xi = pb.xi()
     assert xi * xi == -(xi * pb.from_base(h))
 
     # trivial rank-2 bundle over P^1: xi^2 = 0
-    b1 = projective_space_ring(1)
-    tb = projbundle_ring(b1, [b1.zero()], 2)
+    b1 = ProjectiveSpaceRing(1)
+    tb = ProjBundleRing(b1, [b1.zero()], 2)
     assert (tb.xi() ** 2).is_zero()
 
 
 def test_projbundle_whitney_first_chern():
     # O(2) + O(1)^m over P^(m+1): the relation reduces xi^(m+1) with c_1 = (m+2)h
     m = 2
-    base = projective_space_ring(m + 1)
+    base = ProjectiveSpaceRing(m + 1)
     h = base.hyperplane()
     cherns = []
     roots = [2] + [1] * m
@@ -116,7 +115,7 @@ def test_projbundle_whitney_first_chern():
             Fraction(1) * _prod(c) for c in combinations(roots, i)
         )
         cherns.append(coeff * h**i)
-    pb = projbundle_ring(base, cherns, m + 1)
+    pb = ProjBundleRing(base, cherns, m + 1)
     vec = pb.xi_power_normal(m + 1)
     assert vec[m] == (m + 2) * h  # coefficient of xi^m is c_1
 
@@ -130,10 +129,10 @@ def _prod(xs):
 
 def test_fiber_integration_and_segre():
     # rank-3 bundle on P^4 with c_1 = 2h, c_2 = 3h^2, c_3 = h^3
-    base = projective_space_ring(4)
+    base = ProjectiveSpaceRing(4)
     h = base.hyperplane()
     cherns = [2 * h, 3 * h**2, h**3]
-    pb = projbundle_ring(base, cherns, 3)
+    pb = ProjBundleRing(base, cherns, 3)
     xi = pb.xi()
     # base classes come back untouched through xi^(r-1)
     assert pb.push_to_base(xi**2 * pb.from_base(h)) == h
@@ -165,10 +164,10 @@ def _inverse_chern(cherns, base, top):
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_push_to_base_matches_the_segre_oracle(n, rank):
     # pushing xi^(r-1+j) * b gives b * (-1)^j [c(E)^(-1)]_j, and xi^t * b with t < r-1 gives 0
-    base = projective_space_ring(n)
+    base = ProjectiveSpaceRing(n)
     h = base.hyperplane()
     cherns = [c * h**i for i, c in enumerate([2, 3, -1, 5][:rank], start=1)]
-    pb = projbundle_ring(base, cherns, rank)
+    pb = ProjBundleRing(base, cherns, rank)
     xi = pb.xi()
     inv = _inverse_chern(cherns, base, pb.dimension)
     total, expected = pb.zero(), base.zero()
@@ -184,7 +183,7 @@ def test_push_to_base_matches_the_segre_oracle(n, rank):
 
 
 def test_is_homogeneous():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     assert all(p3.zero().is_homogeneous(k) for k in range(-1, 5))
     assert (2 * h**2).is_homogeneous(2)
@@ -195,9 +194,9 @@ def test_is_homogeneous():
 
 
 def test_check_graded_errors_through_each_caller():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
-    other = projective_space_ring(3, "g").hyperplane()
+    other = ProjectiveSpaceRing(3, "g").hyperplane()
     assert check_graded([h, p3.zero(), h**3], p3, "c") == (h, p3.zero(), h**3)
     with pytest.raises(DegreeError, match=r"^ch_2 must be homogeneous of degree 2$"):
         CharacterVector(p3, 1, [h, h**3])
@@ -206,32 +205,32 @@ def test_check_graded_errors_through_each_caller():
     with pytest.raises(DegreeError, match=r"^c_2 must be homogeneous of degree 2$"):
         chern_to_character([h, h], 2, p3)
     with pytest.raises(DegreeError, match=r"^c_1 must be homogeneous of degree 1$"):
-        projbundle_ring(p3, [h**2], 2)
+        ProjBundleRing(p3, [h**2], 2)
     with pytest.raises(RingMismatchError):
         CharacterVector(p3, 1, [h, other**2])
     with pytest.raises(RingMismatchError):
         chern_to_character([other], 1, p3)
     with pytest.raises(RingMismatchError):
-        projbundle_ring(p3, [h, other**2], 2)
+        ProjBundleRing(p3, [h, other**2], 2)
 
 
 def test_projbundle_rejects_bad_chern_degrees():
-    base = projective_space_ring(3)
+    base = ProjectiveSpaceRing(3)
     h = base.hyperplane()
     with pytest.raises(DegreeError):
-        projbundle_ring(base, [h**2], 2)
+        ProjBundleRing(base, [h**2], 2)
     with pytest.raises(ValueError):
-        projbundle_ring(base, [h], 1)
+        ProjBundleRing(base, [h], 1)
 
 
 def _sample_rings():
-    base2 = projective_space_ring(2)
+    base2 = ProjectiveSpaceRing(2)
     return [
-        projective_space_ring(3),
-        product_ring(projective_space_ring(2, "h1"), projective_space_ring(1, "h2")),
-        grassmannian_ring(2, 4),
-        grassmannian_ring(2, 5),
-        projbundle_ring(base2, [base2.hyperplane()], 2),
+        ProjectiveSpaceRing(3),
+        ProductRing(ProjectiveSpaceRing(2, "h1"), ProjectiveSpaceRing(1, "h2")),
+        GrassmannianRing(2, 4),
+        GrassmannianRing(2, 5),
+        ProjBundleRing(base2, [base2.hyperplane()], 2),
     ]
 
 
@@ -257,13 +256,13 @@ def test_poincare_pairing_unimodular():
             cols = ring.basis(dim - d)
             assert len(rows) == len(cols)
             matrix = [
-                [integrate(ring.monomial(r) * ring.monomial(c)) for c in cols] for r in rows
+                [(ring.monomial(r) * ring.monomial(c)).integrate() for c in cols] for r in rows
             ]
             assert abs(exact_det(matrix)) == 1
 
 
 def test_graded_class_api():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     x = 2 * h + h**2
     assert x.degrees() == (1, 2)
@@ -287,25 +286,25 @@ def test_powers_are_repeated_products():
                 assert x**t == expected[t]
                 expected.append(expected[-1] * x)
     with pytest.raises(ValueError):
-        projective_space_ring(2).hyperplane() ** -1
+        ProjectiveSpaceRing(2).hyperplane() ** -1
 
 
 def test_ring_mismatch_rejected():
-    a = projective_space_ring(2)
-    b = projective_space_ring(2, "g")
+    a = ProjectiveSpaceRing(2)
+    b = ProjectiveSpaceRing(2, "g")
     with pytest.raises(RingMismatchError):
         a.hyperplane() * b.hyperplane()
 
 
 def test_unknown_label_rejected():
-    p2 = projective_space_ring(2)
+    p2 = ProjectiveSpaceRing(2)
     with pytest.raises(ValueError):
         GradedClass(p2, {"nope": Fraction(1)})
 
 
 _SUB_RINGS = (
-    projective_space_ring(4),
-    product_ring(projective_space_ring(2, "h1"), projective_space_ring(2, "h2")),
+    ProjectiveSpaceRing(4),
+    ProductRing(ProjectiveSpaceRing(2, "h1"), ProjectiveSpaceRing(2, "h2")),
 )
 
 
@@ -325,7 +324,7 @@ def test_subtraction_adds_the_negative(data):
 
 
 def test_subtraction_edge_cases():
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
     x = 2 * h + Fraction(1, 3) * h**3
     assert (x - x).terms == {}
@@ -336,9 +335,9 @@ def test_subtraction_edge_cases():
     assert Fraction(1, 3) - x == GradedClass(p3, {"1": Fraction(1, 3), "h": -2, "h^3": Fraction(-1, 3)})
     assert (p3.unit() - 1).terms == {} and (1 - p3.unit()).terms == {}
     with pytest.raises(RingMismatchError):
-        x - projective_space_ring(3, "g").hyperplane()
+        x - ProjectiveSpaceRing(3, "g").hyperplane()
     with pytest.raises(RingMismatchError):
-        x - product_ring(projective_space_ring(1, "h1"), projective_space_ring(1, "h2")).unit()
+        x - ProductRing(ProjectiveSpaceRing(1, "h1"), ProjectiveSpaceRing(1, "h2")).unit()
 
 
 def _fraction_product(x, y):
@@ -354,12 +353,12 @@ def _fraction_product(x, y):
 def _rational_bundle():
     """P(E) over P^3 for a rank-3 E with non-integral Chern classes, so xi^3 reduces with
     rational structure constants."""
-    p3 = projective_space_ring(3)
+    p3 = ProjectiveSpaceRing(3)
     h = p3.hyperplane()
-    return projbundle_ring(p3, [Fraction(1, 2) * h, Fraction(-2, 3) * h**2, Fraction(5, 7) * h**3], 3)
+    return ProjBundleRing(p3, [Fraction(1, 2) * h, Fraction(-2, 3) * h**2, Fraction(5, 7) * h**3], 3)
 
 
-_MUL_RINGS = _SUB_RINGS + (grassmannian_ring(2, 5), _rational_bundle())
+_MUL_RINGS = _SUB_RINGS + (GrassmannianRing(2, 5), _rational_bundle())
 
 
 @given(data=st.data())
@@ -386,7 +385,7 @@ def test_product_with_mixed_denominators_and_zero_factors():
     assert (x * y) * xi == x * (y * xi)
     assert (x * pb.zero()).terms == {} and (pb.zero() * x).terms == {}
     assert (x * pb.unit()) == x
-    p4 = projective_space_ring(4)
+    p4 = ProjectiveSpaceRing(4)
     g = p4.hyperplane()
     u = Fraction(1, 6) * g + Fraction(1, 4) * g**2
     v = Fraction(2, 3) * g - Fraction(3, 10) * g**3

@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 
 from higherfano import cli, schubert
 from higherfano import families as fam
-from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing, integrate
+from higherfano.rings import DegreeError, GradedClass, ProjectiveSpaceRing
 from higherfano.schubert import (
+    GrassmannianRing,
     border_strips,
     conjugate,
     dual_pairing,
-    grassmannian_ring,
     normalize_partition,
     o1_power_sum,
     partition_label,
     partitions_in_box,
     pieri,
-    pieri_shapes,
     square_power_sum,
     tangent_power_sum,
 )
@@ -58,41 +57,41 @@ def test_partition_helpers():
 
 
 def test_ring_shapes():
-    g24 = grassmannian_ring(2, 4)
+    g24 = GrassmannianRing(2, 4)
     assert len(g24.basis()) == 6
     assert g24.dimension == 4
-    g13 = grassmannian_ring(1, 3)  # this is P^2
+    g13 = GrassmannianRing(1, 3)  # this is P^2
     assert g13.basis() == ("1", "σ[1]", "σ[2]")
-    g25 = grassmannian_ring(2, 5)
+    g25 = GrassmannianRing(2, 5)
     assert g25.dimension == 6
     assert len(g25.basis()) == 10
     with pytest.raises(ValueError):
-        grassmannian_ring(0, 4)
+        GrassmannianRing(0, 4)
     with pytest.raises(ValueError):
-        grassmannian_ring(4, 4)
+        GrassmannianRing(4, 4)
 
 
 def test_pieri_examples():
-    g24 = grassmannian_ring(2, 4)
+    g24 = GrassmannianRing(2, 4)
     assert pieri(g24, (1,), 1) == g24.sigma((2,)) + g24.sigma((1, 1))
     assert pieri(g24, (2, 1), 1) == g24.sigma((2, 2))
     assert pieri(g24, (2, 2), 1).is_zero()
-    g25 = grassmannian_ring(2, 5)
+    g25 = GrassmannianRing(2, 5)
     assert pieri(g25, (2, 2), 1) == g25.sigma((3, 2))
 
 
 def test_products():
-    g24 = grassmannian_ring(2, 4)
+    g24 = GrassmannianRing(2, 4)
     assert g24.sigma((1, 1)) * g24.sigma((1, 1)) == g24.sigma((2, 2))
     assert (g24.sigma((2,)) * g24.sigma((1, 1))).is_zero()
     s1 = g24.sigma((1,))
-    assert integrate(s1**4) == 2
+    assert (s1**4).integrate() == 2
 
 
 def test_structure_constants_nonnegative_integers():
     for k in range(1, 4):
         for n in range(k + 1, 9):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             labels = ring.basis()
             for a in labels:
                 for b in labels:
@@ -103,7 +102,7 @@ def test_structure_constants_nonnegative_integers():
 
 def test_duality():
     for (k, n) in [(2, 4), (2, 5)]:
-        ring = grassmannian_ring(k, n)
+        ring = GrassmannianRing(k, n)
         for label in ring.basis():
             lam = ring.partition_of(label)
             comp = ring.complement(lam)
@@ -116,7 +115,7 @@ def test_duality():
 
 
 def test_dual_pairing_of_square():
-    g24 = grassmannian_ring(2, 4)
+    g24 = GrassmannianRing(2, 4)
     sq = g24.sigma((1,)) ** 2
     assert dual_pairing(sq, g24.complement((2,))) == 1
     assert dual_pairing(sq, g24.complement((1, 1))) == 1
@@ -125,12 +124,12 @@ def test_dual_pairing_of_square():
 
 
 def test_tautological_chern():
-    g25 = grassmannian_ring(2, 5)
+    g25 = GrassmannianRing(2, 5)
     q = tautological_chern(g25, "quotient")
     assert q == (g25.sigma((1,)), g25.sigma((2,)), g25.sigma((3,)))
     s = tautological_chern(g25, "sub-dual")
     assert s == (g25.sigma((1,)), g25.sigma((1, 1)))
-    g14 = grassmannian_ring(1, 4)
+    g14 = GrassmannianRing(1, 4)
     assert tautological_chern(g14, "quotient")[0] == g14.sigma((1,))
     with pytest.raises(ValueError):
         tautological_chern(g25, "sub")
@@ -141,7 +140,7 @@ def test_sdual_hook_rule_is_newton_on_its_chern_classes():
     rings = 0
     for n in range(2, 15):
         for k in range(1, n):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             cherns = tautological_chern(ring, "sub-dual")
             for cap in range(1, min(ring.dimension, 12) + 1):
                 hooks = power_sum_character(ring, k, cap, lambda j: schubert._power_sum(ring, j))
@@ -155,7 +154,7 @@ def test_o1_hook_rule_is_the_powers_of_sigma_1():
     rings = 0
     for n in range(2, 13):
         for k in range(1, n):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             top = min(ring.dimension, 8)
             powers = line_character(ring.sigma((1,)), top)
             for cap in range(1, top + 1):
@@ -172,7 +171,7 @@ def test_border_strip_steps_are_ring_products_with_the_power_sums():
     rings = 0
     for n in range(2, 10):
         for k in range(1, n):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             x = chern_to_character(tautological_chern(ring, "sub-dual"), k, ring)
             power_sums = [None] + [x.component(a) * factorial(a) for a in range(1, ring.dimension + 1)]
             for size in range(ring.dimension + 1):
@@ -191,7 +190,7 @@ def test_adams_square_table_is_the_ring_product():
     rings = 0
     for n in range(2, 15):
         for k in range(1, n):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             cherns = tautological_chern(ring, "sub-dual")
             for t in (-1, 1):
                 for cap in range(1, min(ring.dimension, 9) + 1):
@@ -226,7 +225,7 @@ def test_integer_tangent_is_newton():
     rings = 0
     for n in range(2, 15):
         for k in range(1, n):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             cherns = tautological_chern(ring, "sub-dual")
             for cap in range(1, min(ring.dimension, 9) + 1):
                 ch = power_sum_character(ring, ring.dimension, cap, lambda j: tangent_power_sum(ring, j))
@@ -242,7 +241,7 @@ def test_square_power_sums_are_sym2_and_wedge2_of_newton():
     rings = 0
     for n in range(2, 15):
         for k in range(1, n):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             cap = min(ring.dimension, 9)
             x = chern_to_character(tautological_chern(ring, "sub-dual"), k, ring, cap)
             for sign, reference in ((1, sym2_character), (-1, wedge2_character)):
@@ -257,7 +256,7 @@ def test_whitney_product_is_one():
     # c(S) c(Q) = 1 with c_i(S) = (-1)^i sigma_{1^i}
     for k in range(1, 5):
         for n in range(k + 1, 10):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             total = ring.zero()
             for m in range(1, ring.dimension + 1):
                 part = ring.zero()
@@ -274,19 +273,19 @@ def test_whitney_product_is_one():
 def test_plucker_degree_against_hook_formula():
     for k in range(1, 4):
         for n in range(k + 1, 9):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             s1 = ring.sigma((1,))
-            assert integrate(s1**ring.dimension) == plucker_degree(k, n)
+            assert (s1**ring.dimension).integrate() == plucker_degree(k, n)
 
 
 def test_basis_count_is_binomial():
     for k in range(1, 4):
         for n in range(k + 1, 9):
-            assert len(grassmannian_ring(k, n).basis()) == comb(n, k)
+            assert len(GrassmannianRing(k, n).basis()) == comb(n, k)
 
 
 def test_out_of_box_partitions_are_rejected():
-    g24 = grassmannian_ring(2, 4)
+    g24 = GrassmannianRing(2, 4)
     # sigma_{1,1,1} does not exist on G(2,4): three rows in a 2x2 box
     with pytest.raises(ValueError, match="2x2 box"):
         pieri(g24, (1, 1, 1), 1)
@@ -313,7 +312,7 @@ def test_partitions_in_box_matches_brute_force(rows, cols, data):
 
 def test_pieri_steps_are_stable_and_match_pieri_shapes():
     for k, n in [(2, 4), (2, 5), (3, 6), (3, 7)]:
-        ring = grassmannian_ring(k, n)
+        ring = GrassmannianRing(k, n)
 
         def rows(p):
             return p + (0,) * (k - len(p))
@@ -323,7 +322,7 @@ def test_pieri_steps_are_stable_and_match_pieri_shapes():
             for i in range(1, ring.cols + 1):
                 step = schubert._pieri_step(lam, i, k, n - k)
                 assert schubert._pieri_step(lam, i, k, n - k) is step
-                assert step == tuple(pieri_shapes(lam, i, k, n - k))
+                assert step == tuple(schubert._horizontal_strips(lam, i, k, n - k))
                 # horizontal strips by their definition: the shapes of |lam| + i
                 # boxes whose rows interlace, mu_1 >= lam_1 >= mu_2 >= lam_2 ...
                 strips = [
@@ -342,7 +341,7 @@ def test_grassmannian_duality_under_conjugation():
 
     for n in range(2, 9):
         for k in range(1, n // 2 + 1):
-            ring, dual = grassmannian_ring(k, n), grassmannian_ring(n - k, n)
+            ring, dual = GrassmannianRing(k, n), GrassmannianRing(n - k, n)
             labels = ring.basis()
             for a in labels:
                 for b in labels:
@@ -354,7 +353,7 @@ def test_grassmannian_duality_under_conjugation():
 def test_grassmannian_of_lines_is_projective_space():
     # G(1,n) = P^{n-1}: sigma_i maps to h^i, the one basis label in degree i
     for n in range(2, 10):
-        ring, pn = grassmannian_ring(1, n), ProjectiveSpaceRing(n - 1)
+        ring, pn = GrassmannianRing(1, n), ProjectiveSpaceRing(n - 1)
 
         def rename(label):
             (power_label,) = pn.basis(ring.degree_of(label))
@@ -368,11 +367,11 @@ def test_grassmannian_of_lines_is_projective_space():
 
 
 def test_labels_met_before_their_degree_is_built():
-    built = grassmannian_ring(3, 7)
+    built = GrassmannianRing(3, 7)
     built.basis()
 
     def fresh():
-        return grassmannian_ring(3, 7)
+        return GrassmannianRing(3, 7)
 
     lazy = fresh()
     product = lazy.monomial("σ[2,1]") * lazy.sigma((1,))
@@ -412,7 +411,7 @@ def test_a_ring_registers_only_the_degrees_it_is_given(monkeypatch):
     assert [d for d, labels in enumerate(ring._basis) if labels] == [0, 50]
     for n in range(2, 11):
         for k in range(1, min(4, n - 1) + 1):
-            ring = grassmannian_ring(k, n)
+            ring = GrassmannianRing(k, n)
             boxes = [partitions_in_box(k, n - k, d) for d in range(ring.dimension + 1)]
             assert [ring.basis(d) for d in range(len(boxes))] == [tuple(map(partition_label, b)) for b in boxes], (k, n)
             assert ring._key == {partition_label(p): p for b in boxes for p in b}, (k, n)
@@ -421,7 +420,7 @@ def test_a_ring_registers_only_the_degrees_it_is_given(monkeypatch):
 
 def test_unknown_labels_build_at_most_their_own_degree():
     for bad in ("σ[x]", "σ[2, 1]", "σ[1,2]", "σ[0]", "σ[99999999]", "σ[]"):
-        ring = grassmannian_ring(10, 21)
+        ring = GrassmannianRing(10, 21)
         with pytest.raises(ValueError) as err:
             ring.monomial(bad)
         assert str(err.value) == f"unknown basis label {bad!r} in G(10,21)"
@@ -450,7 +449,7 @@ def reference_product(ring, a, b):
         for r in parts:
             nxt = {}
             for lam, c in acc.items():
-                for mu in pieri_shapes(lam, r, ring.k, ring.cols):
+                for mu in schubert._horizontal_strips(lam, r, ring.k, ring.cols):
                     nxt[mu] = nxt.get(mu, 0) + c
             acc = nxt
         for mu, c in acc.items():
@@ -461,19 +460,19 @@ def reference_product(ring, a, b):
 def test_shared_products_match_an_empty_table():
     for n in range(2, 9):
         for k in range(1, min(4, n - 1) + 1):
-            alone = grassmannian_ring(k, n)
+            alone = GrassmannianRing(k, n)
             dim = alone.dimension
             expected = {pair: reference_product(alone, *pair) for pair in all_products(alone, alone, 2 * dim)}
             schubert._product.cache_clear()
-            assert all_products(grassmannian_ring(k, n), alone, 2 * dim) == expected, (k, n)
+            assert all_products(GrassmannianRing(k, n), alone, 2 * dim) == expected, (k, n)
             # larger rings fill the memo first, each product in its own box; a
             # product they share with G(k, n) must have the same terms in both.
             # Above degree dim a product of G(k, n) is 0 whatever the memo holds
             schubert._product.cache_clear()
             for k2, n2 in [(k + 2, n + 5), (k, n + 6)]:
-                all_products(grassmannian_ring(k2, n2), alone, dim)
+                all_products(GrassmannianRing(k2, n2), alone, dim)
             hits = schubert._product.cache_info().hits
-            assert all_products(grassmannian_ring(k, n), alone, 2 * dim) == expected, (k, n)
+            assert all_products(GrassmannianRing(k, n), alone, 2 * dim) == expected, (k, n)
             # the ring read some of its products from the memo
             assert schubert._product.cache_info().hits > hits, (k, n)
 
@@ -482,7 +481,7 @@ def test_a_product_builds_its_own_degree():
     schubert._product.cache_clear()
     # the first ring computes the product, the second reads it from the memo
     for _ in range(2):
-        ring = grassmannian_ring(3, 7)
+        ring = GrassmannianRing(3, 7)
         assert ring.mul_basis("σ[1]", "σ[2,1]") == {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1}
         assert {"σ[3,1]", "σ[2,2]", "σ[2,1,1]"} <= ring._degree.keys()
 
@@ -490,7 +489,7 @@ def test_a_product_builds_its_own_degree():
 def test_grassmannians_share_one_product_dict():
     # sigma[2,1] * sigma[1] has its terms in the 3 x 3 box, which G(3,7) and G(4,9)
     # both hold, so the two rings cache the same dict and copy nothing
-    small, large = grassmannian_ring(3, 7), grassmannian_ring(4, 9)
+    small, large = GrassmannianRing(3, 7), GrassmannianRing(4, 9)
     product = small.mul_basis("σ[1]", "σ[2,1]")
     assert large.mul_basis("σ[2,1]", "σ[1]") is product
     assert product == {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1}
@@ -501,9 +500,9 @@ def test_products_are_truncations_of_larger_grassmannians(k, n, k2, n2):
     # Schubert classes outside the k x (n-k) box vanish on G(k, n), so its
     # products are those of G(k2, n2) restricted to that box
     schubert._product.cache_clear()
-    small = grassmannian_ring(k, n)
+    small = GrassmannianRing(k, n)
     in_box = set(small.basis())
-    for (a, b), prod in all_products(grassmannian_ring(k2, n2), small, 2 * small.dimension).items():
+    for (a, b), prod in all_products(GrassmannianRing(k2, n2), small, 2 * small.dimension).items():
         assert {l: c for l, c in prod.items() if l in in_box} == reference_product(small, a, b), (a, b)
 
 
@@ -521,7 +520,7 @@ def test_census_grass_deep_makes_no_schubert_product(monkeypatch, capsys):
         registered.append("dim" if degree == ring.dimension else degree)
         register(ring, degree, pairs)
 
-    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(grassmannian_ring))
+    monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(GrassmannianRing))
     monkeypatch.setattr(Ring, "_mul_labels", counting)
     monkeypatch.setattr(Ring, "_register", recording)
     for memo in (schubert._product, schubert._pieri_step, schubert._adams_square):
