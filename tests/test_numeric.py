@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from higherfano import numeric
 from higherfano.numeric import bernoulli, power_sum, todd_coeff
 
 
@@ -32,6 +33,15 @@ def test_defining_recurrence():
     # sum_{l=0}^{m} B_l C(m+1, l) = 0 for all m >= 1
     for m in range(1, 41):
         assert sum(bernoulli(l) * comb(m + 1, l) for l in range(m + 1)) == 0
+
+
+def test_table_accessor():
+    # one call fills the memo table up to its index
+    bernoulli(12)
+    vals = numeric._bernoulli_table
+    assert vals[0] == 1 and vals[1] == Fraction(-1, 2) and vals[12] == Fraction(-691, 2730)
+    assert len(vals) >= 13
+    assert [bernoulli(j) for j in range(13)] == vals[:13]
 
 
 def test_todd_coefficients():
