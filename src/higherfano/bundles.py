@@ -26,8 +26,6 @@ from .rings import DegreeError, GradedClass, RingModel
 
 def power_sum_class(ring: RingModel, j: int, p_j: dict[str, int]) -> GradedClass:
     """ch_j from p_j = j! ch_j, the j-th power sum of the Chern roots as a {label: int}: no class arithmetic."""
-    # the degree is registered before the class reads its labels
-    ring.basis(j)
     scale = factorial(j)
     return GradedClass(ring, {label: Fraction(c, scale) for label, c in p_j.items() if c})
 

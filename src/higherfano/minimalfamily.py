@@ -464,8 +464,6 @@ def ci_T_images(n: int, degrees: Sequence[int], k_max: int) -> MinimalFamilyInpu
     degree 1, so the transfer gives t_j = ((n+1) - sum_i d_i^j)/j! * l^(j-1).
     """
     degrees = tuple(int(x) for x in degrees)
-    if any(x < 1 for x in degrees):
-        raise ValueError("hypersurface degrees must be >= 1")
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
     d = minimal_pair(ci(n, degrees)).dim

@@ -6,14 +6,9 @@ through the Jacobi-Trudi determinant in the special (one-row) classes.
 Partitions are plain tuples, stored without trailing zeros, with canonical
 labels like "σ[2,1]" ("1" for the empty partition).
 
-A product of two Schubert classes is a function of the two partitions and
-of its Littlewood-Richardson box, the smallest box that holds every term, so
-it does not depend on the ring: `_product` computes it in that box and is
-memoised once per process, like the Pieri steps it runs on.  Every G(k, n)
-whose box holds that box reads the same dict, whose labels are strings equal
-to (not the same objects as) the basis's own; a ring registers the product's
-degree before a class reads those labels.  A ring builds the labels of a
-degree when that degree is first read.
+A ring computes the product of two Schubert classes in its own k x (n-k)
+box, and its mul_basis memo is the one memo of products.  A ring builds the
+labels of a degree when that degree is first read.
 
 The tangent character of G(k, n) and of its zero loci is read off integer power
 sums p_j = j! ch_j, one {label: int} per degree j, with no class product:
@@ -114,7 +109,6 @@ def _horizontal_strips(lam: Partition, i: int, rows: int, cols: int) -> Iterator
     return rec(0, i)
 
 
-@lru_cache(maxsize=None)
 def _jt_terms(mu: Partition) -> tuple[tuple[int, Partition], ...]:
     """det(sigma_{mu_i - i + j}) as signed products of one-row classes.
 
@@ -134,19 +128,8 @@ def _jt_terms(mu: Partition) -> tuple[tuple[int, Partition], ...]:
     return tuple((c, rows) for rows, c in terms.items() if c)
 
 
-@lru_cache(maxsize=None)
-def _pieri_step(lam: Partition, i: int, rows: int, cols: int) -> tuple[Partition, ...]:
-    """The shapes of sigma_lam * sigma_i in the rows x cols box, each with coefficient 1."""
-    return tuple(_horizontal_strips(lam, i, rows, cols))
-
-
-@lru_cache(maxsize=None)
 def _product(a: Partition, b: Partition, rows: int, cols: int) -> dict[str, int]:
-    """sigma_a * sigma_b in the rows x cols box as {label: nonzero count}, by Jacobi-Trudi and Pieri steps.
-
-    Truncating to a box is a ring quotient, so in a box that holds every
-    Littlewood-Richardson term this is the product in any larger box too.
-    """
+    """sigma_a * sigma_b in the rows x cols box as {label: nonzero count}, by Jacobi-Trudi and Pieri steps."""
     # expand the partition with fewer rows through Jacobi-Trudi
     if len(b) > len(a):
         a, b = b, a
@@ -160,7 +143,7 @@ def _product(a: Partition, b: Partition, rows: int, cols: int) -> dict[str, int]
         for r in parts:
             nxt: dict[Partition, int] = {}
             for lam, c in acc.items():
-                for mu in _pieri_step(lam, r, rows, cols):
+                for mu in _horizontal_strips(lam, r, rows, cols):
                     nxt[mu] = nxt.get(mu, 0) + c
             acc = nxt
         for mu, c in acc.items():
@@ -237,12 +220,7 @@ class GrassmannianRing(RingModel):
         return normalize_partition(self.cols - x for x in reversed(padded))
 
     def _mul_labels(self, a, b):
-        pa, pb = self.partition_of(a), self.partition_of(b)
-        # the product's degree is registered before a class reads its labels
-        self.basis(sum(pa) + sum(pb))
-        # by the Littlewood-Richardson rule no term has more rows than both
-        # factors together or a first part above their first parts together
-        return _product(pa, pb, min(self.k, len(pa) + len(pb)), min(self.cols, sum(pa[:1] + pb[:1])))
+        return _product(self.partition_of(a), self.partition_of(b), self.k, self.cols)
 
     def _basis_label(self, mu: Partition) -> str:
         """The basis label of a shape in the box: bisection in its degree, which is sorted."""
@@ -255,7 +233,7 @@ def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:
     lam = ring.box_partition(lam)
     if not 1 <= i <= ring.cols:
         raise ValueError(f"Pieri index must be in 1..{ring.cols}")
-    return GradedClass(ring, {ring._basis_label(mu): 1 for mu in _pieri_step(lam, i, ring.k, ring.cols)})
+    return GradedClass(ring, {ring._basis_label(mu): 1 for mu in _horizontal_strips(lam, i, ring.k, ring.cols)})
 
 
 def _power_sum(ring: GrassmannianRing, j: int, times: int = 1) -> dict[str, int]:
@@ -281,7 +259,7 @@ def tangent_power_sum(ring: GrassmannianRing, j: int) -> dict[str, int]:
     odd j that entry is zero and this is n p_j.
     """
     acc = _power_sum(ring, j, ring.n)
-    for label, c in _adams_square(j, -1, ring.k, min(ring.k, j), min(ring.cols, j)).items():
+    for label, c in _adams_square(j, -1, ring.k, min(ring.cols, j)).items():
         acc[label] = acc.get(label, 0) - c
     return acc
 
@@ -293,7 +271,7 @@ def square_power_sum(ring: GrassmannianRing, j: int, sign: int) -> dict[str, int
     so this is (the _adams_square entry at t = +1 +- 2^j p_j) / 2.  The power sums of a
     bundle are integer polynomials in its Chern classes, so the halving is exact.
     """
-    acc = dict(_adams_square(j, 1, ring.k, min(ring.k, j), min(ring.cols, j)))
+    acc = dict(_adams_square(j, 1, ring.k, min(ring.cols, j)))
     for label, c in _power_sum(ring, j, sign * 2**j).items():
         acc[label] = acc.get(label, 0) + c
     return {label: c // 2 for label, c in acc.items()}
@@ -343,7 +321,7 @@ def border_strips(mu: Partition, r: int, rows: int, cols: int) -> list[tuple[int
 
 
 @lru_cache(maxsize=None)
-def _adams_square(j: int, t: int, k: int, rows: int, cols: int) -> dict[str, int]:
+def _adams_square(j: int, t: int, k: int, cols: int) -> dict[str, int]:
     """j! * ch_j(x * psi^t x) for x = ch(S^dual) of rank k, as {label: nonzero int}.
 
     With p_0 = k and p_b the power sums of the Chern roots of S^dual,
@@ -355,9 +333,9 @@ def _adams_square(j: int, t: int, k: int, rows: int, cols: int) -> dict[str, int
     empty shape) and p_a p_b adds a border strip of size a to each of them.
     Every shape of size j in the k x (n-k) box fits the rows x cols box with
     rows = min(k, j), cols = min(n-k, j), so Grassmannians of one rank k that
-    agree on that box share the entry; like _product, the labels are strings
-    equal to the basis's own.
+    agree on cols share the entry.
     """
+    rows = min(k, j)
     acc: dict[Partition, int] = {}
     for a in range(j // 2 + 1):
         b = j - a

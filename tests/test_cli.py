@@ -127,6 +127,17 @@ def test_import_loads_no_dataclasses_inspect_json_or_csv():
     assert run.stdout == "[]\n"
 
 
+def test_a_traced_census_prints_what_a_plain_one_prints(tmp_path):
+    # perfbench/tracer.py wraps the package's functions and methods and reads each
+    # Grassmannian's basis; under it the census must still print its recorded digest
+    root = Path(__file__).resolve().parents[1]
+    workload = json.loads((root / "perfbench" / "workloads.json").read_text())["workloads"]["census-grass-deep"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), str(tmp_path / "trace"),
+                          *workload["argv"]], env=env, capture_output=True, check=True)
+    assert hashlib.sha256(run.stdout).hexdigest() == workload["sha256"]
+
+
 def imported_submodules(*args) -> set[str]:
     """The higherfano.* modules a fresh `python -X importtime ARGS` imports, read from its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

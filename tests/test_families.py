@@ -694,6 +694,11 @@ def test_deep_grassmannian_verdict_builds_no_lower_degree(monkeypatch):
     ("GXX[2,5]", "cannot parse family spec 'GXX[2,5]'"),
     ("G2PX", "cannot parse family spec 'G2PX'"),
     ("og[2,8]", "cannot parse family spec 'og[2,8]'"),
+    ("G2P[2]", "G2P takes no parameters"),
+    ("GH", "GH needs parameters, e.g. GH[2,5]"),
+    ("CI[5]", "CI spec looks like CI[n;d1,d2,...] (degrees may be empty)"),
+    ("CI[0;]", "CI needs n >= 1"),
+    ("CI[5;0]", "CI degrees must be >= 1"),
 ])
 def test_refused_spec_messages(text, message):
     # recorded before the Grassmannian kinds were read from one table

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from higherfano import minimalfamily
-from higherfano.families import enumerate_fano_ci
+from higherfano.families import InvalidFamilyError, enumerate_fano_ci
 from higherfano.minimalfamily import (
     Check,
     FamilyModel,
@@ -286,6 +286,11 @@ def test_ci_transfer_rejects_negative_truncation():
     with pytest.raises(ValueError, match="k_max >= 0"):
         ci_T_images(9, (3,), -1)
     assert ci_T_images(9, (3,), 0).t.keys() == {1}
+
+
+def test_ci_transfer_refuses_a_degree_below_one_through_the_spec():
+    with pytest.raises(InvalidFamilyError, match="CI degrees must be >= 1"):
+        ci_T_images(5, (0,), 2)
 
 
 def test_symbolic_specializations_present():

@@ -95,7 +95,6 @@ UNREACHED = {
     "schubert._horizontal_strips": "ROADMAP item 16",
     "schubert._horizontal_strips.<locals>.rec": "ROADMAP item 16",
     "schubert._jt_terms": "ROADMAP item 16",
-    "schubert._pieri_step": "ROADMAP item 16",
     "schubert._product": "ROADMAP item 16",
     "schubert.dual_pairing": "tests/test_schubert.py::test_duality",
     "schubert.pieri": "README: pieri(g, (2, 2), 1)",

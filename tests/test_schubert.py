@@ -196,7 +196,7 @@ def test_adams_square_table_is_the_ring_product():
                 for cap in range(1, min(ring.dimension, 9) + 1):
                     x = chern_to_character(cherns, k, ring, cap)
                     table = power_sum_character(
-                        ring, k * k, cap, lambda j: schubert._adams_square(j, t, k, min(k, j), min(n - k, j))
+                        ring, k * k, cap, lambda j: schubert._adams_square(j, t, k, min(n - k, j))
                     )
                     assert table == x * adams(x, t), (k, n, t, cap)
             rings += 1
@@ -320,9 +320,8 @@ def test_pieri_steps_are_stable_and_match_pieri_shapes():
         for label in ring.basis():
             lam = ring.partition_of(label)
             for i in range(1, ring.cols + 1):
-                step = schubert._pieri_step(lam, i, k, n - k)
-                assert schubert._pieri_step(lam, i, k, n - k) is step
-                assert step == tuple(schubert._horizontal_strips(lam, i, k, n - k))
+                step = tuple(schubert._horizontal_strips(lam, i, k, n - k))
+                assert tuple(schubert._horizontal_strips(lam, i, k, n - k)) == step
                 # horizontal strips by their definition: the shapes of |lam| + i
                 # boxes whose rows interlace, mu_1 >= lam_1 >= mu_2 >= lam_2 ...
                 strips = [
@@ -463,35 +462,31 @@ def test_shared_products_match_an_empty_table():
             alone = GrassmannianRing(k, n)
             dim = alone.dimension
             expected = {pair: reference_product(alone, *pair) for pair in all_products(alone, alone, 2 * dim)}
-            schubert._product.cache_clear()
-            assert all_products(GrassmannianRing(k, n), alone, 2 * dim) == expected, (k, n)
-            # larger rings fill the memo first, each product in its own box; a
-            # product they share with G(k, n) must have the same terms in both.
-            # Above degree dim a product of G(k, n) is 0 whatever the memo holds
-            schubert._product.cache_clear()
-            for k2, n2 in [(k + 2, n + 5), (k, n + 6)]:
-                all_products(GrassmannianRing(k2, n2), alone, dim)
-            hits = schubert._product.cache_info().hits
-            assert all_products(GrassmannianRing(k, n), alone, 2 * dim) == expected, (k, n)
-            # the ring read some of its products from the memo
-            assert schubert._product.cache_info().hits > hits, (k, n)
+            ring = GrassmannianRing(k, n)
+            assert all_products(ring, alone, 2 * dim) == expected, (k, n)
+            # a second pass reads every product from the ring's own memo
+            memo = dict(ring._mul_cache)
+            assert all_products(ring, alone, 2 * dim) == expected, (k, n)
+            assert ring._mul_cache == memo and all(ring._mul_cache[key] is hit for key, hit in memo.items())
 
 
 def test_a_product_builds_its_own_degree():
-    schubert._product.cache_clear()
-    # the first ring computes the product, the second reads it from the memo
-    for _ in range(2):
-        ring = GrassmannianRing(3, 7)
-        assert ring.mul_basis("σ[1]", "σ[2,1]") == {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1}
-        assert {"σ[3,1]", "σ[2,2]", "σ[2,1,1]"} <= ring._degree.keys()
+    # the product class registers its degree as it reads the product's labels
+    ring = GrassmannianRing(3, 7)
+    assert not ring._basis[4]
+    product = ring.sigma((1,)) * ring.sigma((2, 1))
+    assert {"σ[3,1]", "σ[2,2]", "σ[2,1,1]"} <= ring._degree.keys()
+    assert product == GradedClass(ring, {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1})
 
 
-def test_grassmannians_share_one_product_dict():
+def test_each_grassmannian_memoises_its_own_products():
     # sigma[2,1] * sigma[1] has its terms in the 3 x 3 box, which G(3,7) and G(4,9)
-    # both hold, so the two rings cache the same dict and copy nothing
+    # both hold: the two rings compute equal products, each in its own box and memo
     small, large = GrassmannianRing(3, 7), GrassmannianRing(4, 9)
     product = small.mul_basis("σ[1]", "σ[2,1]")
-    assert large.mul_basis("σ[2,1]", "σ[1]") is product
+    assert small.mul_basis("σ[2,1]", "σ[1]") is product
+    assert large.mul_basis("σ[2,1]", "σ[1]") == product
+    assert large.mul_basis("σ[2,1]", "σ[1]") is not product
     assert product == {"σ[3,1]": 1, "σ[2,2]": 1, "σ[2,1,1]": 1}
 
 
@@ -499,7 +494,6 @@ def test_grassmannians_share_one_product_dict():
 def test_products_are_truncations_of_larger_grassmannians(k, n, k2, n2):
     # Schubert classes outside the k x (n-k) box vanish on G(k, n), so its
     # products are those of G(k2, n2) restricted to that box
-    schubert._product.cache_clear()
     small = GrassmannianRing(k, n)
     in_box = set(small.basis())
     for (a, b), prod in all_products(GrassmannianRing(k2, n2), small, 2 * small.dimension).items():
@@ -523,8 +517,7 @@ def test_census_grass_deep_makes_no_schubert_product(monkeypatch, capsys):
     monkeypatch.setattr(fam, "_grass_ring", lru_cache(maxsize=None)(GrassmannianRing))
     monkeypatch.setattr(Ring, "_mul_labels", counting)
     monkeypatch.setattr(Ring, "_register", recording)
-    for memo in (schubert._product, schubert._pieri_step, schubert._adams_square):
-        memo.cache_clear()
+    schubert._adams_square.cache_clear()
     argv = ["census", "G", "--k", "10", "--k-range", "3..5", "--n-range", "9..15", "--format", "csv"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
@@ -534,9 +527,6 @@ def test_census_grass_deep_makes_no_schubert_product(monkeypatch, capsys):
     # ch(End S) comes from the power-sum table, so the 20 rows multiply no two
     # Schubert classes, and rings of one rank k share the table's entries
     assert products == []
-    for memo in (schubert._product, schubert._pieri_step):
-        info = memo.cache_info()
-        assert info.hits + info.misses == 0, memo
     assert schubert._adams_square.cache_info().hits > 0
     # each of the 20 rings registers degree 0 and its point when it is built, and
     # degree 10 when its row reads it: 678 registrations when a ring registered
