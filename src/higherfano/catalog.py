@@ -143,13 +143,10 @@ def pair_product(a: PolarizedPair, b: PolarizedPair) -> PolarizedPair:
     ra, rb = a.picard_rank, b.picard_rank
     ca, cb = len(a.curve_basis), len(b.curve_basis)
 
-    def pad_div(v: Vector, left: bool) -> Vector:
-        return v + (0,) * rb if left else (0,) * ra + v
+    def block(xs: Sequence[Vector], ys: Sequence[Vector], wx: int, wy: int) -> tuple[Vector, ...]:
+        """a's vectors xs (of width wx) then b's ys (of width wy), each zero-padded to wx + wy."""
+        return tuple(x + (0,) * wy for x in xs) + tuple((0,) * wx + y for y in ys)
 
-    def pad_cur(v: Vector, left: bool) -> Vector:
-        return v + (0,) * cb if left else (0,) * ca + v
-
-    pairing = tuple(row + (0,) * cb for row in a.pairing) + tuple((0,) * ca + row for row in b.pairing)
     pol = ",".join(str(x) for x in a.L + b.L)
     core_a = a.label.split("(")[0]
     core_b = b.label.split("(")[0]
@@ -158,13 +155,11 @@ def pair_product(a: PolarizedPair, b: PolarizedPair) -> PolarizedPair:
         dim=a.dim + b.dim,
         divisor_basis=tuple(f"{x}.1" for x in a.divisor_basis) + tuple(f"{x}.2" for x in b.divisor_basis),
         curve_basis=tuple(f"{x}.1" for x in a.curve_basis) + tuple(f"{x}.2" for x in b.curve_basis),
-        pairing=pairing,
+        pairing=block(a.pairing, b.pairing, ca, cb),
         K=a.K + b.K,
         L=a.L + b.L,
-        nef_generators=tuple(pad_div(v, True) for v in a.nef_generators)
-        + tuple(pad_div(v, False) for v in b.nef_generators),
-        mori_generators=tuple(pad_cur(v, True) for v in a.mori_generators)
-        + tuple(pad_cur(v, False) for v in b.mori_generators),
+        nef_generators=block(a.nef_generators, b.nef_generators, ra, rb),
+        mori_generators=block(a.mori_generators, b.mori_generators, ca, cb),
         structure="product",
     )
 

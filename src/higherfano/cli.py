@@ -32,8 +32,9 @@ from . import families as fam
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "twist", "agree")
 
-# the most specs a census lists before it is refused; the largest census in the tests
-# has 10,613 rows, while P^60 alone holds 831,820 degree tuples at --max-c 59
+# the most specs a census, or items a claim31, prop11-sym or prop11-ci verify, lists before
+# it is refused; the largest census in the tests has 10,613 rows, while P^60 alone holds
+# 831,820 degree tuples at --max-c 59
 MAX_CENSUS_SPECS = 10**5
 
 
@@ -52,7 +53,19 @@ def _parse_range(flag: str, text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _coeff_string(witnesses) -> str:
+def _coeff_string(spec: fam.FamilySpec, k: int, witnesses) -> str:
+    """The witnesses as "label:value;...", UsageError where str() would refuse a value's integer.
+
+    str() refuses an integer of more than sys.get_int_max_str_digits() digits, that is
+    one of absolute value >= 10**limit (a limit of 0 is none, and before Python 3.10.7
+    there is no limit).  Below 2**(3 * limit) an integer is short enough without 10**limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for _, value in witnesses:
+        for part in (abs(value.numerator), value.denominator):
+            if limit and part.bit_length() > 3 * limit and part >= 10**limit:
+                raise UsageError(f"ch_{k} of {spec.text()} has a witness of more than {limit} digits, "
+                                 "the longest integer this interpreter prints")
     return ";".join(f"{label}:{value}" for label, value in witnesses)
 
 
@@ -65,7 +78,7 @@ def compute_row(spec: fam.FamilySpec, k: int) -> dict:
         "kind": spec.kind,
         "k": k,
         "n": spec.n if spec.kind != fam.G2P else "",
-        "ch_coeffs": _coeff_string(verdict.witnesses),
+        "ch_coeffs": _coeff_string(spec, k, verdict.witnesses),
         "verdict": verdict.status,
         "oracle": report.oracle_status,
         "twist": report.twist_status,
@@ -222,6 +235,27 @@ SUITES = {
     "todd-identity": (("k_max",), lambda ns: _mf().todd_identity_suite(ns.k_max)),
 }
 
+
+def _symbolic_size(ns) -> int:
+    """sum_{n <= n_max} (min(d_max, n-1) + 1), the (n, d) pairs of a symbolic suite, unlisted.
+
+    n up to m = min(n_max, d_max + 1) gives n pairs, and each n past it d_max + 1.
+    """
+    m = min(ns.n_max, ns.d_max + 1)
+    return m * (m + 1) // 2 + (ns.n_max - m) * (ns.d_max + 1)
+
+
+def _ci_size(ns) -> int:
+    """The CI specs of prop11-ci, counted up to one past the cap."""
+    specs = (d for n in range(1, ns.n_max + 1) for d in fam.enumerate_fano_ci(n, ns.max_c))
+    return sum(1 for _ in itertools.islice(specs, MAX_CENSUS_SPECS + 1))
+
+
+# the suites that check one item per (n, d) pair or CI spec: how many their bounds give, so
+# that more than the census's cap is refused before any is listed.  The other suites list
+# about --k-max or --m-max items
+SUITE_SIZES = {"claim31": _symbolic_size, "prop11-sym": _symbolic_size, "prop11-ci": _ci_size}
+
 # the `verify` bounds: dest -> (flag, default, floor).  The parser leaves a bound unset, so a
 # flag a suite does not read can be refused; below its floor a bound names no check, or
 # checks that test nothing (a negative --max-c is refused by the CI enumeration)
@@ -319,7 +353,11 @@ def _items(ns) -> tuple[Iterable[dict], str | None]:
         return [item], None
     if ns.cmd == "verify":
         _verify_bounds(ns)
-        return SUITES[ns.suite][1](ns), "ok"
+        bounds, suite = SUITES[ns.suite]
+        if ns.suite in SUITE_SIZES and SUITE_SIZES[ns.suite](ns) > MAX_CENSUS_SPECS:
+            narrow = " or ".join(VERIFY_BOUNDS[dest][0] for dest in bounds if dest != "k_max")
+            raise UsageError(f"verify {ns.suite} lists more than {MAX_CENSUS_SPECS} items; narrow {narrow}")
+        return suite(ns), "ok"
     raise UsageError(f"unknown command {ns.cmd!r}")
 
 

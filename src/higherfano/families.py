@@ -352,14 +352,9 @@ def threshold_oracle(spec: FamilySpec, k: int) -> str:
         if 3 * kk + 1 <= n <= 3 * kk + 3:
             return NEF_ONLY
         return NEITHER
-    if spec.kind == SG:
+    if spec.kind in (SG, SG_DEGENERATE):
+        # one rule for both: they differ only at the Lagrangian n = 2k, and SGdeg's n is odd
         if n == 2 * kk or n == 3 * kk - 2:
-            return POSITIVE
-        if 3 * kk - 3 <= n <= 3 * kk - 1:
-            return NEF_ONLY
-        return NEITHER
-    if spec.kind == SG_DEGENERATE:
-        if n == 3 * kk - 2:
             return POSITIVE
         if 3 * kk - 3 <= n <= 3 * kk - 1:
             return NEF_ONLY

@@ -60,15 +60,6 @@ from .rings import DegreeError, GradedClass, ProjectiveSpaceRing, RingModel, _po
 _Key = tuple[int, int, int]
 
 
-class PowerTable(NamedTuple):
-    """The powers of the derivation's generators, indexed by exponent."""
-
-    s: tuple[GradedClass, ...]  # the section class on U
-    l: tuple[GradedClass, ...]  # the polarization on U
-    c1: tuple[GradedClass, ...]  # c_1(T_pi) = 2s + l on U
-    lh: tuple[GradedClass, ...]  # the polarization on the family
-
-
 class _MonomialModel(RingModel):
     """A truncated RingModel whose basis labels are monomials l^a * x_j * s^b, at most one symbol x_j."""
 
@@ -187,12 +178,12 @@ class UniversalModel(_MonomialModel):
         return (self.tangent_pullback(0) - self._ch_tpi) * self._ch_o_minus_s
 
     @cached_property
-    def powers(self) -> PowerTable:
-        """s, l and c_1(T_pi) on U and l on the family, each to its ring's dimension."""
-        return PowerTable(*(
+    def powers(self) -> tuple[tuple[GradedClass, ...], ...]:
+        """(s, l, c_1(T_pi) on U, l on the family): each one's powers up to its ring's dimension."""
+        return tuple(
             x.powers(x.ring.dimension)
             for x in (self.sigma(), self.ell(), self.c1_relative_tangent(), self.family.ell())
-        ))
+        )
 
     @cached_property
     def claim31_identities(self) -> tuple[Check, ...]:

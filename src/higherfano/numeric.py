@@ -10,29 +10,25 @@ rounds.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
-_bernoulli_table: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_bernoulli_lock = threading.Lock()
 
-
+@lru_cache(maxsize=None)
 def bernoulli(j: int) -> Fraction:
-    """Return B_j (B_1 = -1/2).  Memoized; the table grows on demand."""
+    """Return B_j (B_1 = -1/2), memoized.
+
+    For j >= 1, B_j solves sum_{l=0}^{j} C(j+1, l) B_l = 0.  The sum reads B_0 .. B_{j-1} in
+    ascending order, each memoized before the next is read, so a cold call recurses two deep.
+    """
     if j < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if j >= len(_bernoulli_table):
-        with _bernoulli_lock:
-            while len(_bernoulli_table) <= j:
-                m = len(_bernoulli_table)
-                if m % 2 == 1:
-                    _bernoulli_table.append(Fraction(0))
-                    continue
-                # sum_{l=0}^{m} C(m+1, l) B_l = 0
-                acc = sum(comb(m + 1, l) * _bernoulli_table[l] for l in range(m))
-                _bernoulli_table.append(Fraction(-acc, m + 1))
-    return _bernoulli_table[j]
+    if j == 0:
+        return Fraction(1)
+    if j % 2 == 1 and j > 1:
+        return Fraction(0)
+    return Fraction(-sum(comb(j + 1, l) * bernoulli(l) for l in range(j)), j + 1)
 
 
 def todd_coeff(j: int) -> Fraction:

@@ -128,14 +128,7 @@ class GradedClass:
         return GradedClass(self.ring, {l: -c for l, c in self.terms.items()})
 
     def __sub__(self, other):
-        # one pass, like __add__: self + (-other) would build a class for -other first
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.scalar(other)
-        self._check_ring(other)
-        out = dict(self.terms)
-        for l, c in other.terms.items():
-            out[l] = out.get(l, _ZERO) - c
-        return GradedClass(self.ring, out)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

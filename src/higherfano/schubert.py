@@ -20,7 +20,6 @@ o1_power_sum (O(1), from the hook lengths).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -212,7 +211,7 @@ class GrassmannianRing(RingModel):
         return p
 
     def sigma(self, parts: Iterable[int]) -> GradedClass:
-        return self.monomial(self._basis_label(self.box_partition(parts)))
+        return self.monomial(_label(self.box_partition(parts)))
 
     def complement(self, parts: Iterable[int]) -> Partition:
         p = self.box_partition(parts)
@@ -222,18 +221,13 @@ class GrassmannianRing(RingModel):
     def _mul_labels(self, a, b):
         return _product(self.partition_of(a), self.partition_of(b), self.k, self.cols)
 
-    def _basis_label(self, mu: Partition) -> str:
-        """The basis label of a shape in the box: bisection in its degree, which is sorted."""
-        labels = self.basis(sum(mu))
-        return labels[bisect_left(labels, mu, key=self._key.__getitem__)]
-
 
 def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:
     """sigma_lam * sigma_i by the Pieri rule (possibly zero)."""
     lam = ring.box_partition(lam)
     if not 1 <= i <= ring.cols:
         raise ValueError(f"Pieri index must be in 1..{ring.cols}")
-    return GradedClass(ring, {ring._basis_label(mu): 1 for mu in _horizontal_strips(lam, i, ring.k, ring.cols)})
+    return GradedClass(ring, {_label(mu): 1 for mu in _horizontal_strips(lam, i, ring.k, ring.cols)})
 
 
 def _power_sum(ring: GrassmannianRing, j: int, times: int = 1) -> dict[str, int]:

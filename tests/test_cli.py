@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -828,6 +830,70 @@ def test_verify_refuses_a_bound_it_would_ignore(capsys, argv, message):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("suite, narrow, fits, over", [
+    ("claim31", "--n-max or --d-max", ("--n-max", "4", "--d-max", "3"), ("--n-max", "5", "--d-max", "4")),
+    ("prop11-sym", "--n-max or --d-max", ("--n-max", "4", "--d-max", "3"), ("--n-max", "5", "--d-max", "4")),
+    ("prop11-ci", "--n-max or --max-c", ("--n-max", "10", "--max-c", "0"), ("--n-max", "11", "--max-c", "0")),
+])
+def test_verify_past_the_census_cap_is_refused_before_any_check(capsys, monkeypatch, suite, narrow, fits, over):
+    # claim31 at --n-max 100000 --d-max 100000 listed about 5*10^9 (n, d) pairs and died
+    # with a MemoryError, the exit 1 of a verified disagreement; past the cap nothing is
+    # listed or checked.  Each fitting bound gives 10 items, each refused one 11 or 15
+    monkeypatch.setattr(cli, "MAX_CENSUS_SPECS", 10)
+    code, out = run_cli(capsys, "verify", suite, *fits, "--k-max", "2")
+    assert code == 0 and len(json.loads(out)["items"]) == 10
+    mf = importlib.import_module("higherfano.minimalfamily")
+    checked = []
+    for name in ("verify_claim31", "verify_prop11_symbolic", "verify_prop11_ci"):
+        monkeypatch.setattr(mf, name, lambda *args: checked.append(args))
+    assert main(["verify", suite, *over, "--k-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and checked == []
+    assert captured.err == f"error: verify {suite} lists more than 10 items; narrow {narrow}\n"
+
+
+def test_symbolic_suite_size_counts_its_pairs():
+    for n_max in range(1, 9):
+        for d_max in range(0, 10):
+            pairs = [(n, d) for n in range(1, n_max + 1) for d in range(0, min(d_max, n - 1) + 1)]
+            assert cli._symbolic_size(argparse.Namespace(n_max=n_max, d_max=d_max)) == len(pairs)
+    assert cli._symbolic_size(argparse.Namespace(n_max=450, d_max=449)) == 101_475
+
+
+def test_a_witness_too_long_to_print_is_refused(capsys):
+    # str() of an integer past sys.get_int_max_str_digits() raised "Exceeds the limit (4300
+    # digits) for integer string conversion", which told the user to change the interpreter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out = run_cli(capsys, "check", "CI[2000;]", "--k", "1559")
+    assert code == 0 and json.loads(out)["items"][0]["verdict"] == "POSITIVE"
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    assert main(["check", "CI[2000;]", "--k", "1560"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: ch_1560 of CI[2000;] has a witness of more than {limit} digits, "
+                            "the longest integer this interpreter prints\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before 3.10.7")
+def test_witness_refusal_is_exactly_where_str_refuses():
+    spec = fam.parse_spec("CI[5;]")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for part in (10**640 - 1, 10**640, 2**(3 * 640), 2**(3 * 640) - 1, 2**(3 * 640) + 1):
+            for value in (Fraction(part, 7), Fraction(-part, 7), Fraction(7, part)):
+                try:
+                    expected = f"x:{value}"
+                except ValueError:
+                    with pytest.raises(cli.UsageError):
+                        cli._coeff_string(spec, 2, [("x", value)])
+                else:
+                    assert cli._coeff_string(spec, 2, [("x", value)]) == expected
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_verify_bounds_not_given_take_their_defaults(capsys):

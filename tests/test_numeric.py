@@ -1,9 +1,10 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from higherfano import numeric
 from higherfano.numeric import bernoulli, power_sum, todd_coeff
 
 
@@ -36,12 +37,35 @@ def test_defining_recurrence():
 
 
 def test_table_accessor():
-    # one call fills the memo table up to its index
-    bernoulli(12)
-    vals = numeric._bernoulli_table
-    assert vals[0] == 1 and vals[1] == Fraction(-1, 2) and vals[12] == Fraction(-691, 2730)
-    assert len(vals) >= 13
-    assert [bernoulli(j) for j in range(13)] == vals[:13]
+    # one cold call memoizes every index up to its own, and later calls read the memo
+    bernoulli.cache_clear()
+    assert bernoulli(12) == Fraction(-691, 2730)
+    assert bernoulli.cache_info().currsize == 13
+    misses = bernoulli.cache_info().misses
+    assert [bernoulli(j) for j in range(13)] == [KNOWN_BERNOULLI.get(j, 0) for j in range(13)]
+    assert bernoulli.cache_info().misses == misses
+
+
+def test_concurrent_cold_calls_agree_with_one_thread():
+    # threads filling the cold memo at once may compute an index twice, but each must
+    # read only finished values: every result satisfies the recurrence and matches a
+    # single-thread run
+    top = 80
+    bernoulli.cache_clear()
+    expected = [bernoulli(j) for j in range(top + 1)]
+    bernoulli.cache_clear()
+    start = threading.Barrier(4)
+
+    def run():
+        start.wait()
+        last = bernoulli(top)  # a cold call: it fills B_0 .. B_top while the other threads do too
+        return [bernoulli(j) for j in range(top)] + [last]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(lambda _: run(), range(4)))
+    for vals in results:
+        assert vals == expected
+        assert all(sum(comb(m + 1, l) * vals[l] for l in range(m + 1)) == 0 for m in range(1, top + 1))
 
 
 def test_todd_coefficients():

@@ -85,7 +85,6 @@ UNREACHED = {
     "rings.ProjBundleRing.xi_power_normal": "ROADMAP item 19",
     "rings.RingModel._has_label": "tests/test_rings.py::test_unknown_label_rejected",
     "rings.check_graded": "ROADMAP item 19",
-    "schubert.GrassmannianRing._basis_label": "README: s1 = g.sigma((1,))",
     "schubert.GrassmannianRing._has_label": "ROADMAP item 16",
     "schubert.GrassmannianRing._mul_labels": "ROADMAP item 16",
     "schubert.GrassmannianRing.box_partition": "README: s1 = g.sigma((1,))",

@@ -385,8 +385,7 @@ def test_labels_met_before_their_degree_is_built():
         with pytest.raises(ValueError) as on_fresh:
             fresh().monomial(bad)
         assert str(on_fresh.value) == str(on_built.value) == f"unknown basis label {bad!r} in G(3,7)"
-    # degrees built last to first still list their labels in sorted partition order,
-    # which _basis_label's bisection reads
+    # degrees built last to first still list their labels in sorted partition order
     backwards = fresh()
     for d in reversed(range(backwards.dimension + 1)):
         backwards.basis(d)
