@@ -6,11 +6,12 @@ give CSV with the fixed columns kind,k,n,params,ch_coeffs,verdict,oracle,twist,a
 Output is byte-identical across runs of the same command: no timestamps,
 canonical row order, exact arithmetic throughout.
 
-A report is written one item at a time, each census row before the next is
-computed, so a census holds one row in memory however many it has.  Every
-refusal comes before the first byte: a census lists and checks all its specs
-first, and no --out file is opened before the first item exists.  An error
-raised after that leaves the items already written and exits 2.
+A report is written one item at a time, each census row or verify item before
+the next is computed, so a command holds one item in memory however many it
+has.  Every refusal comes before the first byte: a census checks and counts its
+specs first, then builds each as its row is computed, and no --out file is
+opened before the first item exists.  An error raised after that leaves the
+items already written and exits 2.
 
 Exit codes: 0 success/agreement, 1 verified disagreement or identity failure,
 2 usage error or a report that cannot be written (an --out path, or a stdout
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import operator
 import os
 import sys
 from typing import Iterable, Iterator
@@ -88,15 +90,19 @@ def compute_row(spec: fam.FamilySpec, k: int) -> dict:
     }
 
 
-def _list_spec(specs: list[fam.FamilySpec], spec: fam.FamilySpec, narrow: str) -> None:
-    if len(specs) == MAX_CENSUS_SPECS:
+def _check_cap(listed: int, narrow: str) -> None:
+    if listed > MAX_CENSUS_SPECS:
         raise UsageError(f"census lists more than {MAX_CENSUS_SPECS} specs; narrow {narrow}")
-    specs.append(spec)
 
 
-def _census_specs(ns) -> list[fam.FamilySpec]:
+def _census_specs(ns) -> Iterable[fam.FamilySpec]:
+    """The census's specs in row order, each listing refusal made before this returns.
+
+    A CI census checks and counts its degree tuples here, then builds each spec only as
+    its row reads it, holding one P^n's sorted tuples at a time; a zero-locus census
+    lists its one spec per (k, n).
+    """
     kind = ns.kind
-    specs: list[fam.FamilySpec] = []
     # every row fails below k = 2, so whether a census gets that far must not
     # depend on its ranges: refuse it before any spec is listed
     fam.check_verdict_index(ns.k)
@@ -115,19 +121,26 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
         if max_c < 0:
             raise UsageError(f"max codimension must be >= 0, got {max_c}")
         # c degrees on P^n cut out dimension n - c, so only n >= --k and c <= n - --k
-        # yield rows, and only those specs are listed and count toward the cap.  P^n
-        # itself is the largest spec on P^n and the bound reads n alone, so the
-        # pre-check, which builds no ring, refuses an over-bound n before its tuples
-        for n in range(max(n_values.start, ns.k), n_values.stop):
+        # yield rows, and only those specs are counted toward the cap.  P^n itself is
+        # the largest spec on P^n and the bound reads n alone, so the pre-check, which
+        # builds no ring, refuses an over-bound n before its tuples
+        ambients = range(max(n_values.start, ns.k), n_values.stop)
+        listed = 0
+        for n in ambients:
             fam.check_ambient_bound(fam.FamilySpec(fam.CI, 0, n, ()))
-            # the tuples are nonincreasing already, so each spec is built as ci() would sort it
-            for degrees in fam.enumerate_fano_ci(n, min(max_c, n - ns.k)):
-                _list_spec(specs, fam.FamilySpec(fam.CI, 0, n, degrees), "--n-range or --max-c")
+            tuples = fam.enumerate_fano_ci(n, min(max_c, n - ns.k))
+            listed += sum(1 for _ in itertools.islice(tuples, MAX_CENSUS_SPECS + 1 - listed))
+            _check_cap(listed, "--n-range or --max-c")
+        # specs on one P^n sort as their degree tuples, which are nonincreasing already,
+        # so each spec is built as ci() would sort it
+        return (fam.FamilySpec(fam.CI, 0, n, degrees) for n in ambients
+                for degrees in sorted(fam.enumerate_fano_ci(n, min(max_c, n - ns.k))))
     else:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")
         k_values = _parse_range("--k-range", ns.k_range)
         n_values = _parse_range("--n-range", ns.n_range)
+        specs: list[fam.FamilySpec] = []
         # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only
         # from n = k + ceil(--k / k) on, so no (k, n) outside those bounds is visited
         for k in range(max(k_values.start, 2), k_values.stop):
@@ -144,9 +157,10 @@ def _census_specs(ns) -> list[fam.FamilySpec]:
                 # the ranges
                 if fam.dim_x(spec) >= ns.k:
                     fam.check_ambient_bound(spec)
-                    _list_spec(specs, spec, "--k-range or --n-range")
-    specs.sort()
-    return specs
+                    specs.append(spec)
+                    _check_cap(len(specs), "--k-range or --n-range")
+        specs.sort()
+        return specs
 
 
 def _report(argv: list[str], passed: bool) -> dict:
@@ -169,8 +183,9 @@ def _write(fh, fmt: str, argv: list[str], items: Iterator[dict], key: str | None
         import csv
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
+        row = operator.itemgetter(*CSV_COLUMNS)  # every check and census row has each column
         for item in items:
-            writer.writerow([item.get(col, "") for col in CSV_COLUMNS])
+            writer.writerow(row(item))
             passed = passed and (key is None or bool(item[key]))
         return passed
     import json
@@ -342,8 +357,8 @@ def _items(ns) -> tuple[Iterable[dict], str | None]:
     if ns.cmd == "check":
         return [compute_row(fam.parse_spec(ns.spec), ns.k)], "agree"
     if ns.cmd == "census":
-        # the generator lists the specs, and so makes every listing refusal, when it is made;
-        # each row is computed only once the one before it is written
+        # _census_specs makes every listing refusal when it is called, here; each row is
+        # computed only once the one before it is written
         return (compute_row(spec, ns.k) for spec in _census_specs(ns)), "agree"
     if ns.cmd == "minimal-family":
         pair = fam.minimal_pair(fam.parse_spec(ns.spec))

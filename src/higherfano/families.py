@@ -498,12 +498,11 @@ def enumerate_fano_ci(n: int, max_c: int):
     if max_c < 0:
         raise InvalidFamilyError(f"max codimension must be >= 0, got {max_c}")
     yield ()
-
-    def rec(prefix: tuple[int, ...], budget: int, bound: int, slots: int):
-        if slots == 0:
-            return
-        for d in range(min(bound, budget), 1, -1):
-            yield prefix + (d,)
-            yield from rec(prefix + (d,), budget - d, d, slots - 1)
-
-    yield from rec((), n - 1, n - 1, max_c)
+    # depth first, each tuple before its extensions and the larger last degree first: the
+    # stack holds (tuple, what is left of n - 1) with its next tuple on top
+    stack = [((d,), n - 1 - d) for d in range(2, n)] if max_c else []
+    while stack:
+        degrees, budget = stack.pop()
+        yield degrees
+        if len(degrees) < max_c:
+            stack.extend((degrees + (d,), budget - d) for d in range(2, min(degrees[-1], budget) + 1))

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bundles import exp_line, todd_line
 from .families import ci, enumerate_fano_ci, minimal_pair
@@ -498,22 +498,24 @@ def verify_prop11_ci(n: int, degrees: Sequence[int], k_max: int) -> Verification
 
 
 # -- verification suites -------------------------------------------------------
-# each returns the {check, ok, detail} items that `verify` prints
+# each returns or yields the {check, ok, detail} items that `verify` prints
 
 
-def symbolic_suite(check: Callable, n_max: int, d_max: int, k_max: int) -> list[dict]:
-    """check(n, d, k_max) for 1 <= n <= n_max, 0 <= d <= min(d_max, n-1), one item each.
+def symbolic_suite(check: Callable, n_max: int, d_max: int, k_max: int) -> Iterator[dict]:
+    """Yields check(n, d, k_max)'s item for 1 <= n <= n_max, 0 <= d <= min(d_max, n-1), one at a time.
 
     check is verify_claim31 or verify_prop11_symbolic.
     """
-    pairs = [(n, d) for n in range(1, n_max + 1) for d in range(0, min(d_max, n - 1) + 1)]
-    return [check(n, d, k_max).item() for n, d in pairs]
+    for n in range(1, n_max + 1):
+        for d in range(0, min(d_max, n - 1) + 1):
+            yield check(n, d, k_max).item()
 
 
-def prop11_ci_suite(n_max: int, max_c: int, k_max: int) -> list[dict]:
-    """verify_prop11_ci on every Fano complete intersection covered by lines, n <= n_max."""
-    cis = [(n, degrees) for n in range(1, n_max + 1) for degrees in enumerate_fano_ci(n, max_c)]
-    return [verify_prop11_ci(n, degrees, k_max).item() for n, degrees in cis]
+def prop11_ci_suite(n_max: int, max_c: int, k_max: int) -> Iterator[dict]:
+    """Yields verify_prop11_ci on every Fano complete intersection covered by lines, n <= n_max."""
+    for n in range(1, n_max + 1):
+        for degrees in enumerate_fano_ci(n, max_c):
+            yield verify_prop11_ci(n, degrees, k_max).item()
 
 
 def todd_identity_suite(k_max: int) -> list[dict]:

@@ -9,6 +9,7 @@ import io
 from fractions import Fraction
 from math import factorial
 from time import perf_counter
+from typing import Iterable
 
 from higherfano import families as fam
 from higherfano import minimalfamily as mf
@@ -83,7 +84,8 @@ def test_criterion_2_positivity_thresholds_by_ring():
     _criterion(2, "positivity thresholds by ring computation, n <= 14", 30.0, body)
 
 
-def _assert_all_ok(items: list[dict], count: int) -> None:
+def _assert_all_ok(items: Iterable[dict], count: int) -> None:
+    items = list(items)
     assert len(items) == count
     assert all(item["ok"] for item in items), [i for i in items if not i["ok"]]
 

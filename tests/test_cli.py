@@ -3,11 +3,13 @@ import csv
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -513,10 +515,11 @@ def test_ci_census_lists_no_tuples_below_k(capsys, monkeypatch):
         return enumerate_fano_ci(n, max_c)
 
     monkeypatch.setattr(fam, "enumerate_fano_ci", recording)
-    # no spec on P^n has dimension above n, so the n below --k used to be listed for nothing
+    # no spec on P^n has dimension above n, so the n below --k used to be listed for nothing;
+    # each n left is listed twice, once to count its tuples and once as its rows read them
     argv = ["census", "CI", "--k", "10", "--max-c", "2", "--format", "csv", "--n-range"]
     code, out = run_cli(capsys, *argv, "1..12")
-    assert code == 0 and listed == [10, 11, 12]
+    assert code == 0 and listed == [10, 11, 12] * 2
     assert len(out.splitlines()) == 43 and run_cli(capsys, *argv, "10..12") == (0, out)
     listed.clear()
     assert run_cli(capsys, "census", "CI", "--n-range", "1..60", "--k", "100", "--max-c", "4")[0] == 0
@@ -573,10 +576,35 @@ def test_census_listing_builds_no_ring(monkeypatch, capsys, argv):
     with monkeypatch.context() as patch:
         for ring in ("_grass_ring", "_pn_ring", "_pp_ring"):
             patch.setattr(fam, ring, no_ring)
-        specs = cli._census_specs(ns)
+        # the specs a CI census builds as its rows read them are built here too
+        specs = list(cli._census_specs(ns))
     # the listed specs are the rows the census prints, with the rings built
     code, out = run_cli(capsys, *argv)
     assert code == 0 and specs and [s.text() for s in specs] == [item["params"] for item in json.loads(out)["items"]]
+
+
+def test_census_specs_come_in_sorted_order():
+    # a CI census sorts one P^n's degree tuples at a time as its rows read them, where it
+    # used to sort its whole listing; either way its specs come in the order of sorted()
+    def listing(*argv):
+        return list(cli._census_specs(cli._build_parser().parse_args(["census", *argv])))
+
+    for k in range(2, 7):
+        for max_c in range(0, 5):
+            specs = (fam.FamilySpec(fam.CI, 0, n, d) for n in range(1, 17) for d in fam.enumerate_fano_ci(n, max_c))
+            expected = sorted(spec for spec in specs if fam.dim_x(spec) >= k)
+            assert listing("CI", "--k", str(k), "--n-range", "1..16", "--max-c", str(max_c)) == expected
+        for kind in fam.ZERO_LOCI:
+            expected = []
+            for a, n in itertools.product(range(2, 7), range(4, 17)):
+                try:
+                    spec = fam.FamilySpec(kind, a, n)
+                except fam.InvalidFamilyError:
+                    continue
+                if fam.dim_x(spec) >= k:
+                    expected.append(spec)
+            specs = listing(kind, "--k", str(k), "--k-range", "2..6", "--n-range", "4..16")
+            assert specs and specs == sorted(expected), (kind, k)
 
 
 def _record_grassmannian_makers(monkeypatch) -> list[tuple[int, int]]:
@@ -1046,6 +1074,63 @@ def test_a_refused_first_item_opens_no_out_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "compute_row", failing)
     assert main(["census", "G", "--k-range", "2", "--n-range", "4..8", "--out", str(target)]) == 2
     assert not target.exists()
+
+
+def test_an_error_after_the_first_verify_item_leaves_it_written(tmp_path, capsys, monkeypatch):
+    # a verify suite listed all its items before the first was written, so an error in any
+    # check wrote nothing; it now yields them, and as in a census the items before the
+    # error stay written and the run exits 2
+    mf = importlib.import_module("higherfano.minimalfamily")
+    verify_claim31 = mf.verify_claim31
+    argv = ["verify", "claim31", "--n-max", "3", "--d-max", "2", "--k-max", "2"]
+    complete = run_cli(capsys, *argv)[1]
+
+    def failing_at(call):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise ValueError("an invariant failed")
+            return verify_claim31(*args)
+
+        return failing
+
+    monkeypatch.setattr(mf, "verify_claim31", failing_at(2))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == complete[:complete.index("\n    },\n    {") + len("\n    }")]
+    assert captured.out.count('"check": ') == 1
+    assert captured.err == "error: an invariant failed\n"
+    target = tmp_path / "report.json"
+    monkeypatch.setattr(mf, "verify_claim31", failing_at(1))
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: an invariant failed\n"
+    assert not target.exists()
+
+
+def _peak_bytes(argv: list[str]) -> int:
+    """The tracemalloc peak of main(argv), its report written to os.devnull."""
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", os.devnull]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("small, large", [
+    (["census", "CI", "--max-c", "4", "--n-range", "2..12"], ["census", "CI", "--max-c", "4", "--n-range", "2..30"]),
+    (["verify", "claim31", "--k-max", "1", "--n-max", "20", "--d-max", "19"],
+     ["verify", "claim31", "--k-max", "1", "--n-max", "200", "--d-max", "199"]),
+], ids=["census", "verify"])
+def test_a_report_holds_one_item_however_many_it_has(small, large):
+    # 191 rows against 10,615, and 210 items against 20,100: the census listed and sorted
+    # all its specs before its first row, and the suite all its (n, d) pairs and items,
+    # so the peak grew from 117 to 1,431 KiB and from 145 to 6,591 KiB (Python 3.11.7)
+    assert main([*large, "--out", os.devnull]) == 0  # builds the rings and caches both runs read
+    assert _peak_bytes(large) - _peak_bytes(small) <= 256 * 1024
 
 
 # stdout digests recorded before the suites moved out of the CLI (claim31 at

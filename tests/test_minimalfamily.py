@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import factorial
+from typing import Iterable
 
 import pytest
 
@@ -248,7 +249,8 @@ def test_ring_identities_are_checked_in_every_claim31_report(monkeypatch):
     assert verify_claim31(6, 2, 4).ok and verify_claim31(9, 5, 4).ok
 
 
-def _assert_all_ok(items: list[dict], count: int) -> None:
+def _assert_all_ok(items: Iterable[dict], count: int) -> None:
+    items = list(items)
     assert len(items) == count
     assert all(item["ok"] for item in items), [i for i in items if not i["ok"]]
 
