@@ -47,7 +47,7 @@ class UsageError(Exception):
 def _parse_range(flag: str, text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi if sep else lo)
+        lo, hi = fam.integer(lo), fam.integer(hi if sep else lo)
     except ValueError:
         raise UsageError(f"cannot read {flag} {text!r}: give N or LO..HI in integers") from None
     if lo > hi:
@@ -141,8 +141,8 @@ def _census_specs(ns) -> Iterable[fam.FamilySpec]:
         k_values = _parse_range("--k-range", ns.k_range)
         n_values = _parse_range("--n-range", ns.n_range)
         specs: list[fam.FamilySpec] = []
-        # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only
-        # from n = k + ceil(--k / k) on, so no (k, n) outside those bounds is visited
+        # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only from
+        # n = k + ceil(--k / k) on, so no other (k, n) is visited; k, then n, ascending is sorted
         for k in range(max(k_values.start, 2), k_values.stop):
             if 2 * k > n_values[-1]:
                 break
@@ -159,7 +159,6 @@ def _census_specs(ns) -> Iterable[fam.FamilySpec]:
                     fam.check_ambient_bound(spec)
                     specs.append(spec)
                     _check_cap(len(specs), "--k-range or --n-range")
-        specs.sort()
         return specs
 
 
@@ -326,15 +325,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="one family: verdict, oracle, pair twist, agreement",
                              allow_abbrev=False)
     p_check.add_argument("spec", help='family text form, e.g. "G[2,5]", "CI[9;3]", "G2P"')
-    p_check.add_argument("--k", type=int, default=2, help="Chern character index (default 2)")
+    p_check.add_argument("--k", type=fam.integer, default=2, help="Chern character index (default 2)")
     common(p_check, rows=True)
 
     p_census = sub.add_parser("census", help="sweep a parametric family kind", allow_abbrev=False)
     p_census.add_argument("kind", choices=(*fam.ZERO_LOCI, fam.CI))
-    p_census.add_argument("--k", type=int, default=2, help="Chern character index (default 2)")
+    p_census.add_argument("--k", type=fam.integer, default=2, help="Chern character index (default 2)")
     p_census.add_argument("--k-range", dest="k_range", default=None, help="family k range, e.g. 2..4")
     p_census.add_argument("--n-range", dest="n_range", default=None, help="family n range, e.g. 4..12")
-    p_census.add_argument("--max-c", dest="max_c", type=int, default=None,
+    p_census.add_argument("--max-c", dest="max_c", type=fam.integer, default=None,
                           help="max codimension (CI census, default 2)")
     common(p_census, rows=True)
 
@@ -346,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               allow_abbrev=False)
     p_verify.add_argument("suite", choices=tuple(SUITES))
     for dest, (flag, default, _) in VERIFY_BOUNDS.items():
-        p_verify.add_argument(flag, dest=dest, type=int, default=None,
+        p_verify.add_argument(flag, dest=dest, type=fam.integer, default=None,
                               help=f"read by {_suites_reading(dest)} (default {default})")
     common(p_verify)
     return parser

@@ -104,9 +104,16 @@ def ci(n: int, degrees: Sequence[int]) -> FamilySpec:
     return FamilySpec(CI, n=n, degrees=tuple(sorted((int(d) for d in degrees), reverse=True)))
 
 
+def integer(text: str) -> int:
+    """A CLI integer (spec, range or flag): int(text), but ValueError for the "_" and non-ASCII digits int() reads."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _int(text: str, spec: str) -> int:
     try:
-        return int(text)
+        return integer(text)
     except ValueError:
         raise InvalidFamilyError(f"cannot read {text!r} as an integer in family spec {spec!r}") from None
 

@@ -61,17 +61,22 @@ _Key = tuple[int, int, int]
 
 
 class _MonomialModel(RingModel):
-    """A truncated RingModel whose basis labels are monomials l^a * x_j * s^b, at most one symbol x_j."""
+    """A truncated RingModel of monomials l^a * x_j * s^b, at most one x_j; `_keys(d)` lists degree d's (a, j, b)."""
 
-    def __init__(self, name: str, symbol: str, keys_by_degree: Sequence[Sequence[_Key]]):
-        def label(key: _Key) -> str:
-            a, j, b = key
-            factors = (_pow_label("l", a), f"{symbol}_{j}" if j else "1", _pow_label("s", b))
-            return "*".join(f for f in factors if f != "1") or "1"
+    def __init__(self, name: str, symbol: str, max_degree: int):
+        self.symbol = symbol
+        self._label: dict[_Key, str] = {}  # the key -> label of each degree built
+        super().__init__(name, max_degree, None)
 
-        pairs = [[(label(key), key) for key in keys] for keys in keys_by_degree]
-        self._label: dict[_Key, str] = {key: l for degree in pairs for l, key in degree}
-        super().__init__(name, len(pairs) - 1, pairs, None)
+    def _name(self, key: _Key) -> str:
+        a, j, b = key
+        factors = (_pow_label("l", a), f"{self.symbol}_{j}" if j else "1", _pow_label("s", b))
+        return "*".join(f for f in factors if f != "1") or "1"
+
+    def _build_degree(self, degree):
+        pairs = [(self._name(key), key) for key in self._keys(degree)]
+        self._label.update((key, label) for label, key in pairs)
+        return pairs
 
     def _mul_labels(self, x, y):
         """l-exponents add; s^2 = -s*l, s*x_j = 0, and nothing above the truncation."""
@@ -84,12 +89,13 @@ class _MonomialModel(RingModel):
             a, b, c = a + 1, 1, -1
         if b and j:  # s * x_j = 0
             return {}
+        self.basis(self._degree[x] + self._degree[y])  # the product's degree, so that _label holds its key
         label = self._label.get((a, j, b))
         return {} if label is None else {label: c}
 
     def _generator(self, label: str) -> GradedClass:
         """A generator of the model, zero when it lies above the truncation."""
-        return self.monomial(label) if label in self._key else self.zero()
+        return self.monomial(label) if self._has_label(label) else self.zero()
 
     def ell(self) -> GradedClass:
         return self._generator("l")
@@ -99,11 +105,10 @@ class FamilyModel(_MonomialModel):
     """The family side: l^a and l^a*t_j (t_j of degree j-1), truncated at max_degree."""
 
     def __init__(self, max_degree: int):
-        keys = [
-            [(deg, 0, 0)] + [(a, deg - a + 1, 0) for a in range(deg + 1)]
-            for deg in range(max_degree + 1)
-        ]
-        super().__init__(f"H<{max_degree}>", "t", keys)
+        super().__init__(f"H<{max_degree}>", "t", max_degree)
+
+    def _keys(self, deg: int) -> list[_Key]:
+        return [(deg, 0, 0)] + [(a, deg - a + 1, 0) for a in range(deg + 1)]
 
     def t(self, j: int) -> GradedClass:
         if j < 1:
@@ -115,13 +120,12 @@ class UniversalModel(_MonomialModel):
     """Total space of the universal family, truncated at max_degree, in normal form."""
 
     def __init__(self, max_degree: int):
-        keys = [
-            [(a, deg - a, 0) for a in range(deg)] + [(deg, 0, 0)] + ([(deg - 1, 0, 1)] if deg else [])
-            for deg in range(max_degree + 1)
-        ]
-        super().__init__(f"U<{max_degree}>", "e", keys)
+        super().__init__(f"U<{max_degree}>", "e", max_degree)
         self.family = FamilyModel(max_degree - 1)
         self._claim31_by_n: dict[int, tuple[Check, ...]] = {}
+
+    def _keys(self, deg: int) -> list[_Key]:
+        return [(a, deg - a, 0) for a in range(deg)] + [(deg, 0, 0)] + ([(deg - 1, 0, 1)] if deg else [])
 
     def sigma(self) -> GradedClass:
         return self._generator("s")
@@ -277,6 +281,7 @@ def push_pi(x: GradedClass) -> GradedClass:
     for label, c in x.terms.items():
         a, j, s = x.ring._key[label]
         if s or j:  # distinct labels have distinct images
+            fam.basis(x.ring._degree[label] - 1)  # the image's degree, so that _label holds it
             out[fam._label[(a, j, 0)]] = c
     return GradedClass(fam, out)
 
@@ -518,11 +523,8 @@ def prop11_ci_suite(n_max: int, max_c: int, k_max: int) -> Iterator[dict]:
             yield verify_prop11_ci(n, degrees, k_max).item()
 
 
-def todd_identity_suite(k_max: int) -> list[dict]:
-    """sum_{j=1}^{k+1} A_{k+1-j} / j! = 1/k! for 1 <= k <= k_max: td(x) (e^x - 1) = x e^x."""
-    items = []
+def todd_identity_suite(k_max: int) -> Iterator[dict]:
+    """sum_{j=1}^{k+1} A_{k+1-j} / j! = 1/k! for 1 <= k <= k_max: td(x) (e^x - 1) = x e^x, one item at a time."""
     for k in range(1, k_max + 1):
         lhs = sum(todd_coeff(k + 1 - j) / factorial(j) for j in range(1, k + 2))
-        ok = lhs == Fraction(1, factorial(k))
-        items.append({"check": f"todd-identity(k={k})", "ok": ok, "detail": f"lhs={lhs}"})
-    return items
+        yield {"check": f"todd-identity(k={k})", "ok": lhs == Fraction(1, factorial(k)), "detail": f"lhs={lhs}"}

@@ -3,7 +3,7 @@
 A ring model fixes a finite labelled basis in each degree up to the variety's
 dimension, plus a rule for multiplying two basis labels.  Products landing
 above the dimension are silently dropped: only numerical classes are kept.
-A model may build a degree's labels when that degree is first read and is
+A model builds a degree's labels when that degree is first read and is
 otherwise fixed; elements (GradedClass) are value-semantic.
 
 Basis labels are canonical strings ("1", "h^2", "h1*h2", "xi^2*h", ...) so
@@ -196,27 +196,23 @@ class RingModel:
     """Base class: a graded basis with a multiplication rule, truncated at `dimension`.
 
     `point_label` is None for truncated models with no fundamental class;
-    integration on those raises.  A subclass defines `_mul_labels(a, b)`: a*b
-    as {label: nonzero constant}, with integral constants as ints, which
-    callers do not mutate.
+    integration on those raises.  A subclass defines `_build_degree(d)`, the (label, key)
+    pairs of degree d in basis order, which basis(d) calls once, and `_mul_labels(a, b)`:
+    a*b as {label: nonzero constant}, integral constants as ints, which callers do not mutate.
     """
 
-    def __init__(
-        self, name: str, dimension: int, pairs_by_degree: Sequence[Sequence[tuple]], point_label: str | None
-    ):
+    def __init__(self, name: str, dimension: int, point_label: str | None):
         self.name = name
         self.dimension = dimension
         # each label's key is what _mul_labels reads it as (an exponent, a pair of
-        # factor labels, a partition, ...); a degree given no (label, key) pairs stays ()
+        # factor labels, a partition, ...); a degree stays () until it is first read
         self._basis: list[tuple[str, ...]] = [()] * (dimension + 1)
         self._key: dict[str, object] = {}
         self._degree: dict[str, int] = {}
-        for degree, pairs in enumerate(pairs_by_degree):
-            if pairs:
-                self._register(degree, pairs)
         self.point_label = point_label
         self._mul_cache: dict[tuple[str, str], dict[str, int | Fraction]] = {}
-        if point_label is not None and self._degree.get(point_label) != dimension:
+        self.basis(0)  # "1" is there from the start, and the point class from the check below
+        if point_label is not None and point_label not in self.basis(dimension):
             raise ValueError("point class must be a basis label in top degree")
 
     # -- basis -----------------------------------------------------------
@@ -233,10 +229,14 @@ class RingModel:
             return tuple(l for d in range(self.dimension + 1) for l in self.basis(d))
         if degree < 0 or degree > self.dimension:
             return ()
+        if not self._basis[degree]:
+            self._register(degree, self._build_degree(degree))
         return self._basis[degree]
 
     def _has_label(self, label: str) -> bool:
-        """True for a basis label; a ring that builds degrees lazily builds the label's degree first."""
+        """True for a basis label; a label not met yet builds every degree not built before it is refused."""
+        if label not in self._key:
+            self.basis()
         return label in self._key
 
     def degree_of(self, label: str) -> int:
@@ -275,39 +275,39 @@ class ProjectiveSpaceRing(RingModel):
             raise ValueError("projective space dimension must be >= 0")
         self.n = n
         self.gen = gen
-        pairs = [[(_pow_label(gen, e), e)] for e in range(n + 1)]
-        super().__init__(f"P{n}<{gen}>", n, pairs, _pow_label(gen, n))
+        super().__init__(f"P{n}<{gen}>", n, _pow_label(gen, n))
+
+    def _build_degree(self, degree):
+        return [(_pow_label(self.gen, degree), degree)]
 
     def hyperplane(self) -> GradedClass:
         if self.n == 0:
             return self.zero()
-        return self.monomial(self.gen)
+        return self.monomial(self.basis(1)[0])  # read through basis(), which builds degree 1 alone
 
     def _mul_labels(self, a, b):
-        e = self._key[a] + self._key[b]
-        if e > self.n:
-            return {}
-        return {_pow_label(self.gen, e): 1}
+        return dict.fromkeys(self.basis(self._key[a] + self._key[b]), 1)  # basis() is () above n
 
 
 class ProductRing(RingModel):
     """Kunneth model for a product: basis labels are joins of factor labels."""
 
     def __init__(self, left: RingModel, right: RingModel):
-        overlap = set(left.basis()) & set(right.basis()) - {"1"}
+        # joined labels name one class each only if the factors share no label but "1"; two rings
+        # here that share one share one in degree 1 (h, σ[1], xi), so no other degree is built
+        overlap = set(left.basis(1)) & set(right.basis(1))
         if overlap:
             raise ValueError(f"factor label collision: {sorted(overlap)}; use distinct generators")
         self.left = left
         self.right = right
-        dim = left.dimension + right.dimension
-        pairs: list[list[tuple[str, tuple[str, str]]]] = [[] for _ in range(dim + 1)]
-        for da in range(left.dimension + 1):
-            for la in left.basis(da):
-                for db in range(right.dimension + 1):
-                    for lb in right.basis(db):
-                        pairs[da + db].append((_join_labels(la, lb), (la, lb)))
         point = _join_labels(left.point_label, right.point_label)
-        super().__init__(f"({left.name})x({right.name})", dim, pairs, point)
+        super().__init__(f"({left.name})x({right.name})", left.dimension + right.dimension, point)
+
+    def _build_degree(self, degree):
+        left, right = self.left, self.right
+        return [(_join_labels(la, lb), (la, lb))
+                for da in range(max(0, degree - right.dimension), min(degree, left.dimension) + 1)
+                for la in left.basis(da) for lb in right.basis(degree - da)]
 
     def _mul_labels(self, a, b):
         la, ra = self._key[a]
@@ -347,16 +347,13 @@ class ProjBundleRing(RingModel):
         self.base = base
         self.rank = rank
         self.cherns = tuple(cherns)
-        dim = base.dimension + rank - 1
-        pairs: list[list[tuple[str, tuple[str, int]]]] = [[] for _ in range(dim + 1)]
-        for t in range(rank):
-            xp = _pow_label(self.gen, t)
-            for d in range(base.dimension + 1):
-                for bl in base.basis(d):
-                    pairs[d + t].append((_join_labels(bl, xp), (bl, t)))
         self._xi_normal: dict[int, tuple[GradedClass, ...]] = {}
         point = _join_labels(base.point_label, _pow_label(self.gen, rank - 1))
-        super().__init__(f"P({base.name};r={rank})<{self.gen}>", dim, pairs, point)
+        super().__init__(f"P({base.name};r={rank})<{self.gen}>", base.dimension + rank - 1, point)
+
+    def _build_degree(self, degree):
+        return [(_join_labels(bl, _pow_label(self.gen, t)), (bl, t))
+                for t in range(self.rank) for bl in self.base.basis(degree - t)]
 
     def from_base(self, x: GradedClass) -> GradedClass:
         if x.ring is not self.base:

@@ -32,9 +32,10 @@ Partition = tuple[int, ...]
 
 # the largest basis an ambient ring builds, in labels: C(n, k) for G(k, n), and
 # through families.check_ambient_bound n+1 for P^n and (a+1)(b+1) for P^a x P^b.
-# A Grassmannian builds its degrees when they are read, and only a full basis()
+# A ring builds its degrees when they are read, and only a full basis()
 # pays about 0.4 KB per label (G(10,20): 184,756 labels, 67 MB on CPython 3.11),
-# so the bound keeps one full ring near 0.4 GB; P^n costs less (P^100000: 28 MB)
+# so the bound keeps one full ring near 0.4 GB; a check on P^n reads four of its
+# degrees, and holds only one empty entry per other degree (P^999999: 8 MB)
 MAX_BASIS_LABELS = 10**6
 
 
@@ -175,16 +176,10 @@ class GrassmannianRing(RingModel):
         self.k = k
         self.n = n
         self.cols = n - k
-        dim = k * self.cols
-        # degrees 0 and dim hold one label each; basis() builds each other degree when it is first read
-        point = (self.cols,) * k
-        pairs = [[("1", ())]] + [()] * (dim - 1) + [[(_label(point), point)]]
-        super().__init__(f"G({k},{n})", dim, pairs, _label(point))
+        super().__init__(f"G({k},{n})", k * self.cols, _label((self.cols,) * k))
 
-    def basis(self, degree: int | None = None) -> tuple[str, ...]:
-        if degree is not None and 0 <= degree <= self.dimension and not self._basis[degree]:
-            self._register(degree, [(_label(p), p) for p in partitions_in_box(self.k, self.cols, degree)])
-        return super().basis(degree)
+    def _build_degree(self, degree):
+        return [(_label(p), p) for p in partitions_in_box(self.k, self.cols, degree)]
 
     def _has_label(self, label: str) -> bool:
         """True for a basis label; builds at most the one degree that the parts of "σ[...]" add up to.

@@ -110,7 +110,7 @@ def test_criterion_4_derivation_suite():
 
 def test_criterion_5_catalog_suite():
     def body():
-        items = verify_catalog(6)
+        items = list(verify_catalog(6))
         assert all(item["ok"] for item in items), [i for i in items if not i["ok"]]
         names = {item["check"] for item in items}
         expected = {"twist of (P1, O3) = 1"}

@@ -17,9 +17,10 @@ import pytest
 
 import higherfano
 import reference
-from higherfano import cli, schubert
+from higherfano import cli, minimalfamily, schubert
 from higherfano import families as fam
 from higherfano.cli import CSV_COLUMNS, compute_row, main
+from higherfano.rings import RingModel
 
 
 def run_cli(capsys, *argv):
@@ -469,6 +470,28 @@ def test_over_bound_projective_ambients_are_refused_before_any_label(capsys, mon
     monkeypatch.setattr(schubert, "MAX_BASIS_LABELS", 12)
     assert run_cli(capsys, "check", "PP[2,3]")[0] == 0
     assert run_cli(capsys, "census", "CI", "--n-range", "2..11", "--max-c", "1", "--format", "csv")[0] == 0
+
+
+@pytest.mark.parametrize("spec, k", [("CI[999999;]", 2), ("PP[999,999]", 3)])
+def test_a_check_row_registers_only_the_degrees_it_reads(capsys, monkeypatch, spec, k):
+    # the ambient ring builds "1" and its point when it is made, dim H reads degree 1
+    # and the verdict degree k; P^999999 once built all 10^6 of its labels to read three
+    register, registered = RingModel._register, []
+
+    def recording(ring, degree, pairs):
+        registered.append((ring, degree))
+        register(ring, degree, pairs)
+
+    monkeypatch.setattr(RingModel, "_register", recording)
+    # uncached rings, so rings built by earlier tests cannot hide a registration
+    monkeypatch.setattr(fam, "_pn_ring", fam._pn_ring.__wrapped__)
+    monkeypatch.setattr(fam, "_pp_ring", fam._pp_ring.__wrapped__)
+    assert run_cli(capsys, "check", spec, "--k", str(k))[0] == 0
+    ambient = max((ring for ring, _ in registered), key=lambda ring: ring.dimension)
+    assert {0, k, ambient.dimension} <= {d for ring, d in registered if ring is ambient} <= {0, 1, k, ambient.dimension}
+    # a factor of P^999 x P^999 reads its degrees up to k for the ambient's degree k, and no degree twice
+    assert all(d <= k or d == ring.dimension for ring, d in registered), registered
+    assert len(set(registered)) == len(registered)
 
 
 def test_over_bound_ci_census_is_refused_before_enumerating_it(capsys, monkeypatch):
@@ -1042,6 +1065,22 @@ def test_census_writes_each_row_before_computing_the_next(capsys, monkeypatch, f
                                                   "G[3,7]", "G[3,8]"]
 
 
+def test_verify_writes_each_item_before_computing_the_next(capsys, monkeypatch):
+    # item k of todd-identity is the first to read A_k: by then item k-1 is written
+    todd_coeff, read = minimalfamily.todd_coeff, []
+
+    def streamed(m):
+        if m >= 2 and m not in read:
+            assert f'"todd-identity(k={m - 1})"' in sys.stdout.getvalue(), m
+            read.append(m)
+        return todd_coeff(m)
+
+    monkeypatch.setattr(minimalfamily, "todd_coeff", streamed)
+    code, out = run_cli(capsys, "verify", "todd-identity", "--k-max", "6")
+    assert code == 0 and read == [2, 3, 4, 5, 6]
+    assert [item["check"] for item in json.loads(out)["items"]] == [f"todd-identity(k={k})" for k in range(1, 7)]
+
+
 def test_an_error_after_the_first_row_leaves_the_rows_written(capsys, monkeypatch):
     # the listing makes every user-facing refusal before the first row, so only an internal
     # invariant can fail a later row: the rows before it stay written, and the run exits 2
@@ -1211,13 +1250,25 @@ def test_check_prints_the_refused_spec_message(capsys, spec, message):
     (("check", "CI[x;2]"), "cannot read 'x' as an integer in family spec 'CI[x;2]'"),
     (("check", "G[,]"), "cannot read '' as an integer in family spec 'G[,]'"),
     (("check", "CI[5;2,,3]"), "cannot read '' as an integer in family spec 'CI[5;2,,3]'"),
-], ids=["range-lo", "range-hi", "k-range", "G", "CI-n", "G-empty", "CI-empty-degree"])
+    (("check", "CI[1_0;2]"), "cannot read '1_0' as an integer in family spec 'CI[1_0;2]'"),
+    (("check", "G[\u0663,6]"), "cannot read '\u0663' as an integer in family spec 'G[\u0663,6]'"),
+    (("census", "CI", "--n-range", "1_0"), "cannot read --n-range '1_0': give N or LO..HI in integers"),
+    (("check", "G[2,5]", "--k", "\u0662"), "--k"),
+    (("verify", "todd-identity", "--k-max", "1_0"), "--k-max"),
+], ids=["range-lo", "range-hi", "k-range", "G", "CI-n", "G-empty", "CI-empty-degree",
+        "CI-n-underscore", "G-arabic-indic-digit", "range-underscore", "k-arabic-indic-digit", "k-max-underscore"])
 def test_malformed_integers_are_refused_with_the_text_they_quote(capsys, argv, message):
     # each exited 2 with Python's "invalid literal for int() with base 10", naming neither
-    # the flag nor the spec, but CI[5;2,,3], which dropped its empty entry and ran as CI[5;3,2]
-    assert main(list(argv)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
+    # the flag nor the spec, but CI[5;2,,3], which dropped its empty entry and ran as CI[5;3,2].
+    # int() also reads "_" separators and non-ASCII digits: CI[1_0;2] ran as CI[10;2],
+    # G[\u0663,6] as G[3,6] and --k \u0662 as --k 2
+    if message.startswith("--"):
+        # argparse words the refusal of a flag's value, so only the flag's name is pinned
+        assert message in argparse_error(capsys, argv)
+    else:
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
     # no degree at all is P^n itself
     assert fam.parse_spec("CI[5;]") == fam.parse_spec("CI[5; ]") == fam.ci(5, ())
 

@@ -571,9 +571,11 @@ def test_grassmannian_row_builds_only_the_degrees_it_reads(monkeypatch):
     monkeypatch.setattr(fam, "_grass_ring", GrassmannianRing)
     rep = consistency_check(fam.FamilySpec(fam.GRASS, k=8, n=18), 2)
     assert rep.agree
-    # dim H reads the one label of degree 1 and the verdict reads degree 2;
-    # nothing else of the 1 + 80 degrees is built
-    assert sizes and max(sizes) <= 2, sorted(set(sizes))
+    # the ring builds degree 0 and its point (degree 80) when it is made, dim H reads
+    # the one label of degree 1 and the verdict reads degree 2; nothing else of the
+    # 1 + 80 degrees is built
+    assert sizes[:2] == [0, 80], sizes
+    assert sizes[2:] and max(sizes[2:]) <= 2, sorted(set(sizes))
 
 
 def _oracle_specs():

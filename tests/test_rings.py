@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from higherfano.rings import (
     ProjectiveSpaceRing,
     check_graded,
 )
+from higherfano.minimalfamily import FamilyModel, UniversalModel
 from higherfano.schubert import GrassmannianRing
 
 from reference import CharacterVector, chern_to_character
@@ -300,6 +302,79 @@ def test_unknown_label_rejected():
     p2 = ProjectiveSpaceRing(2)
     with pytest.raises(ValueError):
         GradedClass(p2, {"nope": Fraction(1)})
+
+
+def _monomial(*powers):
+    """The label of a product of gen^e, e.g. (("h1", 2), ("h2", 1)) -> "h1^2*h2"; "1" when no exponent is positive."""
+    return "*".join(g if e == 1 else f"{g}^{e}" for g, e in powers if e) or "1"
+
+
+def _eager(dim, labels_of):
+    """Every degree's labels at once, in order: labels_of(d) for d = 0..dim."""
+    return [list(labels_of(d)) for d in range(dim + 1)]
+
+
+def _assert_basis(make, expected):
+    """A ring from make() lists `expected` as basis() and, degree by degree, as basis(d).
+
+    The degrees are read last to first on a second fresh ring, so each degree is
+    built before the ones below it.
+    """
+    full = tuple(label for labels in expected for label in labels)
+    ring = make()
+    assert ring.basis() == full, ring.name
+    ring = make()
+    for d in reversed(range(len(expected))):
+        assert ring.basis(d) == tuple(expected[d]), (ring.name, d)
+        assert all(ring.degree_of(label) == d for label in expected[d])
+    assert ring.basis() == full and ring.basis(-1) == ring.basis(len(expected)) == ()
+
+
+def test_each_degree_is_built_as_an_eager_enumeration_lists_it():
+    for gen in ("h", "x"):
+        for n in range(6):
+            _assert_basis(lambda: ProjectiveSpaceRing(n, gen), _eager(n, lambda d: [_monomial((gen, d))]))
+    for a, b in product(range(4), repeat=2):
+        pairs = sorted(product(range(a + 1), range(b + 1)), key=lambda ij: (sum(ij), ij))
+        _assert_basis(
+            lambda: ProductRing(ProjectiveSpaceRing(a, "h1"), ProjectiveSpaceRing(b, "h2")),
+            _eager(a + b, lambda d: [_monomial(("h1", i), ("h2", j)) for i, j in pairs if i + j == d]),
+        )
+    # the P(E) of bundle_nonexample_diagnostic: E = O(2) + O(1)^m (case c) or T (case e) on P^(m+1)
+    for case, m in product("ce", range(1, 4)):
+        def bundle():
+            base = ProjectiveSpaceRing(m + 1)
+            h = base.hyperplane()
+            chern = (1 + 2 * h) * (1 + h) ** m if case == "c" else (1 + h) ** (m + 2)
+            return ProjBundleRing(base, [chern.degree_part(i) for i in range(1, m + 2)], m + 1)
+
+        pairs = sorted(product(range(m + 2), range(m + 1)), key=lambda et: (sum(et), et[1]))
+        _assert_basis(bundle, _eager(2 * m + 1, lambda d: [
+            _monomial(("h", e), ("xi", t)) for e, t in pairs if e + t == d]))
+    for n in range(2, 8):
+        for k in range(1, n):
+            # every weakly decreasing k-tuple in 0..n-k, without its zeros, in sorted order
+            shapes = sorted({tuple(p for p in parts if p) for parts in product(range(n - k + 1), repeat=k)
+                             if list(parts) == sorted(parts, reverse=True)})
+            _assert_basis(lambda: GrassmannianRing(k, n), _eager(k * (n - k), lambda d: [
+                "σ[" + ",".join(map(str, p)) + "]" if p else "1" for p in shapes if sum(p) == d]))
+    for m in range(1, 6):
+        # U: l^a e_j and l^a s (no e_j s), e_j of degree j; each degree lists the e-monomials
+        # by the power of l, then the power of l alone, then the one with s
+        exps = sorted(((a, j, b) for a, j, b in product(range(m + 1), repeat=3) if b <= 1 and not (j and b)),
+                      key=lambda ajb: (ajb[2], ajb[1] == 0, ajb[0]))
+        _assert_basis(lambda: UniversalModel(m), _eager(m, lambda d: [
+            _monomial(("l", a), (f"e_{j}", 1 if j else 0), ("s", b)) for a, j, b in exps if a + j + b == d]))
+        # the family side: l^a and l^a t_j, t_j of degree j - 1; the power of l alone comes first
+        exps = sorted(product(range(m + 1), range(m + 2)), key=lambda aj: (aj[1] > 0, aj[0]))
+        _assert_basis(lambda: FamilyModel(m), _eager(m, lambda d: [
+            _monomial(("l", a), (f"t_{j}", 1 if j else 0)) for a, j in exps if a + max(j - 1, 0) == d]))
+
+
+def test_hyperplane_powers_build_only_their_degrees():
+    ring = ProjectiveSpaceRing(999999)
+    assert ring.hyperplane() ** 3 == ring.monomial("h^3")
+    assert [d for d, labels in enumerate(ring._basis) if labels] == [0, 1, 2, 3, 999999]
 
 
 _SUB_RINGS = (
