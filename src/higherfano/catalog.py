@@ -164,22 +164,21 @@ def pair_product(a: PolarizedPair, b: PolarizedPair) -> PolarizedPair:
     )
 
 
-def pair_linear_blowup(ambient_dim: int, center_dim: int, label: str | None = None) -> PolarizedPair:
+def pair_linear_blowup(ambient_dim: int, center_dim: int) -> PolarizedPair:
     """Blowup of P^N along a linear P^s, polarized by 2H - E.
 
-    Divisor basis (H, E); curve basis (l, e) with l a general line and e a
-    line in a fiber of the exceptional divisor; H.l = 1, E.e = -1.
-    Mori generators: e and the strict transform l - e of a line meeting the
-    center.  Nef generators: H and H - E (the two contractions).
+    It is P(O(2) + O(1)^(s+1)) over P^(N-s-1), and labelled so.  Divisor basis
+    (H, E); curve basis (l, e) with l a general line and e a line in a fiber of
+    the exceptional divisor; H.l = 1, E.e = -1.  Mori generators: e and the strict
+    transform l - e of a line meeting the center.  Nef generators: H and H - E
+    (the two contractions).
     """
     n, s = ambient_dim, center_dim
     if not 0 <= s <= n - 2:
         raise UnsupportedPairError("blowup center must have codimension >= 2")
     codim = n - s
-    if label is None:
-        label = f"BlP{s}(P{n})(2H-E)"
     return PolarizedPair(
-        label=label,
+        label=f"P_P{codim - 1}(O2+O1^{s + 1})(OP1)",
         dim=n,
         divisor_basis=("H", "E"),
         curve_basis=("l", "e"),
@@ -231,7 +230,7 @@ def pair_case(case: str, m: int) -> PolarizedPair:
     if case == "b":
         return pair_product(pair_projective_space(m + 1), pair_projective_space(m))
     if case == "c":
-        return pair_linear_blowup(2 * m + 1, m - 1, label=f"P_P{m+1}(O2+O1^{m})(OP1)")
+        return pair_linear_blowup(2 * m + 1, m - 1)
     if case == "d":
         return pair_product(pair_projective_space(m), pair_quadric(m + 1))
     if case == "e":

@@ -34,9 +34,9 @@ from . import families as fam
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("kind", "k", "n", "params", "ch_coeffs", "verdict", "oracle", "twist", "agree")
 
-# the most specs a census, or items a claim31, prop11-sym or prop11-ci verify, lists before
-# it is refused; the largest census in the tests has 10,613 rows, while P^60 alone holds
-# 831,820 degree tuples at --max-c 59
+# the most specs a census, or items a capped verify suite, lists before _check_cap refuses
+# it; the largest census in the tests has 10,613 rows, while P^60 alone holds 831,820
+# degree tuples at --max-c 59
 MAX_CENSUS_SPECS = 10**5
 
 
@@ -56,19 +56,16 @@ def _parse_range(flag: str, text: str) -> range:
 
 
 def _coeff_string(spec: fam.FamilySpec, k: int, witnesses) -> str:
-    """The witnesses as "label:value;...", UsageError where str() would refuse a value's integer.
+    """The witnesses as "label:value;...", UsageError where str() refuses a value's integer.
 
-    str() refuses an integer of more than sys.get_int_max_str_digits() digits, that is
-    one of absolute value >= 10**limit (a limit of 0 is none, and before Python 3.10.7
-    there is no limit).  Below 2**(3 * limit) an integer is short enough without 10**limit.
+    Only an integer of more than sys.get_int_max_str_digits() digits makes str() of a
+    Fraction raise, and before Python 3.10.7 nothing does.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for _, value in witnesses:
-        for part in (abs(value.numerator), value.denominator):
-            if limit and part.bit_length() > 3 * limit and part >= 10**limit:
-                raise UsageError(f"ch_{k} of {spec.text()} has a witness of more than {limit} digits, "
-                                 "the longest integer this interpreter prints")
-    return ";".join(f"{label}:{value}" for label, value in witnesses)
+    try:
+        return ";".join(f"{label}:{value}" for label, value in witnesses)
+    except ValueError:
+        raise UsageError(f"ch_{k} of {spec.text()} has a witness of more than {sys.get_int_max_str_digits()} "
+                         "digits, the longest integer this interpreter prints") from None
 
 
 def compute_row(spec: fam.FamilySpec, k: int) -> dict:
@@ -90,17 +87,23 @@ def compute_row(spec: fam.FamilySpec, k: int) -> dict:
     }
 
 
-def _check_cap(listed: int, narrow: str) -> None:
-    if listed > MAX_CENSUS_SPECS:
-        raise UsageError(f"census lists more than {MAX_CENSUS_SPECS} specs; narrow {narrow}")
+def _check_cap(listing: Iterable, what: str, narrow: str) -> None:
+    """UsageError when listing has more than MAX_CENSUS_SPECS items, counted up to one past it.
+
+    `what` is the lister and its unit, "census specs" or "verify claim31 items"; `narrow`
+    names the flags that shorten the listing.
+    """
+    if sum(1 for _ in itertools.islice(listing, MAX_CENSUS_SPECS + 1)) > MAX_CENSUS_SPECS:
+        lister, _, unit = what.rpartition(" ")
+        raise UsageError(f"{lister} lists more than {MAX_CENSUS_SPECS} {unit}; narrow {narrow}")
 
 
 def _census_specs(ns) -> Iterable[fam.FamilySpec]:
     """The census's specs in row order, each listing refusal made before this returns.
 
-    A CI census checks and counts its degree tuples here, then builds each spec only as
-    its row reads it, holding one P^n's sorted tuples at a time; a zero-locus census
-    lists its one spec per (k, n).
+    A census checks and counts its listing here, then lists it again as its rows read
+    it: a CI census builds each spec only then, holding one P^n's sorted tuples at a
+    time, and a zero-locus census makes its one spec per (k, n) again.
     """
     kind = ns.kind
     # every row fails below k = 2, so whether a census gets that far must not
@@ -121,45 +124,51 @@ def _census_specs(ns) -> Iterable[fam.FamilySpec]:
         if max_c < 0:
             raise UsageError(f"max codimension must be >= 0, got {max_c}")
         # c degrees on P^n cut out dimension n - c, so only n >= --k and c <= n - --k
-        # yield rows, and only those specs are counted toward the cap.  P^n itself is
-        # the largest spec on P^n and the bound reads n alone, so the pre-check, which
-        # builds no ring, refuses an over-bound n before its tuples
+        # yield rows, and only those specs are counted toward the cap
         ambients = range(max(n_values.start, ns.k), n_values.stop)
-        listed = 0
-        for n in ambients:
-            fam.check_ambient_bound(fam.FamilySpec(fam.CI, 0, n, ()))
-            tuples = fam.enumerate_fano_ci(n, min(max_c, n - ns.k))
-            listed += sum(1 for _ in itertools.islice(tuples, MAX_CENSUS_SPECS + 1 - listed))
-            _check_cap(listed, "--n-range or --max-c")
+
+        def tuples(n: int) -> Iterator[tuple[int, ...]]:
+            return fam.enumerate_fano_ci(n, min(max_c, n - ns.k))
+
+        def listing() -> Iterator[tuple[int, ...]]:
+            # P^n itself is the largest spec on P^n and the bound reads n alone, so the
+            # pre-check, which builds no ring, refuses an over-bound n before its tuples.
+            # The count reads them unsorted: sorting would hold all of P^n's at once
+            for n in ambients:
+                fam.check_ambient_bound(fam.FamilySpec(fam.CI, 0, n, ()))
+                yield from tuples(n)
+
+        _check_cap(listing(), "census specs", "--n-range or --max-c")
         # specs on one P^n sort as their degree tuples, which are nonincreasing already,
         # so each spec is built as ci() would sort it
-        return (fam.FamilySpec(fam.CI, 0, n, degrees) for n in ambients
-                for degrees in sorted(fam.enumerate_fano_ci(n, min(max_c, n - ns.k))))
+        return (fam.FamilySpec(fam.CI, 0, n, degrees) for n in ambients for degrees in sorted(tuples(n)))
     else:
         if ns.k_range is None or ns.n_range is None:
             raise UsageError(f"census {kind} needs --k-range and --n-range")
         k_values = _parse_range("--k-range", ns.k_range)
         n_values = _parse_range("--n-range", ns.n_range)
-        specs: list[fam.FamilySpec] = []
-        # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only from
-        # n = k + ceil(--k / k) on, so no other (k, n) is visited; k, then n, ascending is sorted
-        for k in range(max(k_values.start, 2), k_values.stop):
-            if 2 * k > n_values[-1]:
-                break
-            for n in range(max(n_values.start, 2 * k, k - (-ns.k // k)), n_values.stop):
-                try:
-                    spec = fam.FamilySpec(kind, k, n)
-                except fam.InvalidFamilyError:
-                    continue
-                # ch_k vanishes above dim X, so those specs are skipped like invalid (k, n);
-                # one over-bound ambient ring fails the whole census, so the pre-check, which
-                # builds no ring, refuses it as soon as it is listed, not after the rest of
-                # the ranges
-                if fam.dim_x(spec) >= ns.k:
-                    fam.check_ambient_bound(spec)
-                    specs.append(spec)
-                    _check_cap(len(specs), "--k-range or --n-range")
-        return specs
+
+        def specs() -> Iterator[fam.FamilySpec]:
+            # every kind takes only 2 <= k <= n/2, and dim X <= k(n-k) reaches --k only from
+            # n = k + ceil(--k / k) on, so no other (k, n) is visited; k, then n, ascending is sorted
+            for k in range(max(k_values.start, 2), k_values.stop):
+                if 2 * k > n_values[-1]:
+                    return
+                for n in range(max(n_values.start, 2 * k, k - (-ns.k // k)), n_values.stop):
+                    try:
+                        spec = fam.FamilySpec(kind, k, n)
+                    except fam.InvalidFamilyError:
+                        continue
+                    # ch_k vanishes above dim X, so those specs are skipped like invalid (k, n);
+                    # one over-bound ambient ring fails the whole census, so the pre-check, which
+                    # builds no ring, refuses it as soon as it is listed, not after the rest of
+                    # the ranges
+                    if fam.dim_x(spec) >= ns.k:
+                        fam.check_ambient_bound(spec)
+                        yield spec
+
+        _check_cap(specs(), "census specs", "--k-range or --n-range")
+        return specs()
 
 
 def _report(argv: list[str], passed: bool) -> dict:
@@ -238,37 +247,19 @@ def _mf():
     return minimalfamily
 
 
-# each `verify` suite: the bounds it reads and its call with them, in `verify --help` order
+# each `verify` suite, in `verify --help` order: the bounds it reads, the listing it checks one
+# item for each entry of, which _check_cap counts before the first check (None for catalog and
+# todd-identity, which check about --m-max or --k-max items), and its call with them
 SUITES = {
-    "claim31": (("n_max", "d_max", "k_max"),
+    "claim31": (("n_max", "d_max", "k_max"), lambda ns: _mf().symbolic_pairs(ns.n_max, ns.d_max),
                 lambda ns: _mf().symbolic_suite(_mf().verify_claim31, ns.n_max, ns.d_max, ns.k_max)),
-    "prop11-sym": (("n_max", "d_max", "k_max"),
+    "prop11-sym": (("n_max", "d_max", "k_max"), lambda ns: _mf().symbolic_pairs(ns.n_max, ns.d_max),
                    lambda ns: _mf().symbolic_suite(_mf().verify_prop11_symbolic, ns.n_max, ns.d_max, ns.k_max)),
-    "prop11-ci": (("n_max", "max_c", "k_max"), lambda ns: _mf().prop11_ci_suite(ns.n_max, ns.max_c, ns.k_max)),
-    "catalog": (("m_max",), lambda ns: cat.verify_catalog(ns.m_max)),
-    "todd-identity": (("k_max",), lambda ns: _mf().todd_identity_suite(ns.k_max)),
+    "prop11-ci": (("n_max", "max_c", "k_max"), lambda ns: _mf().prop11_ci_specs(ns.n_max, ns.max_c),
+                  lambda ns: _mf().prop11_ci_suite(ns.n_max, ns.max_c, ns.k_max)),
+    "catalog": (("m_max",), None, lambda ns: cat.verify_catalog(ns.m_max)),
+    "todd-identity": (("k_max",), None, lambda ns: _mf().todd_identity_suite(ns.k_max)),
 }
-
-
-def _symbolic_size(ns) -> int:
-    """sum_{n <= n_max} (min(d_max, n-1) + 1), the (n, d) pairs of a symbolic suite, unlisted.
-
-    n up to m = min(n_max, d_max + 1) gives n pairs, and each n past it d_max + 1.
-    """
-    m = min(ns.n_max, ns.d_max + 1)
-    return m * (m + 1) // 2 + (ns.n_max - m) * (ns.d_max + 1)
-
-
-def _ci_size(ns) -> int:
-    """The CI specs of prop11-ci, counted up to one past the cap."""
-    specs = (d for n in range(1, ns.n_max + 1) for d in fam.enumerate_fano_ci(n, ns.max_c))
-    return sum(1 for _ in itertools.islice(specs, MAX_CENSUS_SPECS + 1))
-
-
-# the suites that check one item per (n, d) pair or CI spec: how many their bounds give, so
-# that more than the census's cap is refused before any is listed.  The other suites list
-# about --k-max or --m-max items
-SUITE_SIZES = {"claim31": _symbolic_size, "prop11-sym": _symbolic_size, "prop11-ci": _ci_size}
 
 # the `verify` bounds: dest -> (flag, default, floor).  The parser leaves a bound unset, so a
 # flag a suite does not read can be refused; below its floor a bound names no check, or
@@ -283,7 +274,7 @@ VERIFY_BOUNDS = {
 
 
 def _suites_reading(dest: str) -> str:
-    return ", ".join(name for name, (bounds, _) in SUITES.items() if dest in bounds)
+    return ", ".join(name for name, (bounds, _, _) in SUITES.items() if dest in bounds)
 
 
 def _verify_bounds(ns) -> None:
@@ -367,10 +358,10 @@ def _items(ns) -> tuple[Iterable[dict], str | None]:
         return [item], None
     if ns.cmd == "verify":
         _verify_bounds(ns)
-        bounds, suite = SUITES[ns.suite]
-        if ns.suite in SUITE_SIZES and SUITE_SIZES[ns.suite](ns) > MAX_CENSUS_SPECS:
+        bounds, listing, suite = SUITES[ns.suite]
+        if listing is not None:
             narrow = " or ".join(VERIFY_BOUNDS[dest][0] for dest in bounds if dest != "k_max")
-            raise UsageError(f"verify {ns.suite} lists more than {MAX_CENSUS_SPECS} items; narrow {narrow}")
+            _check_cap(listing(ns), f"verify {ns.suite} items", narrow)
         return suite(ns), "ok"
     raise UsageError(f"unknown command {ns.cmd!r}")
 

@@ -389,9 +389,7 @@ def minimal_pair(spec: FamilySpec) -> PolarizedPair:
     if spec.kind in (SG, SG_DEGENERATE):
         if n == 2 * k:
             return cat.pair_projective_space(k - 1, polarization_degree=2)
-        return cat.pair_linear_blowup(
-            n - k - 1, n - 2 * k - 1, label=f"P_P{k-1}(O2+O1^{n-2*k})(OP1)"
-        )
+        return cat.pair_linear_blowup(n - k - 1, n - 2 * k - 1)
     if spec.kind == G2P:
         return cat.pair_projective_space(1, polarization_degree=3)
     raise NoPairError("no stated minimal pair for products")

@@ -65,7 +65,6 @@ class _MonomialModel(RingModel):
 
     def __init__(self, name: str, symbol: str, max_degree: int):
         self.symbol = symbol
-        self._label: dict[_Key, str] = {}  # the key -> label of each degree built
         super().__init__(name, max_degree, None)
 
     def _name(self, key: _Key) -> str:
@@ -74,9 +73,7 @@ class _MonomialModel(RingModel):
         return "*".join(f for f in factors if f != "1") or "1"
 
     def _build_degree(self, degree):
-        pairs = [(self._name(key), key) for key in self._keys(degree)]
-        self._label.update((key, label) for label, key in pairs)
-        return pairs
+        return [(self._name(key), key) for key in self._keys(degree)]
 
     def _mul_labels(self, x, y):
         """l-exponents add; s^2 = -s*l, s*x_j = 0, and nothing above the truncation."""
@@ -87,11 +84,9 @@ class _MonomialModel(RingModel):
         a, j, b, c = a1 + a2, j1 + j2, b1 + b2, 1
         if b == 2:  # s^2 = -s*l
             a, b, c = a + 1, 1, -1
-        if b and j:  # s * x_j = 0
+        if b and j or self._degree[x] + self._degree[y] > self.dimension:  # s * x_j = 0, or past the truncation
             return {}
-        self.basis(self._degree[x] + self._degree[y])  # the product's degree, so that _label holds its key
-        label = self._label.get((a, j, b))
-        return {} if label is None else {label: c}
+        return {self._name((a, j, b)): c}
 
     def _generator(self, label: str) -> GradedClass:
         """A generator of the model, zero when it lies above the truncation."""
@@ -281,8 +276,7 @@ def push_pi(x: GradedClass) -> GradedClass:
     for label, c in x.terms.items():
         a, j, s = x.ring._key[label]
         if s or j:  # distinct labels have distinct images
-            fam.basis(x.ring._degree[label] - 1)  # the image's degree, so that _label holds it
-            out[fam._label[(a, j, 0)]] = c
+            out[fam._name((a, j, 0))] = c
     return GradedClass(fam, out)
 
 
@@ -506,21 +500,27 @@ def verify_prop11_ci(n: int, degrees: Sequence[int], k_max: int) -> Verification
 # each returns or yields the {check, ok, detail} items that `verify` prints
 
 
+def symbolic_pairs(n_max: int, d_max: int) -> Iterator[tuple[int, int]]:
+    """The (n, d) of a symbolic suite, one at a time: 1 <= n <= n_max, 0 <= d <= min(d_max, n-1)."""
+    return ((n, d) for n in range(1, n_max + 1) for d in range(min(d_max, n - 1) + 1))
+
+
 def symbolic_suite(check: Callable, n_max: int, d_max: int, k_max: int) -> Iterator[dict]:
-    """Yields check(n, d, k_max)'s item for 1 <= n <= n_max, 0 <= d <= min(d_max, n-1), one at a time.
+    """Yields check(n, d, k_max)'s item for each of symbolic_pairs(n_max, d_max), one at a time.
 
     check is verify_claim31 or verify_prop11_symbolic.
     """
-    for n in range(1, n_max + 1):
-        for d in range(0, min(d_max, n - 1) + 1):
-            yield check(n, d, k_max).item()
+    return (check(n, d, k_max).item() for n, d in symbolic_pairs(n_max, d_max))
+
+
+def prop11_ci_specs(n_max: int, max_c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The (n, degrees) of prop11_ci_suite, one at a time: each Fano complete intersection in P^n, n <= n_max."""
+    return ((n, degrees) for n in range(1, n_max + 1) for degrees in enumerate_fano_ci(n, max_c))
 
 
 def prop11_ci_suite(n_max: int, max_c: int, k_max: int) -> Iterator[dict]:
     """Yields verify_prop11_ci on every Fano complete intersection covered by lines, n <= n_max."""
-    for n in range(1, n_max + 1):
-        for degrees in enumerate_fano_ci(n, max_c):
-            yield verify_prop11_ci(n, degrees, k_max).item()
+    return (verify_prop11_ci(n, degrees, k_max).item() for n, degrees in prop11_ci_specs(n_max, max_c))
 
 
 def todd_identity_suite(k_max: int) -> Iterator[dict]:

@@ -358,9 +358,12 @@ class ProjBundleRing(RingModel):
     def from_base(self, x: GradedClass) -> GradedClass:
         if x.ring is not self.base:
             raise RingMismatchError("class does not live on the base")
+        for degree in x.degrees():
+            self.basis(degree)  # a base label b is the label b * xi^0 of its degree, read without the others
         return GradedClass(self, {_join_labels(l, "1"): c for l, c in x.terms.items()})
 
     def xi(self) -> GradedClass:
+        self.basis(1)  # degree 1 holds xi: read through basis(), which builds it alone
         return self.monomial(_pow_label(self.gen, 1))
 
     def xi_power_normal(self, t: int) -> tuple[GradedClass, ...]:

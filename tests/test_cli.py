@@ -1,4 +1,3 @@
-import argparse
 import csv
 import hashlib
 import importlib
@@ -702,6 +701,11 @@ def test_grassmannian_census_past_the_row_bound_stops_listing(capsys, monkeypatc
     assert captured.out == ""
     assert captured.err == "error: census lists more than 5 specs; narrow --k-range or --n-range\n"
     assert made == [(2, n) for n in range(4, 10)]
+    # at the cap a census runs: G(2,4)..G(2,8) are five specs, and G(2,9) is one too many
+    code, out = run_cli(capsys, "census", "G", "--k-range", "2", "--n-range", "4..8", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 5
+    assert main(["census", "G", "--k-range", "2", "--n-range", "4..9"]) == 2
+    assert capsys.readouterr().err == "error: census lists more than 5 specs; narrow --k-range or --n-range\n"
     # specs whose dimension is below --k are not listed, so they count for nothing: of
     # G(2,4)..G(2,40) only the four from n = 37 on reach dimension 70
     code, out = run_cli(capsys, "census", "G", "--k", "70", "--k-range", "2", "--n-range", "4..40", "--format", "csv")
@@ -905,12 +909,28 @@ def test_verify_past_the_census_cap_is_refused_before_any_check(capsys, monkeypa
     assert captured.err == f"error: verify {suite} lists more than 10 items; narrow {narrow}\n"
 
 
-def test_symbolic_suite_size_counts_its_pairs():
-    for n_max in range(1, 9):
-        for d_max in range(0, 10):
-            pairs = [(n, d) for n in range(1, n_max + 1) for d in range(0, min(d_max, n - 1) + 1)]
-            assert cli._symbolic_size(argparse.Namespace(n_max=n_max, d_max=d_max)) == len(pairs)
-    assert cli._symbolic_size(argparse.Namespace(n_max=450, d_max=449)) == 101_475
+def test_each_capped_suite_is_refused_exactly_past_its_listing(monkeypatch):
+    # each suite counts the listing it runs, where claim31 and prop11-sym used to count a
+    # closed form of their loop and prop11-ci a copy of it.  With the cap at the listing's
+    # length L the suite runs, and at L - 1 it is refused before any item is checked
+    parser = cli._build_parser()
+    grid = [(suite, "--n-max or --d-max", ("--n-max", str(n_max), "--d-max", str(d_max)),
+             len([(n, d) for n in range(1, n_max + 1) for d in range(0, min(d_max, n - 1) + 1)]))
+            for suite in ("claim31", "prop11-sym") for n_max in range(1, 9) for d_max in range(0, 10)]
+    grid += [("prop11-ci", "--n-max or --max-c", ("--n-max", str(n_max), "--max-c", str(max_c)),
+              len([d for n in range(1, n_max + 1) for d in fam.enumerate_fano_ci(n, max_c)]))
+             for n_max in range(1, 11) for max_c in range(0, 4)]
+    for i, (suite, narrow, bounds, size) in enumerate(grid):
+        def items(cap):
+            monkeypatch.setattr(cli, "MAX_CENSUS_SPECS", cap)
+            return cli._items(parser.parse_args(["verify", suite, *bounds, "--k-max", "1"]))[0]
+
+        fitting = items(size)
+        if i % 23 == 0:  # the listing's length is the number of items the suite yields
+            assert len(list(fitting)) == size, (suite, bounds)
+        with pytest.raises(cli.UsageError) as err:
+            items(size - 1)
+        assert str(err.value) == f"verify {suite} lists more than {size - 1} items; narrow {narrow}"
 
 
 def test_a_witness_too_long_to_print_is_refused(capsys):

@@ -217,9 +217,8 @@ class _WrongSquare(UniversalModel):
 
     def _mul_labels(self, x, y):
         (a1, _, s1), (a2, _, s2) = self._key[x], self._key[y]
-        if s1 + s2 == 2:
-            label = self._label.get((a1 + a2 + 1, 0, 1))
-            return {} if label is None else {label: 1}
+        if s1 + s2 == 2 and self._degree[x] + self._degree[y] <= self.dimension:
+            return {self._name((a1 + a2 + 1, 0, 1)): 1}
         return super()._mul_labels(x, y)
 
 

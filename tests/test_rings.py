@@ -102,6 +102,28 @@ def test_projbundle_known_relations():
     assert (tb.xi() ** 2).is_zero()
 
 
+def test_projbundle_generators_register_only_their_degrees(monkeypatch):
+    base = ProjectiveSpaceRing(40)
+    h = base.hyperplane()
+    h3 = h**3
+    pb = ProjBundleRing(base, [-h], 2)
+    register, registered = ProjBundleRing._register, []
+
+    def recording(ring, degree, pairs):
+        registered.append((ring, degree))
+        register(ring, degree, pairs)
+
+    monkeypatch.setattr(ProjectiveSpaceRing, "_register", recording)
+    monkeypatch.setattr(ProjBundleRing, "_register", recording)
+    # xi and a base class read their own degrees of P(E); their labels used to build
+    # every degree of P(E) and of P^40 not built yet, 76 registrations here
+    xi, h_up = pb.xi(), pb.from_base(h)
+    assert registered == [(pb, 1)]
+    assert xi.terms == {"xi": 1} and h_up.terms == {"h": 1}
+    assert pb.from_base(h3 + h).terms == {"h^3": 1, "h": 1}
+    assert registered == [(pb, 1), (pb, 3)]
+
+
 def test_projbundle_whitney_first_chern():
     # O(2) + O(1)^m over P^(m+1): the relation reduces xi^(m+1) with c_1 = (m+2)h
     m = 2
