@@ -20,12 +20,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "numeric": ("bernoulli", "power_sum", "todd_coeff"),
     "rings": ("GradedClass", "ProductRing", "ProjBundleRing", "ProjectiveSpaceRing", "RingModel"),
-    "schubert": ("GrassmannianRing", "dual_pairing", "partition_label", "pieri"),
+    "schubert": ("GrassmannianRing", "partition_label"),
     "bundles": ("todd_line",),
     "minimalfamily": ("MinimalFamilyInput", "T_power", "ch_Hx", "ci_T_images", "ci_family_character_direct",
                       "model_ring", "push_pi", "verify_claim31", "verify_prop11_ci", "verify_prop11_symbolic"),
-    "catalog": ("PolarizedPair", "catalog_entries", "catalog_to_json", "classify_pair", "positivity_of_twist",
-                "twist_class"),
+    "catalog": ("PolarizedPair", "catalog_entries", "classify_pair", "positivity_of_twist", "twist_class"),
     "families": ("FamilySpec", "Verdict", "chk_verdict", "consistency_check", "minimal_pair", "parse_spec",
                  "product_nonexample", "threshold_oracle"),
 }

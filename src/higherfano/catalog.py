@@ -323,16 +323,6 @@ def catalog_entries() -> tuple[PolarizedPair, ...]:
     return tuple(seen.values())
 
 
-def catalog_to_json() -> str:
-    """Serialize the static catalog (exact integers/rationals as strings)."""
-    import json
-    doc = {
-        "catalog_version": CATALOG_VERSION,
-        "pairs": [p.to_dict() for p in catalog_entries()],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 # -- verification suite -----------------------------------------------------------
 
 

@@ -139,8 +139,7 @@ def _census_specs(ns) -> Iterable[fam.FamilySpec]:
                 yield from tuples(n)
 
         _check_cap(listing(), "census specs", "--n-range or --max-c")
-        # specs on one P^n sort as their degree tuples, which are nonincreasing already,
-        # so each spec is built as ci() would sort it
+        # specs on one P^n sort as their degree tuples
         return (fam.FamilySpec(fam.CI, 0, n, degrees) for n in ambients for degrees in sorted(tuples(n)))
     else:
         if ns.k_range is None or ns.n_range is None:

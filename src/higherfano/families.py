@@ -4,10 +4,12 @@ Each family kind builds its tangent character in a distinguished ambient ring
 (a projective space, a product of projective spaces, or a Grassmannian) and
 decides positivity of ch_k by pairing against the dual basis.  For the
 zero-locus families cut out of a Grassmannian the pairings are the ambient
-Schubert coefficients; that reduction is sound because the restricted dual
-cycles stay effective and the curve-to-surface transfer from the minimal
-family surjects onto the effective cone - facts recorded here per family,
-never computed.
+Schubert coefficients of ch_k(T_G) - ch_k(N).  Schubert classes are nef
+(Kleiman), and so are their restrictions to X: coefficients all > 0 (all >= 0)
+prove ch_k positive (>= 0) on X at every k.  A NEITHER is the ambient verdict
+only, since the dual cycle of a negative coefficient lies in G and not
+necessarily in X; on GH, OG, SG and SGdeg it is wrong on some rows with
+k >= 5 (ROADMAP item 26).
 
 Each Grassmannian kind is a row of ZERO_LOCI: X in G(k,n) is the zero locus of a
 section of its normal bundle N, and the row holds N's summands, the (k, n) the
@@ -88,6 +90,8 @@ class FamilySpec(namedtuple("FamilySpec", "kind k n degrees")):
     __slots__ = ()
 
     def __new__(cls, kind: str, k: int = 0, n: int = 0, degrees: tuple[int, ...] = ()):
+        if kind == CI:  # one spec per family: its degrees nonincreasing, however they are given
+            degrees = tuple(sorted(degrees, reverse=True))
         return validate(super().__new__(cls, kind, k, n, degrees))
 
     def text(self) -> str:
@@ -101,7 +105,7 @@ class FamilySpec(namedtuple("FamilySpec", "kind k n degrees")):
 
 
 def ci(n: int, degrees: Sequence[int]) -> FamilySpec:
-    return FamilySpec(CI, n=n, degrees=tuple(sorted((int(d) for d in degrees), reverse=True)))
+    return FamilySpec(CI, n=n, degrees=tuple(map(int, degrees)))
 
 
 def integer(text: str) -> int:
@@ -288,9 +292,11 @@ def chk_verdict(spec: FamilySpec, k: int) -> Verdict:
     the status reads the signs of the integers p(k), which are those of ch_k as
     k! > 0, and each witness divides once.  For the zero-locus families the
     pairings are the ambient Schubert coefficients (modeling note recorded on the
-    verdict); for the Lagrangian boundary SG[k,2k] the two ambient degree-2
-    duals restrict to a single effective class (b_4 = 1), so the verdict uses
-    the collapsed pairing.  ValueError if p(k) names a label outside degree k.
+    verdict): Schubert classes are nef, so POSITIVE (NEF_ONLY) proves ch_k > 0
+    (>= 0) on X, but NEITHER is the ambient verdict, wrong on some rows with k >= 5
+    (ROADMAP item 26).  For the Lagrangian boundary SG[k,2k] the two ambient
+    degree-2 duals restrict to a single effective class (b_4 = 1), so the verdict
+    uses the collapsed pairing.  ValueError if p(k) names a label outside degree k.
     """
     return _verdict_and_sums(spec, k)[0]
 

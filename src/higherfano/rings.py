@@ -259,10 +259,16 @@ class RingModel:
     # -- multiplication ----------------------------------------------------
 
     def mul_basis(self, a: str, b: str) -> Mapping[str, int | Fraction]:
-        """a*b as {label: structure constant}, memoised as _mul_labels returns it."""
+        """a*b as {label: structure constant}, memoised as _mul_labels returns it.
+
+        The product's degree is built first when a and b are known, and no other degree.
+        """
         key = (a, b) if a <= b else (b, a)
         hit = self._mul_cache.get(key)
         if hit is None:
+            degree = self._degree
+            if a in degree and b in degree:
+                self.basis(degree[a] + degree[b])
             hit = self._mul_cache[key] = self._mul_labels(*key)
         return hit
 

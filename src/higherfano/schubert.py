@@ -20,13 +20,12 @@ o1_power_sum (O(1), from the hook lengths).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
-from .rings import DegreeError, GradedClass, RingModel, basis_size_error
+from .rings import GradedClass, RingModel, basis_size_error
 
 Partition = tuple[int, ...]
 
@@ -198,31 +197,15 @@ class GrassmannianRing(RingModel):
         self._has_label(label)
         return self._key[label]
 
-    def box_partition(self, parts: Iterable[int]) -> Partition:
-        """parts as a canonical partition; ValueError unless it fits the k x (n-k) box."""
+    def sigma(self, parts: Iterable[int]) -> GradedClass:
+        """sigma_parts; ValueError unless the partition fits the k x (n-k) box."""
         p = normalize_partition(parts)
         if len(p) > self.k or (p and p[0] > self.cols):
             raise ValueError(f"partition {p} does not fit the {self.k}x{self.cols} box")
-        return p
-
-    def sigma(self, parts: Iterable[int]) -> GradedClass:
-        return self.monomial(_label(self.box_partition(parts)))
-
-    def complement(self, parts: Iterable[int]) -> Partition:
-        p = self.box_partition(parts)
-        padded = p + (0,) * (self.k - len(p))
-        return normalize_partition(self.cols - x for x in reversed(padded))
+        return self.monomial(_label(p))
 
     def _mul_labels(self, a, b):
         return _product(self.partition_of(a), self.partition_of(b), self.k, self.cols)
-
-
-def pieri(ring: GrassmannianRing, lam: Iterable[int], i: int) -> GradedClass:
-    """sigma_lam * sigma_i by the Pieri rule (possibly zero)."""
-    lam = ring.box_partition(lam)
-    if not 1 <= i <= ring.cols:
-        raise ValueError(f"Pieri index must be in 1..{ring.cols}")
-    return GradedClass(ring, {_label(mu): 1 for mu in _horizontal_strips(lam, i, ring.k, ring.cols)})
 
 
 def _power_sum(ring: GrassmannianRing, j: int, times: int = 1) -> dict[str, int]:
@@ -339,18 +322,3 @@ def _adams_square(j: int, t: int, k: int, cols: int) -> dict[str, int]:
                 acc[lam] = acc.get(lam, 0) + w * sign * strip_sign
     return {_label(lam): c for lam, c in acc.items() if c}
 
-
-def dual_pairing(x: GradedClass, mu: Iterable[int]) -> Fraction:
-    """integrate(x * sigma_mu) for mu of complementary codimension."""
-    ring = x.ring
-    if not isinstance(ring, GrassmannianRing):
-        raise ValueError("dual_pairing needs a Grassmannian class")
-    mu = normalize_partition(mu)
-    c = x.homogeneous_degree()
-    if c is None:
-        return Fraction(0)
-    if sum(mu) != ring.dimension - c:
-        raise DegreeError(
-            f"degree mismatch: codim {c} class needs |mu| = {ring.dimension - c}, got {sum(mu)}"
-        )
-    return (x * ring.sigma(mu)).integrate()

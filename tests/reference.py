@@ -17,6 +17,9 @@ families._power_sums divided once; bundle_nonexample_diagnostic is
 families.bundle_nonexample_diagnostic built with characters on P(E): E's Chern
 classes by inverse Newton, E^dual pulled back and multiplied by e^xi.
 
+complement is the Schubert class dual to sigma_lam on G(k, n), read off the box;
+catalog_json is the static catalog as JSON, exact numbers as strings.
+
 render_report renders a whole CLI report at once, from the list of its items;
 the CLI writes each item as it is computed and must match it byte for byte.
 """
@@ -31,11 +34,12 @@ from math import factorial
 from typing import Sequence
 
 from higherfano.bundles import power_sum_class
+from higherfano.catalog import CATALOG_VERSION, catalog_entries
 from higherfano.cli import CSV_COLUMNS
 from higherfano.families import FamilySpec, InvalidFamilyError, _power_sums, dim_x
 from higherfano.rings import (DegreeError, GradedClass, ProjBundleRing, ProjectiveSpaceRing, RingMismatchError,
                               RingModel, check_graded)
-from higherfano.schubert import GrassmannianRing
+from higherfano.schubert import GrassmannianRing, Partition, normalize_partition
 
 
 class CharacterVector:
@@ -234,6 +238,14 @@ def tautological_chern(ring: GrassmannianRing, which: str) -> tuple[GradedClass,
     raise ValueError("which must be 'sub-dual' or 'quotient'")
 
 
+def complement(ring: GrassmannianRing, parts) -> Partition:
+    """The partition mu with integrate(sigma_parts * sigma_mu) = 1: the box's complement of parts, turned round."""
+    p = normalize_partition(parts)
+    ring.sigma(p)  # ValueError unless p fits the k x (n-k) box
+    padded = p + (0,) * (ring.k - len(p))
+    return normalize_partition(ring.cols - x for x in reversed(padded))
+
+
 def tangent_character(spec: FamilySpec, cap: int | None = None) -> CharacterVector:
     """ch(T_X) up to cap in the distinguished ambient ring: each p(j) of _power_sums divided by j! once."""
     ring, p = _power_sums(spec)
@@ -293,3 +305,9 @@ def render_report(report: dict, fmt: str) -> str:
             writer.writerow([item.get(col, "") for col in CSV_COLUMNS])
         return buf.getvalue()
     return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def catalog_json() -> str:
+    """The static catalog as JSON, exact integers and rationals as strings."""
+    doc = {"catalog_version": CATALOG_VERSION, "pairs": [p.to_dict() for p in catalog_entries()]}
+    return json.dumps(doc, indent=2, sort_keys=True)

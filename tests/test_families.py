@@ -634,6 +634,24 @@ def test_integer_verdict_matches_the_power_sum_class():
             assert verdict.status == fam.TWIST_TO_VERDICT[tri_state([v for _, v in expected])], (spec, k)
 
 
+def test_sg_2_6_pairs_ch6_with_h_positively():
+    # SG(2,6) is the zero locus in G(2,6) of a section of N = Lambda^2 S^dual = O(1): dim X = 7
+    # and b_2 = 1, so ch_6(T_X) is decided by the one number
+    # int_X ch_6 h = int_G A_6 c_top(N) sigma_1 = int_G A_6 sigma_1 sigma_1, A_6 the ambient class
+    spec = parse_spec("SG[2,6]")
+    ring, p = fam._power_sums(spec)
+    s1 = ring.sigma((1,))
+    assert dim_x(spec) == 7
+    assert (power_sum_class(ring, 6, p(6)) * s1 * s1).integrate() == Fraction(7, 360)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 26")
+def test_sg_2_6_ch6_is_positive_on_x():
+    # the ambient coefficients (13/144, -17/240) are not pairings on X: by the test above
+    # ch_6 is positive on X's one ray of curves, but the verdict reads them as NEITHER
+    assert chk_verdict(parse_spec("SG[2,6]"), 6).status == POSITIVE
+
+
 def test_verdict_refuses_a_power_sum_label_of_another_degree(monkeypatch):
     # the label check the class made: p(k) may name only labels of degree k
     power_sums = fam._power_sums
@@ -651,8 +669,8 @@ def test_verdict_refuses_a_power_sum_label_of_another_degree(monkeypatch):
 
 
 def test_enumerate_fano_ci_lists_each_nonincreasing_tuple_once():
-    # the CI census builds FamilySpec(CI, 0, n, degrees) from these tuples directly, which
-    # is ci(n, degrees) because each one is sorted already
+    # the CI census builds FamilySpec(CI, 0, n, degrees) from these tuples directly, and
+    # sorts each P^n's specs by these tuples
     for n in range(1, 15):
         for c in range(5):
             tuples = list(enumerate_fano_ci(n, c))
@@ -661,6 +679,13 @@ def test_enumerate_fano_ci_lists_each_nonincreasing_tuple_once():
                 assert len(degrees) <= c and all(d >= 2 for d in degrees) and sum(degrees) <= n - 1, (n, degrees)
                 assert list(degrees) == sorted(degrees, reverse=True), (n, degrees)
                 assert fam.FamilySpec(fam.CI, 0, n, degrees) == fam.ci(n, degrees), (n, degrees)
+
+
+def test_a_ci_family_is_one_spec_however_its_degrees_are_ordered():
+    spec = fam.FamilySpec(fam.CI, 0, 9, (2, 3))
+    assert spec == fam.parse_spec("CI[9;2,3]") == fam.parse_spec("CI[9;3,2]") == fam.ci(9, [2, 3])
+    assert spec.degrees == (3, 2) and str(spec) == "CI[9;3,2]"
+    assert minimal_pair(spec).label == "lines(CI[9;3,2])"
 
 
 def test_deep_grassmannian_verdict_builds_no_lower_degree(monkeypatch):

@@ -124,6 +124,25 @@ def test_projbundle_generators_register_only_their_degrees(monkeypatch):
     assert registered == [(pb, 1), (pb, 3)]
 
 
+def test_a_product_registers_only_its_own_degree(monkeypatch):
+    base = ProjectiveSpaceRing(40)
+    h = base.hyperplane()
+    pb = ProjBundleRing(base, [-h], 2)
+    xi = pb.xi()
+    register, registered = ProjBundleRing._register, []
+
+    def recording(ring, degree, pairs):
+        registered.append((ring, degree))
+        register(ring, degree, pairs)
+
+    monkeypatch.setattr(ProjectiveSpaceRing, "_register", recording)
+    monkeypatch.setattr(ProjBundleRing, "_register", recording)
+    # xi^2 = c_1 xi = -h*xi lands in degree 2 of P(E) and of P^40; its labels used to
+    # build every degree of both not built yet, 77 registrations here
+    assert (xi * xi).terms == {"h*xi": -1}
+    assert registered == [(base, 2), (pb, 2)]
+
+
 def test_projbundle_whitney_first_chern():
     # O(2) + O(1)^m over P^(m+1): the relation reduces xi^(m+1) with c_1 = (m+2)h
     m = 2
