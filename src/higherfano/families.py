@@ -85,14 +85,20 @@ class NoPairError(ValueError):
 
 
 class FamilySpec(namedtuple("FamilySpec", "kind k n degrees")):
-    """A parametric family, validated whenever built; `k`/`n` hold (a, b) for PP."""
+    """A parametric family, validated whenever built; `k`/`n` hold (a, b) for PP.
+
+    Every route validates: the constructor, unpickling, and _make (length-checked) and _replace,
+    which namedtuple's own run past __new__.
+    """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, k: int = 0, n: int = 0, degrees: tuple[int, ...] = ()):
-        if kind == CI:  # one spec per family: its degrees nonincreasing, however they are given
-            degrees = tuple(sorted(degrees, reverse=True))
+        # one spec per family: its degrees a tuple, and a CI's nonincreasing, however they are given
+        degrees = tuple(sorted(degrees, reverse=True) if kind == CI else degrees)
         return validate(super().__new__(cls, kind, k, n, degrees))
+
+    _make = classmethod(lambda cls, fields: cls(*super(FamilySpec, cls)._make(fields)))
 
     def text(self) -> str:
         if self.kind == CI:
@@ -147,9 +153,15 @@ def parse_spec(text: str) -> FamilySpec:
 
 
 def validate(spec: FamilySpec) -> FamilySpec:
-    """Raise InvalidFamilyError unless spec names a family; FamilySpec runs it when built."""
+    """Raise InvalidFamilyError unless spec names a family; FamilySpec runs it when built.
+
+    A field the kind does not read must hold its zero: k on CI, degrees on
+    every other kind, and k and n on G2P.
+    """
     k, n = spec.k, spec.n
     if spec.kind == CI:
+        if k != 0:
+            raise InvalidFamilyError("CI takes no k")
         if n < 1:
             raise InvalidFamilyError("CI needs n >= 1")
         if any(d < 1 for d in spec.degrees):
@@ -163,8 +175,13 @@ def validate(spec: FamilySpec) -> FamilySpec:
     elif spec.kind == PRODUCT_PN:
         if k < 1 or n < 1:
             raise InvalidFamilyError("PP needs a, b >= 1")
-    elif spec.kind != G2P:
+    elif spec.kind == G2P:
+        if k != 0 or n != 0:
+            raise InvalidFamilyError("G2P takes no parameters")
+    else:
         raise InvalidFamilyError(f"unknown family kind {spec.kind!r}")
+    if spec.kind != CI and spec.degrees:
+        raise InvalidFamilyError(f"{spec.kind} takes no degrees")
     return spec
 
 

@@ -30,9 +30,9 @@ of the character cycle Z, so that z_class(n) only adds n * ch(O(-s)) to it;
 the n-free parts e_k - l^k/k!, s*l^k/k! and t_k of the closed forms that
 verify_claim31 compares Z with; and its identities (iv)-(viii).  Its checks on
 Z read n but not d, and are built once per n, multiplying only by the scalars
-that read n: (n+1)(-1)^k/k!, (n+1)/k! and n/k!.  A claim31 report holds these
-shared checks and puts its (n, d) at the head of their params only when it is
-read.
+that read n: (n+1)(-1)^k/k!, (n+1)/k! and n/k!.  A claim31 item renders these
+shared checks, with its (n, d) at the head of the params of each failure it
+shows.
 
 Pushforward down the bundle lands in FamilyModel, whose labels are l^a and
 l^a*t_j with t_j of degree j-1 (such as "l^2*t_3"): pure powers of l push to
@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bundles import exp_line, todd_line
 from .families import ci, enumerate_fano_ci, minimal_pair
@@ -189,7 +189,7 @@ class UniversalModel(_MonomialModel):
         """Identities (iv)-(viii) of verify_claim31, which read neither n nor d.
 
         Each check compares exactly the classes it names; its params lack the
-        (n, d) prefix that each report adds.
+        (n, d) prefix that each item adds.
         """
         S, L, C, LH = self.powers
         top = self.dimension
@@ -213,7 +213,7 @@ class UniversalModel(_MonomialModel):
 
         Z_0 = n-1, then for each k up to the truncation's k_max the normal
         form of Z_k and Z_k*s and their pushforwards.  Like
-        claim31_identities, params lack the (n, d) prefix that each report adds.
+        claim31_identities, params lack the (n, d) prefix that each item adds.
         """
         hit = self._claim31_by_n.get(n)
         if hit is not None:
@@ -280,7 +280,7 @@ def push_pi(x: GradedClass) -> GradedClass:
     return GradedClass(fam, out)
 
 
-# -- verification reports ------------------------------------------------------
+# -- verification items --------------------------------------------------------
 
 
 class Check(NamedTuple):
@@ -297,50 +297,30 @@ class Check(NamedTuple):
         return cls(name, params, ok, "" if ok else repr(lhs), "" if ok else repr(rhs))
 
 
-class VerificationReport:
-    """Checks under one label, with `prefix` put at the head of each check's params when read.
+def report_item(label: str, checks: Iterable[Check], prefix: tuple = ()) -> dict:
+    """The checks under label as one {check, ok, detail} item; detail shows the first three failures.
 
-    The prefix lets many reports hold the same checks: a claim31 report holds
-    its ring's checks for n and its ring's identities, and adds (n, d) to the
-    params of the checks it hands out.
+    prefix goes at the head of each shown failure's params, so many items can
+    render the same checks: a claim31 item renders its ring's checks for n and
+    its ring's identities with prefix (n, d).
     """
-
-    def __init__(self, label: str, checks: Sequence[Check] | None = None, prefix: tuple = ()):
-        self.label = label
-        self._checks = [] if checks is None else list(checks)
-        self._prefix = prefix
-
-    def record(self, name: str, params: tuple, lhs, rhs) -> None:
-        self._checks.append(Check.compare(name, params, lhs, rhs))
-
-    @property
-    def checks(self) -> list[Check]:
-        """Every check, with the prefix at the head of its params, as a new list."""
-        return [c._replace(params=self._prefix + c.params) for c in self._checks]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self._checks)
-
-    def item(self) -> dict:
-        """The report as one {check, ok, detail} item; detail shows the first three failures."""
-        fails = list(islice((c for c in self._checks if not c.ok), 3))
-        detail = "; ".join(f"{c.name}{self._prefix + c.params}: {c.lhs} != {c.rhs}" for c in fails)
-        return {"check": self.label, "ok": not fails, "detail": detail}
+    fails = list(islice((c for c in checks if not c.ok), 3))
+    detail = "; ".join(f"{c.name}{prefix + c.params}: {c.lhs} != {c.rhs}" for c in fails)
+    return {"check": label, "ok": not fails, "detail": detail}
 
 
-def verify_claim31(n: int, d: int, k_max: int) -> VerificationReport:
+def verify_claim31(n: int, d: int, k_max: int) -> dict:
     """Check the closed formulas for the graded pieces of the character cycle.
 
     Exercises, for all k <= k_max: the normal form of Z_k, Z_k*s, their
     pushforwards, Z_0 = n-1, and the auxiliary product and pushforward
     identities used along the way.  The ring computes each check once per n
     (the Z checks) or once (the identities); d enters only the params, which
-    the report heads with (n, d) when it is read.
+    the item heads with (n, d).
     """
     u = model_ring(n, d, k_max)
     checks = u.claim31_z_checks(n) + u.claim31_identities
-    return VerificationReport(f"claim31(n={n}, d={d}, k_max={k_max})", checks, prefix=(n, d))
+    return report_item(f"claim31(n={n}, d={d}, k_max={k_max})", checks, prefix=(n, d))
 
 
 def _character_formula(ell: GradedClass, t: Callable[[int], GradedClass], k: int) -> GradedClass:
@@ -359,7 +339,7 @@ def family_character_formula(fam: FamilyModel, k: int) -> GradedClass:
     return _character_formula(fam.ell(), fam.t, k)
 
 
-def verify_prop11_symbolic(n: int, d: int, k_max: int) -> VerificationReport:
+def verify_prop11_symbolic(n: int, d: int, k_max: int) -> dict:
     """Re-derive the family character formula from first principles.
 
     Expands the pushforward of the degree-(k+1) piece of the full
@@ -371,18 +351,16 @@ def verify_prop11_symbolic(n: int, d: int, k_max: int) -> VerificationReport:
     u = model_ring(n, d, k_max)
     fam = u.family
     lh = fam.ell()
-    report = VerificationReport(f"prop11_symbolic(n={n}, d={d}, k_max={k_max})")
+    checks = []
 
     w = u.w_class(n)
     for k in range(1, k_max + 1):
         lhs = push_pi(w.degree_part(k + 1))
         rhs = family_character_formula(fam, k)
-        report.record("ch_k(H) derivation", (n, d, k), lhs, rhs)
-        report.record(
-            "standalone l^k coefficient",
-            (n, d, k),
-            lhs.coefficient(_pow_label("l", k)),
-            Fraction(-1, factorial(k)),
+        coeff = lhs.coefficient(_pow_label("l", k))
+        checks += (
+            Check.compare("ch_k(H) derivation", (n, d, k), lhs, rhs),
+            Check.compare("standalone l^k coefficient", (n, d, k), coeff, Fraction(-1, factorial(k))),
         )
 
     # substituting the anticanonical identity gives the k = 1, 2 closed forms
@@ -390,11 +368,11 @@ def verify_prop11_symbolic(n: int, d: int, k_max: int) -> VerificationReport:
     w_sub = u.w_class(n, e1_substitution=sub)
     if k_max >= 1:
         rhs1 = fam.t(2) + Fraction(d, 2) * lh
-        report.record("c_1(H) specialization", (n, d, 1), push_pi(w_sub.degree_part(2)), rhs1)
+        checks.append(Check.compare("c_1(H) specialization", (n, d, 1), push_pi(w_sub.degree_part(2)), rhs1))
     if k_max >= 2:
         rhs2 = fam.t(3) + Fraction(1, 2) * lh * fam.t(2) + Fraction(d - 4, 12) * lh**2
-        report.record("ch_2(H) specialization", (n, d, 2), push_pi(w_sub.degree_part(3)), rhs2)
-    return report
+        checks.append(Check.compare("ch_2(H) specialization", (n, d, 2), push_pi(w_sub.degree_part(3)), rhs2))
+    return report_item(f"prop11_symbolic(n={n}, d={d}, k_max={k_max})", checks)
 
 
 # -- concrete evaluation -------------------------------------------------------
@@ -412,6 +390,7 @@ class MinimalFamilyInput(namedtuple("MinimalFamilyInput", "d ell t")):
 
     t[j] is the image of the ambient ch_j under the degree-lowering transfer,
     homogeneous of degree j-1 in the family's ring; t[1] is the scalar d+2.
+    Every route validates: constructor, _make and _replace as in FamilySpec, and unpickling.
     """
 
     __slots__ = ()
@@ -425,6 +404,8 @@ class MinimalFamilyInput(namedtuple("MinimalFamilyInput", "d ell t")):
             if not tj.is_homogeneous(j - 1):
                 raise DegreeError(f"t_{j} must be homogeneous of degree {j - 1}")
         return super().__new__(cls, d, ell, t)
+
+    _make = classmethod(lambda cls, fields: cls(*super(MinimalFamilyInput, cls)._make(fields)))
 
 
 class MissingTransferError(KeyError):
@@ -483,17 +464,16 @@ def ci_family_character_direct(
     return coeff * Fraction(1, factorial(k)) * ell**k
 
 
-def verify_prop11_ci(n: int, degrees: Sequence[int], k_max: int) -> VerificationReport:
+def verify_prop11_ci(n: int, degrees: Sequence[int], k_max: int) -> dict:
     """Cross-validate the formula against the direct complete-intersection oracle."""
     degrees = tuple(int(x) for x in degrees)
     inp = ci_T_images(n, degrees, k_max)
-    report = VerificationReport(f"prop11_ci(n={n}, degrees={degrees}, k_max={k_max})")
-    report.record("t_1 = d+2", (n, degrees), inp.t[1], inp.ell.ring.scalar(inp.d + 2))
+    checks = [Check.compare("t_1 = d+2", (n, degrees), inp.t[1], inp.ell.ring.scalar(inp.d + 2))]
     for k in range(1, k_max + 1):
         lhs = ch_Hx(inp, k)
         rhs = ci_family_character_direct(n, degrees, k, ell=inp.ell)
-        report.record("formula vs direct", (n, degrees, k), lhs, rhs)
-    return report
+        checks.append(Check.compare("formula vs direct", (n, degrees, k), lhs, rhs))
+    return report_item(f"prop11_ci(n={n}, degrees={degrees}, k_max={k_max})", checks)
 
 
 # -- verification suites -------------------------------------------------------
@@ -506,11 +486,11 @@ def symbolic_pairs(n_max: int, d_max: int) -> Iterator[tuple[int, int]]:
 
 
 def symbolic_suite(check: Callable, n_max: int, d_max: int, k_max: int) -> Iterator[dict]:
-    """Yields check(n, d, k_max)'s item for each of symbolic_pairs(n_max, d_max), one at a time.
+    """Yields check(n, d, k_max) for each of symbolic_pairs(n_max, d_max), one at a time.
 
     check is verify_claim31 or verify_prop11_symbolic.
     """
-    return (check(n, d, k_max).item() for n, d in symbolic_pairs(n_max, d_max))
+    return (check(n, d, k_max) for n, d in symbolic_pairs(n_max, d_max))
 
 
 def prop11_ci_specs(n_max: int, max_c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -520,7 +500,7 @@ def prop11_ci_specs(n_max: int, max_c: int) -> Iterator[tuple[int, tuple[int, ..
 
 def prop11_ci_suite(n_max: int, max_c: int, k_max: int) -> Iterator[dict]:
     """Yields verify_prop11_ci on every Fano complete intersection covered by lines, n <= n_max."""
-    return (verify_prop11_ci(n, degrees, k_max).item() for n, degrees in prop11_ci_specs(n_max, max_c))
+    return (verify_prop11_ci(n, degrees, k_max) for n, degrees in prop11_ci_specs(n_max, max_c))
 
 
 def todd_identity_suite(k_max: int) -> Iterator[dict]:

@@ -1210,6 +1210,11 @@ def test_a_report_holds_one_item_however_many_it_has(small, large):
      "b5bfb443088a48558bdeb6a7c3bdf045e2e5c8dc165562743acbf79b97d33cf0"),
     (("verify", "prop11-sym", "--n-max", "12", "--d-max", "11", "--k-max", "8"),
      "1121e3ba87d5881b5745f8aa7202adbc17f84d1d5728d1ae84cc63d703eb4343"),
+    # recorded before the three Check-based suites rendered their items with report_item
+    (("verify", "prop11-ci", "--n-max", "10", "--max-c", "3", "--k-max", "4"),
+     "8852d2d530dd8c68b9ccbf29f755cc7162bc1f84ac913e8ea54fa744cba29675"),
+    (("verify", "catalog", "--m-max", "6"),
+     "3b55219e5c465001d700c9fb59f30fe3f8aeaa42c3724cb228586864059bf5a8"),
 ])
 def test_verify_suite_golden_json(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

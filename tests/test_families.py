@@ -60,6 +60,20 @@ def test_family_specs_are_validating_tuples():
     unchecked = tuple.__new__(fam.FamilySpec, (fam.GRASS, 2, 3, ()))
     with pytest.raises(InvalidFamilyError):
         pickle.loads(pickle.dumps(unchecked))
+    # _make and _replace build through the constructor too: namedtuple's own skip __new__
+    cubic = fam.ci(9, (3, 2))
+    assert cubic._replace(degrees=(2, 3)) == cubic and str(cubic._replace(degrees=(2, 3))) == "CI[9;3,2]"
+    assert fam.FamilySpec._make((fam.CI, 0, 9, [2, 3])) == cubic
+    wider = fam.FamilySpec(fam.GRASS, k=2, n=5)._replace(n=6)
+    assert type(wider) is fam.FamilySpec and wider == fam.parse_spec("G[2,6]")
+    with pytest.raises(InvalidFamilyError, match="CI needs n >= 1"):
+        cubic._replace(n=-1)
+    with pytest.raises(InvalidFamilyError, match="G needs 2 <= k <= n/2"):
+        fam.FamilySpec._make((fam.GRASS, 2, 3, ()))
+    # and _make takes every field, as namedtuple's does, not the constructor's defaults
+    for short in ((fam.G2P,), (fam.CI, 0, 9)):
+        with pytest.raises(TypeError, match="Expected 4 arguments"):
+            fam.FamilySpec._make(short)
 
 
 def test_verdicts_hash_and_compare_without_their_character():
@@ -383,6 +397,20 @@ def test_specs_are_validated_when_built():
         fam.FamilySpec("XX")
     with pytest.raises(InvalidFamilyError):
         fam.FamilySpec(fam.CI, n=4, degrees=(5,))
+    # a field the kind does not read holds its zero, so each family has one spec
+    for fields, message in (
+        ((fam.CI, 5, 9, (3,)), "CI takes no k"),
+        ((fam.GRASS, 2, 5, (3,)), "G takes no degrees"),
+        ((fam.PRODUCT_PN, 2, 3, (1,)), "PP takes no degrees"),
+        ((fam.G2P, 3, 7), "G2P takes no parameters"),
+        ((fam.G2P, 0, 1), "G2P takes no parameters"),
+        ((fam.G2P, 0, 0, (2,)), "G2P takes no degrees"),
+    ):
+        with pytest.raises(InvalidFamilyError, match=message):
+            fam.FamilySpec(*fields)
+    assert fam.FamilySpec(fam.G2P, 0, 0, ()) == fam.parse_spec("G2P")
+    listed = fam.FamilySpec(fam.GRASS, 2, 5, [])
+    assert listed == fam.parse_spec("G[2,5]") and hash(listed) == hash(fam.parse_spec("G[2,5]"))
 
 
 def test_ci_not_covered_by_lines_gets_a_row():

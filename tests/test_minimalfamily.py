@@ -13,7 +13,6 @@ from higherfano.minimalfamily import (
     MissingTransferError,
     T_power,
     UniversalModel,
-    VerificationReport,
     ch_Hx,
     ci_T_images,
     ci_family_character_direct,
@@ -21,6 +20,7 @@ from higherfano.minimalfamily import (
     model_ring,
     prop11_ci_suite,
     push_pi,
+    report_item,
     symbolic_suite,
     verify_claim31,
     verify_prop11_ci,
@@ -112,12 +112,15 @@ def test_input_is_validated_when_built():
         MinimalFamilyInput(d=3, ell=ell, t={1: ring.scalar(5), 3: ell})
     with pytest.raises(ValueError, match="share the polarization's ring"):
         MinimalFamilyInput(d=3, ell=ell, t={1: ProjectiveSpaceRing(3).scalar(5)})
-
-
-def test_reports_start_with_their_own_empty_check_list():
-    first, second = VerificationReport("first"), VerificationReport("second", checks=None)
-    first.record("equal", (), 1, 1)
-    assert len(first.checks) == 1 and second.checks == [] and VerificationReport("third").checks == []
+    # _make and _replace validate too: namedtuple's own skip __new__
+    inp = ci_T_images(9, (3,), 3)
+    with pytest.raises(DegreeError, match="polarization class must have degree 1"):
+        inp._replace(ell=ProjectiveSpaceRing(3).unit())
+    with pytest.raises(ValueError, match="share the polarization's ring"):
+        MinimalFamilyInput._make((3, ell, {1: inp.t[1]}))
+    assert inp._replace(d=inp.d) == inp and type(inp._replace(d=4)) is MinimalFamilyInput
+    with pytest.raises(TypeError, match="Expected 3 arguments"):
+        MinimalFamilyInput._make((3, inp.ell))
 
 
 def test_no_lines_rejected():
@@ -226,26 +229,40 @@ def test_ring_identities_are_checked_in_every_claim31_report(monkeypatch):
     # a fresh ring with a wrong relation; the memoised rings stay as they are
     broken = _WrongSquare(5)
     monkeypatch.setattr(minimalfamily, "_universal_ring", lambda max_degree: broken)
-    reports = {(n, d): verify_claim31(n, d, 4) for n, d in [(6, 2), (9, 5)]}
-    for (n, d), rep in reports.items():
-        identities = [c for c in rep.checks if c.name.startswith("(")]
-        failed = {c.name for c in identities if not c.ok}
-        assert {"(iv) l^i s^j", "(v) c1^i s^j", "(vi) c1^i"} <= failed
-        assert all(c.params[:2] == (n, d) for c in rep.checks)
-        detail = VerificationReport("identities", identities).item()["detail"]
-        assert detail.count(f"({n}, {d}, ") == 3
-        # the (n, d) prefix is applied on read: the report lists and shows what
-        # copying every shared check with the prefix at the head of its params would
-        eager = [
-            Check(c.name, (n, d) + c.params, c.ok, c.lhs, c.rhs)
-            for c in broken.claim31_z_checks(n) + broken.claim31_identities
-        ]
-        assert rep.checks == eager and not rep.ok
-        assert rep.item() == VerificationReport(rep.label, eager).item()  # detail byte for byte
-    first, second = reports.values()
-    assert first.checks is not second.checks
+    rendered = []
+
+    def record(label, checks, prefix=()):
+        rendered.append((list(checks), prefix))
+        return report_item(label, rendered[-1][0], prefix)
+
+    monkeypatch.setattr(minimalfamily, "report_item", record)
+    identities = broken.claim31_identities
+    failing = {"(iv) l^i s^j", "(v) c1^i s^j", "(vi) c1^i"}
+    assert failing <= {c.name for c in identities if not c.ok}
+    # each item renders the ring's shared checks with its (n, d) at the head of their params,
+    # byte for byte what copying every check with the prefix in place would show
+    items = {(6, 2): {
+        "check": "claim31(n=6, d=2, k_max=4)", "ok": False,
+        "detail": "push(Z_k*s)(6, 2, 1): (-8)*l != (6)*l; "
+                  "Z_k(6, 2, 2): e_2 + (3/2)*l*s + (-1/2)*l^2 != e_2 + (7/2)*l*s + (-1/2)*l^2; "
+                  "Z_k*s(6, 2, 2): l^2*s != (3)*l^2*s",
+    }, (9, 5): {
+        "check": "claim31(n=9, d=5, k_max=4)", "ok": False,
+        "detail": "push(Z_k*s)(9, 5, 1): (-11)*l != (9)*l; "
+                  "Z_k(9, 5, 2): e_2 + (3)*l*s + (-1/2)*l^2 != e_2 + (5)*l*s + (-1/2)*l^2; "
+                  "Z_k*s(9, 5, 2): (5/2)*l^2*s != (9/2)*l^2*s",
+    }}
+    for (n, d), item in items.items():
+        assert verify_claim31(n, d, 4) == item
+        # the item renders the ring's identities, the failing ones among them, headed by (n, d)
+        checks, prefix = rendered.pop()
+        assert prefix == (n, d) and all(c in checks for c in identities)
+        assert failing <= {c.name for c in checks if not c.ok}
+        eager = [Check(c.name, (n, d) + c.params, c.ok, c.lhs, c.rhs) for c in broken.claim31_z_checks(n) + identities]
+        assert report_item(item["check"], eager) == item
+        assert report_item("identities", identities, prefix=(n, d))["detail"].count(f"({n}, {d}, ") == 3
     monkeypatch.undo()
-    assert verify_claim31(6, 2, 4).ok and verify_claim31(9, 5, 4).ok
+    assert verify_claim31(6, 2, 4)["ok"] and verify_claim31(9, 5, 4)["ok"]
 
 
 def _assert_all_ok(items: Iterable[dict], count: int) -> None:
@@ -267,17 +284,15 @@ def test_prop11_ci_sweep():
 
 
 def test_report_item_shows_the_first_three_failures():
-    rep = VerificationReport("demo")
-    rep.record("equal", (1,), 2, 2)
-    for i in range(4):
-        rep.record("differ", (i,), i, -1)
-    item = rep.item()
-    assert item == {
+    checks = [Check.compare("equal", (1,), 2, 2)] + [Check.compare("differ", (i,), i, -1) for i in range(4)]
+    assert report_item("demo", checks) == {
         "check": "demo",
         "ok": False,
         "detail": "differ(0,): 0 != -1; differ(1,): 1 != -1; differ(2,): 2 != -1",
     }
-    assert verify_prop11_ci(9, (3,), 3).item() == {
+    assert report_item("demo", iter(checks), prefix=(7,))["detail"].startswith("differ(7, 0): 0 != -1; ")
+    assert report_item("none", []) == {"check": "none", "ok": True, "detail": ""}
+    assert verify_prop11_ci(9, (3,), 3) == {
         "check": "prop11_ci(n=9, degrees=(3,), k_max=3)", "ok": True, "detail": ""
     }
 
@@ -294,9 +309,12 @@ def test_ci_transfer_refuses_a_degree_below_one_through_the_spec():
         ci_T_images(5, (0,), 2)
 
 
-def test_symbolic_specializations_present():
-    rep = verify_prop11_symbolic(6, 3, 3)
-    names = {c.name for c in rep.checks}
+def test_symbolic_specializations_present(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(minimalfamily, "report_item", lambda label, checks: rendered.append(checks))
+    verify_prop11_symbolic(6, 3, 3)
+    [checks] = rendered
+    names = {c.name for c in checks}
     assert "c_1(H) specialization" in names
     assert "ch_2(H) specialization" in names
     assert "standalone l^k coefficient" in names
@@ -312,7 +330,7 @@ def test_symbolic_checks_refuse_negative_truncation(check):
     # claim31 used to die on an unknown basis label, prop11-sym to pass with no checks
     with pytest.raises(ValueError, match="need k_max >= 0, got -1"):
         check(5, 2, -1)
-    assert check(5, 2, 0).ok
+    assert check(5, 2, 0)["ok"]
 
 
 def test_concrete_and_symbolic_formula_agree():

@@ -64,9 +64,6 @@ UNREACHED = {
     "families.bundle_nonexample_diagnostic": "ROADMAP item 19",
     "families.chk_verdict": "README: chk_verdict(spec, 2).witnesses",
     "families.product_nonexample": "tests/test_acceptance.py::test_criterion_7_product_nonexample",
-    "minimalfamily.VerificationReport.checks":
-        "tests/test_minimalfamily.py::test_ring_identities_are_checked_in_every_claim31_report",
-    "minimalfamily.VerificationReport.ok": "README: verify_claim31(7, 4, 5).ok",
     "rings.GradedClass.__repr__":
         "tests/test_minimalfamily.py::test_ring_identities_are_checked_in_every_claim31_report",
     "rings.GradedClass.__rsub__": "tests/test_rings.py::test_subtraction_edge_cases",
